@@ -39,9 +39,11 @@ from .parliament import (
     MissingMovc,
     ParliamentScenario,
     SeatRecord,
+    analyze_seat,
     coalition_key,
     dump_seat_records,
     load_seat_records,
+    relabel_complement,
     seats_to_lose_majority,
     seats_to_win,
     threshold,
@@ -92,6 +94,7 @@ __all__ = [
     "TieRule",
     "UnresolvedTie",
     "adversarial_winners",
+    "analyze_seat",
     "apply_manipulation",
     "build_model",
     "coalition_key",
@@ -107,6 +110,7 @@ __all__ = [
     "order_attainable",
     "parse_profile",
     "random_profile",
+    "relabel_complement",
     "run_election",
     "seats_to_lose_majority",
     "seats_to_win",

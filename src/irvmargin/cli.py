@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: tabulate, margin, movc (margin with required alternates), and
-parliament; plus a hidden oracle subcommand for debugging small instances.
-Reports render as a table (default), JSON, or CSV, and are byte-identical
-across reruns on identical inputs.
+parliament.  Reports render as a table (default), JSON, or CSV, and are
+byte-identical across reruns on identical inputs.
 """
 
 from __future__ import annotations
@@ -15,16 +14,16 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
-from .ballots import ParseError, Profile, ProfileError, parse_profile
+from .ballots import Profile, ProfileError, parse_profile
 from .distance import build_model, model_lp_text
-from .oracle import ABOVE_CAP, OracleConfig, oracle_movc
 from .parliament import (
     CoalitionLacksMajority,
     MissingMovc,
-    SeatRecord,
-    coalition_key,
+    analyze_seat,
     load_seat_records,
+    relabel_complement,
     seats_to_lose_majority,
     seats_to_win,
     threshold,
@@ -36,16 +35,12 @@ from .search import (
     compute_mov,
     compute_movc,
 )
-from .synth import random_profile, synthetic_seat
+from .synth import synthetic_seat
 from .tabulate import TieRule, UnresolvedTie, last_round_margin, run_election
 
 
 class CliError(Exception):
     """User-facing failure; the message goes to stderr and the exit code is 1."""
-
-
-def _tie_rule(value: str) -> TieRule:
-    return TieRule.FAIL if value == "fail" else TieRule.LEXICOGRAPHIC
 
 
 def _load_profile(args: argparse.Namespace) -> Profile:
@@ -92,7 +87,7 @@ def _emit(args: argparse.Namespace, report: dict, table: str, rows: list[list]) 
 
 def cmd_tabulate(args: argparse.Namespace) -> int:
     profile = _load_profile(args)
-    result = run_election(profile, tie_rule=_tie_rule(args.tie_rule))
+    result = run_election(profile, tie_rule=TieRule(args.tie_rule))
     lrm = last_round_margin(result)
     rounds = []
     for i, rnd in enumerate(result.rounds, start=1):
@@ -136,7 +131,7 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
 
 
 def _margin_result(args: argparse.Namespace, profile: Profile) -> MarginResult:
-    tie_rule = _tie_rule(args.tie_rule)
+    tie_rule = TieRule(args.tie_rule)
     raw = getattr(args, "alternates", None)
     if raw is None:
         return compute_mov(profile, tie_rule=tie_rule)
@@ -161,11 +156,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
         "witness_order": list(order),
         "witness_changes": changes,
     }
-    stats = {
-        "nodes_expanded": result.stats.nodes_expanded,
-        "lps_solved": result.stats.lps_solved,
-        "ips_solved": result.stats.ips_solved,
-    }
+    stats = asdict(result.stats)
     if args.stats:
         report["stats"] = stats
 
@@ -199,72 +190,35 @@ def cmd_margin(args: argparse.Namespace) -> int:
     return _emit(args, report, "\n".join(lines), rows)
 
 
-def _analyze_seat(task: tuple) -> dict:
-    """Per-seat margin work; module level so process pools can pickle it."""
-    name, text, overrides, mode, coalition, tie_rule_value = task
-    profile = parse_profile(text)
-    tie_rule = _tie_rule(tie_rule_value)
-    count = run_election(profile, tie_rule=tie_rule)
-    # manifest party entries override the ballot file's roster parties
-    parties = {c.id: c.party for c in profile.candidates}
-    parties.update(overrides)
-    winner_party = parties.get(count.winner, "none").upper()
-    mov = compute_mov(profile, tie_rule=tie_rule)
-    record = {
-        "seat": name,
-        "num_candidates": len(profile.candidates),
-        "lrm": last_round_margin(count),
-        "mov": mov.value,
-        "winner": count.winner,
-        "winner_party": winner_party,
-        "movc": {},
-        "stats": {
-            "nodes_expanded": mov.stats.nodes_expanded,
-            "lps_solved": mov.stats.lps_solved,
-            "ips_solved": mov.stats.ips_solved,
-        },
-    }
+def _analyze_seat(task: tuple) -> tuple:
+    """Pool task: parse one manifest seat in the worker and analyze it.
 
-    held = winner_party in coalition
-    if mode == "lose" and held:
-        targets = {
-            c.id
-            for c in profile.candidates
-            if parties.get(c.id, "none").upper() not in coalition
-        }
-        key = coalition_key(
-            {parties.get(c.id, "none") for c in profile.candidates} - set(coalition)
-            or {"none"}
+    Module level so process pools can pickle it.  Errors name the seat.
+    """
+    name, text, parties, mode, coalition, tie_rule = task
+    try:
+        return analyze_seat(
+            parse_profile(text), coalition, mode, parties, tie_rule, seat=name
         )
-    elif mode == "win" and not held:
-        targets = {
-            c.id
-            for c in profile.candidates
-            if parties.get(c.id, "none").upper() in coalition
-        }
-        key = coalition_key(coalition)
-    else:
-        return record
-    targets.discard(count.winner)
-    if targets:
-        movc = compute_movc(profile, targets, tie_rule=tie_rule)
-        record["movc"][key] = movc.value
-        for field in record["stats"]:
-            record["stats"][field] += getattr(movc.stats, field)
-    elif mode == "win" and not held:
-        record["movc"][key] = None  # no coalition candidate stands here
-    return record
+    except (UnresolvedTie, ValueError) as exc:
+        raise CliError(f"seat {name!r}: {exc}") from exc
 
 
 def _records_from_manifest(
     args: argparse.Namespace, manifest: dict, coalition: frozenset[str]
-) -> tuple[list[SeatRecord], str | None, dict]:
+) -> tuple[list, str | None, dict]:
     seats = manifest.get("seats")
     if not isinstance(seats, list) or not seats:
         raise CliError("manifest needs a nonempty seats list")
+    if not all(isinstance(s, dict) for s in seats):
+        raise CliError("each manifest seat must be an object")
     options = manifest.get("options", {})
-    tie_rule_value = args.tie_rule or options.get("tie_rule", "fail")
+    if not isinstance(options, dict):
+        raise CliError("manifest options must be an object")
+    tie_rule = TieRule(args.tie_rule or options.get("tie_rule", "fail"))
     workers = args.workers or int(options.get("workers", 1))
+    if workers < 1:
+        raise CliError(f"options.workers must be at least 1, not {workers}")
     names = [s.get("name") for s in seats]
     if len(set(names)) != len(names):
         raise CliError("manifest seat names must be unique")
@@ -282,51 +236,22 @@ def _records_from_manifest(
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-        parties = {k: str(v) for k, v in (seat.get("parties") or {}).items()}
-        tasks.append(
-            (seat["name"], text, parties, args.mode, coalition, tie_rule_value)
-        )
+        parties = seat.get("parties") or {}
+        if not isinstance(parties, dict):
+            raise CliError(f"seat {seat['name']!r}: parties must be an object")
+        parties = {k: str(v) for k, v in parties.items()}
+        tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_analyze_seat, tasks))
+            analyzed = list(pool.map(_analyze_seat, tasks))
     else:
-        raw = [_analyze_seat(t) for t in tasks]
-
-    # Seat rosters differ, so per-seat complements carry different keys.
-    # Relabel them under the manifest-wide complement: a seat's margin
-    # toward its own outside candidates is its margin toward the union
-    # complement restricted to whoever actually stands there.
+        analyzed = [_analyze_seat(t) for t in tasks]
+    records = [record for record, _ in analyzed]
+    stats = {record.seat: asdict(s) for record, s in analyzed}
     complement_key = None
     if args.mode == "lose":
-        roster = {item["winner_party"] for item in raw}
-        for item in raw:
-            for key in item["movc"]:
-                roster.update(key.split("+"))
-        outside = roster - coalition
-        if outside:
-            complement_key = coalition_key(outside)
-            for item in raw:
-                item["movc"] = {
-                    complement_key: v for v in item["movc"].values()
-                }
-
-    records = []
-    stats: dict[str, dict] = {}
-    for item in raw:
-        movc = {k: v for k, v in item["movc"].items() if v is not None}
-        records.append(
-            SeatRecord(
-                seat=item["seat"],
-                num_candidates=item["num_candidates"],
-                lrm=item["lrm"],
-                mov=item["mov"],
-                winner=item["winner"],
-                winner_party=item["winner_party"],
-                movc_by_target=movc,
-            )
-        )
-        stats[item["seat"]] = item["stats"]
+        records, complement_key = relabel_complement(records, coalition)
     return records, complement_key, stats
 
 
@@ -334,6 +259,9 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     coalition = frozenset(p.upper() for p in args.coalition.split("+") if p.strip())
     if not coalition:
         raise CliError("empty --coalition")
+    for flag, value in ("--threshold", args.threshold), ("--workers", args.workers):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be at least 1, not {value}")
     try:
         with open(args.records, encoding="utf-8") as fh:
             text = fh.read()
@@ -385,32 +313,6 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     rows.extend([s, v] for s, v in scenario.chosen_seats)
     rows.append(["TOTAL", scenario.total_changes])
     return _emit(args, report, "\n".join(lines), rows)
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.ballots is not None:
-        profile = _load_profile(args)
-    elif args.seed is not None:
-        profile = random_profile(args.seed)
-    else:
-        raise CliError("provide a ballot file or --seed")
-    count = run_election(profile, tie_rule=_tie_rule(args.tie_rule))
-    if args.alternates:
-        alternates = _resolve_alternates(profile, args.alternates)
-    else:
-        alternates = set(profile.candidate_ids) - {count.winner}
-    config = OracleConfig(max_changes=args.max_changes)
-    value = oracle_movc(profile, alternates, config=config)
-    report = {
-        "command": "oracle",
-        "value": None if value is ABOVE_CAP else value,
-        "above_cap": value is ABOVE_CAP,
-        "max_changes": args.max_changes,
-        "alternates": sorted(alternates),
-    }
-    text = f"oracle margin: {'above cap' if value is ABOVE_CAP else value}"
-    rows = [["field", "value"], ["value", "" if value is ABOVE_CAP else value]]
-    return _emit(args, report, text, rows)
 
 
 def _add_common(sub: argparse.ArgumentParser, *, dump_lp: bool = False) -> None:
@@ -469,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_parl.add_argument("--tie-rule", choices=("fail", "lex"), default=None)
     p_parl.add_argument("--stats", action="store_true")
     p_parl.set_defaults(func=cmd_parliament)
-
-    p_oracle = sub.add_parser("oracle")  # debugging aid, left out of help
-    p_oracle.add_argument("ballots", nargs="?", help="ballot file")
-    p_oracle.add_argument("--alternates", default=None)
-    p_oracle.add_argument("--max-changes", type=int, default=10)
-    _add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
@@ -487,9 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: line {exc.line}: {exc}", file=sys.stderr)
-        return 1
     except (
         CliError,
         ProfileError,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import simplex
 from .ballots import Ballot, Profile
@@ -66,7 +67,7 @@ class EliminationSequence:
                 raise DistanceError(f"sequence names unknown candidate {c!r}")
         return EliminationSequence(order, complete=len(order) == len(ids))
 
-    @property
+    @cached_property
     def positions(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.order)}
 
@@ -83,17 +84,6 @@ def project_type(ballot: Ballot, sequence: EliminationSequence) -> tuple[str, ..
             chain.append(c)
             last = p
     return tuple(chain)
-
-
-def _mask_of(ranking: tuple[str, ...], pos: dict[str, int]) -> int:
-    mask = 0
-    last = -1
-    for c in ranking:
-        p = pos.get(c)
-        if p is not None and p > last:
-            mask |= 1 << p
-            last = p
-    return mask
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,10 @@ def build_model(profile: Profile, sequence: EliminationSequence) -> DistanceMode
     pos = sequence.positions
     counts = [0] * (1 << k)
     for ballot in profile.ballots:
-        counts[_mask_of(ballot.ranking, pos)] += ballot.count
+        mask = 0
+        for c in project_type(ballot, sequence):
+            mask |= 1 << pos[c]
+        counts[mask] += ballot.count
     credits = []
     for r in range(k - 1):
         row = []
@@ -350,42 +343,45 @@ def swap_final_witness(
     return need, manip
 
 
+def _linear(coefs, names) -> str:
+    terms = [
+        ("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)} ") + name
+        for c, name in zip(coefs, names)
+        if c
+    ]
+    if not terms:
+        return "0"
+    text = " ".join(terms)
+    return text[2:] if terms[0][0] == "+" else "-" + text[2:]
+
+
 def model_lp_text(model: DistanceModel) -> str:
-    """Human-readable dump of the y/d form of the model (debugging aid)."""
+    """Human-readable dump of the u/e program that lower_bound and
+    exact_distance solve: _assemble's objective, one line per row, and one
+    bound line per column."""
+    objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
 
-    def y(mask: int) -> str:
-        chain = model.chain(mask)
-        return "y[" + (">".join(chain) if chain else "-") + "]"
+    def chain(mask: int) -> str:
+        return ">".join(model.chain(mask)) or "-"
 
-    def d(mask: int) -> str:
-        return "d[" + ">".join(model.chain(mask)) + "]"
-
+    names = [f"u[{chain(m)}]" for m in u_masks] + [f"e[{chain(m)}]" for m in e_masks]
     order = model.sequence.order
-    ntypes = len(model.counts)
-    supported = [m for m in range(ntypes) if model.counts[m]]
+    labels = ["conserve"] + [
+        f"round {r + 1} ({order[r]} vs {order[j]})"
+        for r in range(len(order) - 1)
+        for j in range(r + 1, len(order))
+    ]
     lines = [
-        "# elimination distance model",
+        "# elimination distance model: u = ballots kept, e = ballots added",
         "# order: " + " > ".join(order)
         + (" (complete)" if model.sequence.complete else " (suffix)"),
-        "minimize: " + (" + ".join(d(m) for m in supported) or "0"),
+        f"# distance = {model.total} + minimum",
+        "minimize: " + _linear(objective, names),
         "subject to:",
-        "  conserve: "
-        + " + ".join(y(m) for m in range(ntypes))
-        + f" = {model.total}",
     ]
-    for r in range(len(order) - 1):
-        credit = model.credits[r]
-        left = [y(m) for m in range(ntypes) if credit[m] == r]
-        for j in range(r + 1, len(order)):
-            right = [y(m) for m in range(ntypes) if credit[m] == j]
-            lines.append(
-                f"  round {r + 1} ({order[r]} vs {order[j]}): "
-                + (" + ".join(left) or "0")
-                + " <= "
-                + (" + ".join(right) or "0")
-            )
-    for m in supported:
-        lines.append(f"  link {'>'.join(model.chain(m)) or '-'}: "
-                     f"{y(m)} + {d(m)} >= {model.counts[m]}")
-    lines.append("bounds: y[*] >= 0, d[*] >= 0")
+    for label, row, sense, b in zip(labels, rows, senses, rhs):
+        lines.append(f"  {label}: {_linear(row, names)} {sense} {b}")
+    lines.append("bounds:")
+    for name, (lo, hi) in zip(names, bounds):
+        lines.append(f"  {lo} <= {name}" + ("" if hi is None else f" <= {hi}"))
     return "\n".join(lines) + "\n"

@@ -5,14 +5,19 @@ and targeted margins keyed by coalition).  Scenario arithmetic then reduces
 to sorting: changing control needs the cheapest W - T + 1 coalition seats to
 fall, reaching control needs the cheapest T - W' seats to be captured, where
 T is the majority threshold and W (W') the seats currently held.
+analyze_seat computes a seat's record from its ballots.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
+
+from .ballots import Profile
+from .search import SearchStats, compute_mov, compute_movc
+from .tabulate import TieRule, last_round_margin, run_election
 
 
 class CoalitionLacksMajority(ValueError):
@@ -82,6 +87,82 @@ def _party_roster(records: Sequence[SeatRecord]) -> frozenset[str]:
         for key in r.movc_by_target:
             roster.update(key.upper().split("+"))
     return frozenset(roster)
+
+
+def analyze_seat(
+    profile: Profile,
+    coalition: Iterable[str],
+    mode: str,
+    parties: Mapping[str, str] | None = None,
+    tie_rule: TieRule = TieRule.FAIL,
+    *,
+    seat: str,
+) -> tuple[SeatRecord, SearchStats]:
+    """The seat's record for a "win" or "lose" scenario of the coalition,
+    with the counters of its searches summed.
+
+    parties maps candidate ids to party codes and overrides the profile's
+    roster.  The record always carries the MOV.  In lose mode a held seat
+    also gets its margin toward the candidates outside the coalition, keyed
+    by their parties (see relabel_complement); in win mode a seat the
+    coalition does not hold gets its margin toward the coalition's
+    candidates, keyed by the coalition.  A seat with no such candidate gets
+    no targeted margin.
+    """
+    if mode not in ("win", "lose"):
+        raise ValueError(f"unknown scenario mode {mode!r}")
+    members = _coalition_set(coalition)
+    party = {c.id: c.party.upper() for c in profile.candidates}
+    party.update((cid, p.upper()) for cid, p in (parties or {}).items())
+    count = run_election(profile, tie_rule=tie_rule)
+    mov = compute_mov(profile, tie_rule=tie_rule)
+    stats = mov.stats
+    movc: dict[str, int] = {}
+    held = party[count.winner] in members
+    if held == (mode == "lose"):
+        # Lose mode targets a held seat's candidates outside the coalition,
+        # win mode an unheld seat's coalition candidates: never the winner.
+        targets = {c for c in profile.candidate_ids if (party[c] in members) != held}
+        if targets:
+            key = coalition_key(
+                {party[c] for c in targets} if held else members
+            )
+            result = compute_movc(profile, targets, tie_rule=tie_rule)
+            movc[key] = result.value
+            stats = stats + result.stats
+    record = SeatRecord(
+        seat=seat,
+        num_candidates=len(profile.candidates),
+        lrm=last_round_margin(count),
+        mov=mov.value,
+        winner=count.winner,
+        winner_party=party[count.winner],
+        movc_by_target=movc,
+    )
+    return record, stats
+
+
+def relabel_complement(
+    records: Sequence[SeatRecord], coalition: Iterable[str]
+) -> tuple[list[SeatRecord], str | None]:
+    """File lose-mode margins from analyze_seat under one chamber-wide key.
+
+    Seat rosters differ, so each held seat's margin is keyed by the outside
+    parties standing there.  A seat's margin toward its own outside
+    candidates is its margin toward every party outside the coalition,
+    restricted to whoever stands there, so all of them go under the key of
+    the roster's complement.  Returns the records and that key, or None when
+    no party in the roster is outside the coalition.
+    """
+    outside = _party_roster(records) - _coalition_set(coalition)
+    if not outside:
+        return list(records), None
+    key = coalition_key(outside)
+    relabelled = [
+        replace(r, movc_by_target={key: v for v in r.movc_by_target.values()})
+        for r in records
+    ]
+    return relabelled, key
 
 
 def seats_to_lose_majority(

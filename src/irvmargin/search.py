@@ -25,7 +25,7 @@ parallelize across independent searches (e.g. seats) instead.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from .ballots import Profile
@@ -52,6 +52,9 @@ class SearchStats:
     nodes_expanded: int = 0
     lps_solved: int = 0
     ips_solved: int = 0
+
+    def __add__(self, other: "SearchStats") -> "SearchStats":
+        return SearchStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)

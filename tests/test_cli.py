@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from irvmargin import (
+    EliminationSequence,
+    TieRule,
+    analyze_seat,
+    build_model,
+    dump_seat_records,
+    load_seat_records,
+    parse_profile,
+    relabel_complement,
+)
 from irvmargin.cli import main
+from irvmargin.distance import _assemble
 
 EXAMPLE_WITH_PARTIES = """\
 # candidates: a:ALP, b:LIB, c:GRE
@@ -175,6 +186,24 @@ def test_tie_failure_exits_nonzero(tmp_path: Path, capsys: pytest.CaptureFixture
     assert main(["tabulate", str(tied), "--tie-rule", "lex"]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# candidates: a:none,b:none\n1,a\nnope\n",
+         "line 3: record is not count,ranking"),
+        ("# no roster here\n", "no candidate roster line found"),
+    ],
+    ids=["bad-record", "no-roster"],
+)
+def test_parse_errors_print_one_prefix(
+    tmp_path: Path, capsys: pytest.CaptureFixture, text: str, message: str
+) -> None:
+    bad = tmp_path / "bad.ballots"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["tabulate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_seeded_tabulate_needs_no_file(capsys: pytest.CaptureFixture) -> None:
     assert main(["tabulate", "--seed", "1", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -191,6 +220,31 @@ def test_dump_lp_writes_model_to_stderr(
     assert "minimize:" in captured.err
     assert "conserve:" in captured.err
     json.loads(captured.out)
+
+
+def test_dump_lp_lists_the_solved_program(
+    seat_file: Path, capsys: pytest.CaptureFixture
+) -> None:
+    assert main(["margin", str(seat_file), "--dump-lp", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    order = json.loads(captured.out)["witness_order"]
+    profile = parse_profile(EXAMPLE_WITH_PARTIES)
+    model = build_model(profile, EliminationSequence.for_profile(order, profile))
+    _, rows, _, _, _, u_masks, e_masks = _assemble(model)
+    columns = [f"u[{'>'.join(model.chain(m)) or '-'}]" for m in u_masks]
+    columns += [f"e[{'>'.join(model.chain(m))}]" for m in e_masks]
+
+    lines = captured.err.splitlines()
+    start = lines.index("subject to:") + 1
+    end = lines.index("bounds:")
+    constraints = lines[start:end]
+    assert len(constraints) == len(rows)
+    assert all(line.rstrip().endswith((" <= 0", f" = {model.total}")) for line in constraints)
+    bound_lines = lines[end + 1:]
+    assert [line.split()[2] for line in bound_lines] == columns
+    named = {tok.strip("-") for line in lines[start - 2:end] for tok in line.split()
+             if tok.strip("-").startswith(("u[", "e["))}
+    assert named <= set(columns)
 
 
 def test_parliament_fixture_totals(capsys: pytest.CaptureFixture) -> None:
@@ -252,6 +306,96 @@ def test_parliament_workers_do_not_change_output(
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "mode, coalition", [("win", "LIB"), ("lose", "ALP")]
+)
+def test_analyzed_seat_records_round_trip_to_the_manifest_report(
+    manifest: Path, tmp_path: Path, capsys: pytest.CaptureFixture,
+    mode: str, coalition: str,
+) -> None:
+    args = ["--coalition", coalition, "--mode", mode, "--format", "json"]
+    assert main(["parliament", str(manifest)] + args) == 0
+    from_manifest = capsys.readouterr().out
+
+    records = []
+    for seat in json.loads(manifest.read_text(encoding="utf-8"))["seats"]:
+        profile = parse_profile((manifest.parent / seat["path"]).read_text(encoding="utf-8"))
+        record, _ = analyze_seat(
+            profile, [coalition], mode, seat["parties"], TieRule.FAIL, seat=seat["name"]
+        )
+        records.append(record)
+    if mode == "lose":
+        records, _ = relabel_complement(records, [coalition])
+    text = dump_seat_records(records)
+    assert load_seat_records(text) == records
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    assert main(["parliament", str(csv_path)] + args) == 0
+    assert capsys.readouterr().out == from_manifest
+
+
+def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
+    path = tmp_path / "bad_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "manifest_doc, extra, message",
+    [
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}],
+          "options": {"tie_rule": "bogus"}}, [],
+         "'bogus' is not a valid TieRule"),
+        ({"seats": ["seat1.ballots"]}, [], "each manifest seat must be an object"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": ["a", "ALP"]}]},
+         [], "seat 'S': parties must be an object"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": ["lex"]},
+         [], "manifest options must be an object"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 0}},
+         [], "options.workers must be at least 1, not 0"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--workers", "0"],
+         "--workers must be at least 1, not 0"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--threshold", "0"],
+         "--threshold must be at least 1, not 0"),
+    ],
+    ids=["tie-rule", "seat-not-object", "parties-not-object", "options-not-object",
+         "options-workers", "workers-flag", "threshold-flag"],
+)
+def test_bad_manifest_input_is_an_error(
+    manifest: Path, capsys: pytest.CaptureFixture,
+    manifest_doc: dict, extra: list[str], message: str,
+) -> None:
+    path = _write_manifest(manifest.parent, manifest_doc)
+    argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"] + extra
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# candidates: a:ALP,b:LIB\n5,a\n5,b\n", "tie"),
+        ("# candidates: a:ALP,b:LIB\n5,a\nnope\n", "line 3: record is not count,ranking"),
+    ],
+    ids=["tie", "parse-error"],
+)
+def test_manifest_errors_name_the_seat(
+    manifest: Path, capsys: pytest.CaptureFixture, workers: str, text: str, message: str
+) -> None:
+    (manifest.parent / "broken.ballots").write_text(text, encoding="utf-8")
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["seats"].append({"name": "Broken", "path": "broken.ballots"})
+    path = _write_manifest(manifest.parent, doc)
+    argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win",
+            "--workers", workers]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seat 'Broken': ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_parliament_lose_without_majority_fails(
     manifest: Path, capsys: pytest.CaptureFixture
 ) -> None:
@@ -259,15 +403,6 @@ def test_parliament_lose_without_majority_fails(
         ["parliament", str(manifest), "--coalition", "GRE", "--mode", "lose"]
     ) == 1
     assert "majority" in capsys.readouterr().err
-
-
-def test_oracle_subcommand(seat_file: Path, capsys: pytest.CaptureFixture) -> None:
-    assert main(["oracle", str(seat_file), "--alternates", "b"]) == 0
-    assert "10" in capsys.readouterr().out
-    assert main(["oracle", "--seed", "2", "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["value"] == 4
-    assert report["above_cap"] is False
 
 
 def test_module_entry_point_runs() -> None:

@@ -176,5 +176,5 @@ def test_model_lp_text_shape(example1: Profile) -> None:
     assert "conserve:" in text
     assert "round 1 (b vs a):" in text
     assert "round 2 (a vs c):" in text
-    assert "link" in text
+    assert "0 <= u[b>c] <= 41" in text
     assert "= 136" in text

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import pytest
 
 from irvmargin import (
     CoalitionLacksMajority,
     MissingMovc,
+    SearchStats,
     SeatRecord,
+    TieRule,
+    analyze_seat,
     coalition_key,
+    compute_mov,
+    compute_movc,
     dump_seat_records,
     load_seat_records,
+    parse_profile,
+    relabel_complement,
     seats_to_lose_majority,
     seats_to_win,
     threshold,
@@ -256,3 +264,46 @@ def test_malformed_records_carry_line_numbers() -> None:
         load_seat_records(header + "X,notanint,5,5,w,LIB,9\n")
     with pytest.raises(ValueError, match="line 3"):
         load_seat_records(header + "X,4,5,5,w,LIB,9\nY,4,5,5,w\n")
+
+
+PARTY_SEAT = """\
+# candidates: a:ALP, b:LIB, c:GRE
+55,a
+41,b>c
+15,c
+25,c>a
+"""
+
+
+def test_analyze_seat_targets_and_sums_stats() -> None:
+    profile = parse_profile(PARTY_SEAT)
+    mov = compute_mov(profile)
+    record, stats = analyze_seat(profile, ["lib"], "win", seat="S")
+    movc = compute_movc(profile, {"b"})
+    assert record == SeatRecord("S", 3, 20, 1, "a", "ALP", {"LIB": movc.value})
+    assert stats == SearchStats(*map(sum, zip(astuple(mov.stats), astuple(movc.stats))))
+
+    record, stats = analyze_seat(profile, ["ALP"], "lose", seat="S")
+    assert record.movc_by_target == {"GRE+LIB": compute_movc(profile, {"b", "c"}).value}
+    # Manifest parties override the roster: with c in the coalition only b is a target.
+    record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
+    assert record.movc_by_target == {"LIB": 10}
+    # Seats the scenario does not contest carry only the MOV.
+    for coalition, mode in (["ALP"], "win"), (["LIB"], "lose"):
+        record, stats = analyze_seat(profile, coalition, mode, seat="S")
+        assert record.movc_by_target == {}
+        assert stats == mov.stats
+    with pytest.raises(ValueError):
+        analyze_seat(profile, ["ALP"], "flip", seat="S")
+
+
+def test_relabel_complement_uses_the_roster_complement() -> None:
+    records = [
+        _record("A", "ALP", 4, {"GRE+LIB": 4}),
+        _record("B", "ALP", 7, {"LIB": 7}),
+        _record("C", "NAT", 2),
+    ]
+    relabelled, key = relabel_complement(records, ["alp"])
+    assert key == "GRE+LIB+NAT"
+    assert [r.movc_by_target for r in relabelled] == [{key: 4}, {key: 7}, {}]
+    assert relabel_complement(records[:1], ["ALP", "GRE", "LIB"]) == (records[:1], None)
