@@ -216,9 +216,12 @@ def _records_from_manifest(
     if not isinstance(options, dict):
         raise CliError("manifest options must be an object")
     tie_rule = TieRule(args.tie_rule or options.get("tie_rule", "fail"))
-    workers = args.workers or int(options.get("workers", 1))
+    workers = options.get("workers", 1)
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise CliError(f"options.workers must be an integer, not {json.dumps(workers)}")
     if workers < 1:
         raise CliError(f"options.workers must be at least 1, not {workers}")
+    workers = args.workers or workers
     names = [s.get("name") for s in seats]
     if len(set(names)) != len(names):
         raise CliError("manifest seat names must be unique")
@@ -239,7 +242,12 @@ def _records_from_manifest(
         parties = seat.get("parties") or {}
         if not isinstance(parties, dict):
             raise CliError(f"seat {seat['name']!r}: parties must be an object")
-        parties = {k: str(v) for k, v in parties.items()}
+        for cid, code in parties.items():
+            if not isinstance(code, str):
+                raise CliError(
+                    f"seat {seat['name']!r}: party of {cid!r} must be a string, "
+                    f"not {json.dumps(code)}"
+                )
         tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
     if workers > 1:

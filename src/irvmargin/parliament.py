@@ -42,7 +42,8 @@ class SeatRecord:
 
     movc_by_target maps coalition keys (see coalition_key) to the number of
     ballot changes needed to elect some candidate of that coalition; zero for
-    seats the coalition already holds.
+    seats the coalition already holds, None where it fields no candidate (the
+    seat cannot be won for it).  A key that is absent was not computed.
     """
 
     seat: str
@@ -51,7 +52,7 @@ class SeatRecord:
     mov: int
     winner: str
     winner_party: str
-    movc_by_target: Mapping[str, int]
+    movc_by_target: Mapping[str, int | None]
 
     def movc_for(self, key: str) -> int | None:
         return self.movc_by_target.get(key)
@@ -102,12 +103,14 @@ def analyze_seat(
     with the counters of its searches summed.
 
     parties maps candidate ids to party codes and overrides the profile's
-    roster.  The record always carries the MOV.  In lose mode a held seat
-    also gets its margin toward the candidates outside the coalition, keyed
-    by their parties (see relabel_complement); in win mode a seat the
-    coalition does not hold gets its margin toward the coalition's
-    candidates, keyed by the coalition.  A seat with no such candidate gets
-    no targeted margin.
+    roster.  In lose mode a held seat gets its margin toward the candidates
+    outside the coalition, keyed by their parties (see relabel_complement);
+    in win mode a seat the coalition does not hold gets its margin toward
+    the coalition's candidates, keyed by the coalition, or None under that
+    key when the coalition fields no candidate there.  The record always
+    carries the MOV: after a targeted search it comes from compute_mov with
+    that result as known, which searches only the remaining non-winners,
+    so each suffix is bounded once per seat.
     """
     if mode not in ("win", "lose"):
         raise ValueError(f"unknown scenario mode {mode!r}")
@@ -115,9 +118,8 @@ def analyze_seat(
     party = {c.id: c.party.upper() for c in profile.candidates}
     party.update((cid, p.upper()) for cid, p in (parties or {}).items())
     count = run_election(profile, tie_rule=tie_rule)
-    mov = compute_mov(profile, tie_rule=tie_rule)
-    stats = mov.stats
-    movc: dict[str, int] = {}
+    movc: dict[str, int | None] = {}
+    known = None
     held = party[count.winner] in members
     if held == (mode == "lose"):
         # Lose mode targets a held seat's candidates outside the coalition,
@@ -127,9 +129,12 @@ def analyze_seat(
             key = coalition_key(
                 {party[c] for c in targets} if held else members
             )
-            result = compute_movc(profile, targets, tie_rule=tie_rule)
-            movc[key] = result.value
-            stats = stats + result.stats
+            known = compute_movc(profile, targets, tie_rule=tie_rule)
+            movc[key] = known.value
+        elif not held:
+            movc[coalition_key(members)] = None
+    mov = compute_mov(profile, tie_rule=tie_rule, known=known)
+    stats = mov.stats if known is None else known.stats + mov.stats
     record = SeatRecord(
         seat=seat,
         num_candidates=len(profile.candidates),
@@ -151,15 +156,19 @@ def relabel_complement(
     parties standing there.  A seat's margin toward its own outside
     candidates is its margin toward every party outside the coalition,
     restricted to whoever stands there, so all of them go under the key of
-    the roster's complement.  Returns the records and that key, or None when
-    no party in the roster is outside the coalition.
+    the roster's complement; a held seat with no outside candidate gets None
+    there, since it cannot be flipped.  Returns the records and that key, or
+    None when no party in the roster is outside the coalition.
     """
-    outside = _party_roster(records) - _coalition_set(coalition)
+    parties = _coalition_set(coalition)
+    outside = _party_roster(records) - parties
     if not outside:
         return list(records), None
     key = coalition_key(outside)
     relabelled = [
-        replace(r, movc_by_target={key: v for v in r.movc_by_target.values()})
+        replace(r, movc_by_target={key: next(iter(r.movc_by_target.values()), None)})
+        if r.winner_party.upper() in parties
+        else r
         for r in records
     ]
     return relabelled, key
@@ -178,7 +187,8 @@ def seats_to_lose_majority(
     complement_key; the margin stored under the key for every non-coalition
     party in the records' roster; otherwise the seat's MOV, which equals the
     margin toward non-coalition candidates whenever no seat fields two
-    coalition candidates.
+    coalition candidates.  A seat whose margin is None has no candidate
+    outside the coalition: it counts as held but is never chosen.
     """
     parties = _coalition_set(coalition)
     held = [r for r in records if r.winner_party.upper() in parties]
@@ -193,21 +203,25 @@ def seats_to_lose_majority(
         complement = _party_roster(records) - parties
         if complement:
             candidate_key = coalition_key(complement)
-            if all(r.movc_for(candidate_key) is not None for r in held):
+            if all(candidate_key in r.movc_by_target for r in held):
                 lookup_key = candidate_key
 
-    def cost(record: SeatRecord) -> int:
-        if lookup_key is not None:
-            value = record.movc_for(lookup_key)
-            if value is None:
-                raise MissingMovc(
-                    f"seat {record.seat!r} lacks movc:{lookup_key}"
-                )
-            return value
-        return record.mov
+    def cost(record: SeatRecord) -> int | None:
+        if lookup_key is None:
+            return record.mov
+        if lookup_key not in record.movc_by_target:
+            raise MissingMovc(f"seat {record.seat!r} lacks movc:{lookup_key}")
+        return record.movc_by_target[lookup_key]
 
-    ranked = sorted(held, key=lambda r: (cost(r), r.seat))
-    chosen = tuple((r.seat, cost(r)) for r in ranked[:surplus])
+    costs = [(cost(r), r.seat) for r in held]
+    flippable = sorted((v, seat) for v, seat in costs if v is not None)
+    if surplus > len(flippable):
+        raise ValueError(
+            f"coalition {coalition_key(parties)} cannot fall below "
+            f"{threshold_seats} seats: only {len(flippable)} of its "
+            f"{len(held)} seats have a candidate outside it"
+        )
+    chosen = tuple((seat, v) for v, seat in flippable[:surplus])
     return ParliamentScenario(
         mode="lose-majority",
         coalition=tuple(sorted(parties)),
@@ -227,7 +241,8 @@ def seats_to_win(
 
     Uses each non-coalition seat's margin toward the coalition
     (movc_by_target under the coalition's key) and picks the cheapest
-    threshold - held seats.  A coalition already at the threshold needs
+    threshold - held seats; a seat whose margin is None fields no coalition
+    candidate and is never chosen.  A coalition already at the threshold needs
     nothing: the scenario comes back empty with zero total.
     """
     parties = _coalition_set(coalition)
@@ -244,18 +259,22 @@ def seats_to_win(
             total_changes=0,
         )
     targets = [r for r in records if r.winner_party.upper() not in parties]
-    missing = [r.seat for r in targets if r.movc_for(key) is None]
+    missing = [r.seat for r in targets if key not in r.movc_by_target]
     if missing:
         raise MissingMovc(
             f"seats lacking movc:{key}: {', '.join(sorted(missing))}"
         )
-    if needed > len(targets):
+    winnable = sorted(
+        (r.movc_by_target[key], r.seat)
+        for r in targets
+        if r.movc_by_target[key] is not None
+    )
+    if needed > len(winnable):
         raise ValueError(
             f"coalition {key} cannot reach {threshold_seats} seats: "
-            f"only {len(targets)} seats are winnable"
+            f"only {len(winnable)} seats are winnable"
         )
-    ranked = sorted(targets, key=lambda r: (r.movc_for(key), r.seat))
-    chosen = tuple((r.seat, r.movc_for(key)) for r in ranked[:needed])
+    chosen = tuple((seat, v) for v, seat in winnable[:needed])
     return ParliamentScenario(
         mode="win-majority",
         coalition=tuple(sorted(parties)),
@@ -266,11 +285,17 @@ def seats_to_win(
     )
 
 
+# Seat-record CSV cell for a coalition that fields no candidate in the seat.
+NO_CANDIDATE = "-"
 _BASE_COLUMNS = ["seat", "num_candidates", "lrm", "mov", "winner", "winner_party"]
 
 
 def load_seat_records(text: str) -> list[SeatRecord]:
-    """Parse the seat-record CSV; movc:<KEY> columns become movc_by_target."""
+    """Parse the seat-record CSV; movc:<KEY> columns become movc_by_target.
+
+    A blank cell was not computed and stays out of the map; "-" means the
+    coalition fields no candidate in the seat and becomes None.
+    """
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
     missing = [c for c in _BASE_COLUMNS if c not in header]
@@ -284,7 +309,8 @@ def load_seat_records(text: str) -> list[SeatRecord]:
             for col in movc_columns:
                 cell = (row[col] or "").strip()
                 if cell:
-                    movc[coalition_key(col[len("movc:"):].split("+"))] = int(cell)
+                    key = coalition_key(col[len("movc:"):].split("+"))
+                    movc[key] = None if cell == NO_CANDIDATE else int(cell)
             records.append(
                 SeatRecord(
                     seat=row["seat"].strip(),
@@ -312,7 +338,7 @@ def dump_seat_records(records: Sequence[SeatRecord]) -> str:
     for r in records:
         row = [r.seat, r.num_candidates, r.lrm, r.mov, r.winner, r.winner_party]
         for k in keys:
-            v = r.movc_for(k)
-            row.append("" if v is None else v)
+            v = r.movc_by_target.get(k, "")
+            row.append(NO_CANDIDATE if v is None else v)
         writer.writerow(row)
     return out.getvalue()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -316,7 +317,15 @@ def test_analyzed_seat_records_round_trip_to_the_manifest_report(
     args = ["--coalition", coalition, "--mode", mode, "--format", "json"]
     assert main(["parliament", str(manifest)] + args) == 0
     from_manifest = capsys.readouterr().out
+    report = _report_from_seat_records(manifest, tmp_path, capsys, mode, coalition, args)
+    assert report == from_manifest
 
+
+def _report_from_seat_records(
+    manifest: Path, tmp_path: Path, capsys: pytest.CaptureFixture,
+    mode: str, coalition: str, args: list[str],
+) -> str:
+    """The parliament report on seat records analyzed from the manifest's seats."""
     records = []
     for seat in json.loads(manifest.read_text(encoding="utf-8"))["seats"]:
         profile = parse_profile((manifest.parent / seat["path"]).read_text(encoding="utf-8"))
@@ -331,7 +340,37 @@ def test_analyzed_seat_records_round_trip_to_the_manifest_report(
     csv_path = tmp_path / "records.csv"
     csv_path.write_text(text, encoding="utf-8")
     assert main(["parliament", str(csv_path)] + args) == 0
-    assert capsys.readouterr().out == from_manifest
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "coalition, mode, seats",
+    [("ALP", "lose", [("S1", 1), ("S3", 20)]), ("LIB", "win", [("S1", 10), ("S3", 20)])],
+    ids=["lose-ALP", "win-LIB"],
+)
+def test_seats_without_a_target_candidate_do_not_abort_the_scenario(
+    tmp_path: Path, capsys: pytest.CaptureFixture,
+    coalition: str, mode: str, seats: list[tuple[str, int]],
+) -> None:
+    # S2 fields two ALP candidates: held by ALP, never flippable, never winnable.
+    texts = {
+        "S1": EXAMPLE_WITH_PARTIES.replace("c:GRE", "c:GRN"),
+        "S2": "# candidates: a:ALP, b:ALP\n60,a\n40,b\n",
+        "S3": "# candidates: a:ALP, b:LIB\n70,a\n30,b\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.ballots").write_text(text, encoding="utf-8")
+    path = tmp_path / "manifest.json"
+    seats_doc = [{"name": n, "path": f"{n}.ballots", "parties": {}} for n in texts]
+    path.write_text(json.dumps({"seats": seats_doc}), encoding="utf-8")
+    args = ["--coalition", coalition, "--mode", mode, "--threshold", "2",
+            "--format", "json"]
+    assert main(["parliament", str(path)] + args) == 0
+    report = capsys.readouterr().out
+    parsed = json.loads(report)
+    assert [(s["seat"], s["changes"]) for s in parsed["seats"]] == seats
+    assert parsed["total_changes"] == sum(v for _, v in seats)
+    assert _report_from_seat_records(path, tmp_path, capsys, mode, coalition, args) == report
 
 
 def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
@@ -353,13 +392,22 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          [], "manifest options must be an object"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 0}},
          [], "options.workers must be at least 1, not 0"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 2.9}},
+         [], "options.workers must be an integer, not 2.9"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": True}},
+         [], "options.workers must be an integer, not true"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": "2"}},
+         [], 'options.workers must be an integer, not "2"'),
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": None}}]},
+         [], "seat 'S': party of 'a' must be a string, not null"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--workers", "0"],
          "--workers must be at least 1, not 0"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--threshold", "0"],
          "--threshold must be at least 1, not 0"),
     ],
     ids=["tie-rule", "seat-not-object", "parties-not-object", "options-not-object",
-         "options-workers", "workers-flag", "threshold-flag"],
+         "options-workers", "options-workers-float", "options-workers-bool",
+         "options-workers-string", "party-null", "workers-flag", "threshold-flag"],
 )
 def test_bad_manifest_input_is_an_error(
     manifest: Path, capsys: pytest.CaptureFixture,
@@ -406,11 +454,14 @@ def test_parliament_lose_without_majority_fails(
 
 
 def test_module_entry_point_runs() -> None:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "irvmargin", "--help"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "tabulate" in proc.stdout

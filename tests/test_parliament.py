@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
 
 import pytest
 
@@ -281,10 +280,18 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
     record, stats = analyze_seat(profile, ["lib"], "win", seat="S")
     movc = compute_movc(profile, {"b"})
     assert record == SeatRecord("S", 3, 20, 1, "a", "ALP", {"LIB": movc.value})
-    assert stats == SearchStats(*map(sum, zip(astuple(mov.stats), astuple(movc.stats))))
+    # The MOV search after the targeted one covers only c.
+    rest = compute_mov(profile, known=movc)
+    assert rest.value == mov.value
+    assert (movc.stats, rest.stats) == (SearchStats(2, 2, 1), SearchStats(2, 2, 1))
+    assert stats == movc.stats + rest.stats == SearchStats(4, 4, 2)
 
     record, stats = analyze_seat(profile, ["ALP"], "lose", seat="S")
-    assert record.movc_by_target == {"GRE+LIB": compute_movc(profile, {"b", "c"}).value}
+    both = compute_movc(profile, {"b", "c"})
+    assert record.movc_by_target == {"GRE+LIB": both.value}
+    # Targeting every non-winner is the MOV search itself, run once.
+    assert record.mov == both.value
+    assert stats == both.stats == SearchStats(4, 4, 2)
     # Manifest parties override the roster: with c in the coalition only b is a target.
     record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
     assert record.movc_by_target == {"LIB": 10}
@@ -293,6 +300,10 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
         record, stats = analyze_seat(profile, coalition, mode, seat="S")
         assert record.movc_by_target == {}
         assert stats == mov.stats
+    # A coalition with no candidate here cannot win the seat.
+    record, stats = analyze_seat(profile, ["NAT"], "win", seat="S")
+    assert record.movc_by_target == {"NAT": None}
+    assert stats == mov.stats
     with pytest.raises(ValueError):
         analyze_seat(profile, ["ALP"], "flip", seat="S")
 
@@ -302,8 +313,40 @@ def test_relabel_complement_uses_the_roster_complement() -> None:
         _record("A", "ALP", 4, {"GRE+LIB": 4}),
         _record("B", "ALP", 7, {"LIB": 7}),
         _record("C", "NAT", 2),
+        _record("D", "ALP", 3),
     ]
     relabelled, key = relabel_complement(records, ["alp"])
     assert key == "GRE+LIB+NAT"
-    assert [r.movc_by_target for r in relabelled] == [{key: 4}, {key: 7}, {}]
+    assert [r.movc_by_target for r in relabelled] == [{key: 4}, {key: 7}, {}, {key: None}]
     assert relabel_complement(records[:1], ["ALP", "GRE", "LIB"]) == (records[:1], None)
+
+
+def test_seats_without_a_target_candidate_are_held_but_never_chosen() -> None:
+    lose = [
+        _record("s1", "ALP", 1, {"LIB": 1}),
+        _record("s2", "ALP", 5, {"LIB": None}),
+        _record("s3", "ALP", 20, {"LIB": 20}),
+    ]
+    scenario = seats_to_lose_majority(lose, ["ALP"], 2, complement_key="LIB")
+    assert scenario.chosen_seats == (("s1", 1), ("s3", 20))
+    assert seats_to_lose_majority(lose, ["ALP"], 2) == scenario
+    with pytest.raises(ValueError, match="only 2 of its 3 seats"):
+        seats_to_lose_majority(lose, ["ALP"], 1, complement_key="LIB")
+
+    win = [
+        _record("s1", "ALP", 1, {"LIB": 10}),
+        _record("s2", "ALP", 5, {"LIB": None}),
+        _record("s3", "ALP", 20, {"LIB": 20}),
+    ]
+    scenario = seats_to_win(win, ["LIB"], 2)
+    assert scenario.chosen_seats == (("s1", 10), ("s3", 20))
+    assert scenario.total_changes == 30
+    with pytest.raises(ValueError, match="only 2 seats are winnable"):
+        seats_to_win(win, ["LIB"], 3)
+
+    text = dump_seat_records(win)
+    assert text.splitlines()[2].endswith(",-")
+    assert load_seat_records(text) == win
+    # A blank cell was never computed, which is not the same thing.
+    with pytest.raises(MissingMovc):
+        seats_to_win(load_seat_records(text.replace(",-", ",")), ["LIB"], 2)
