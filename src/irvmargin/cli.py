@@ -206,7 +206,7 @@ def _analyze_seat(task: tuple) -> tuple:
 
 def _records_from_manifest(
     args: argparse.Namespace, manifest: dict, coalition: frozenset[str]
-) -> tuple[list, str | None, dict]:
+) -> tuple[list, dict]:
     seats = manifest.get("seats")
     if not isinstance(seats, list) or not seats:
         raise CliError("manifest needs a nonempty seats list")
@@ -257,10 +257,9 @@ def _records_from_manifest(
         analyzed = [_analyze_seat(t) for t in tasks]
     records = [record for record, _ in analyzed]
     stats = {record.seat: asdict(s) for record, s in analyzed}
-    complement_key = None
     if args.mode == "lose":
-        records, complement_key = relabel_complement(records, coalition)
-    return records, complement_key, stats
+        records = relabel_complement(records, coalition)
+    return records, stats
 
 
 def cmd_parliament(args: argparse.Namespace) -> int:
@@ -277,20 +276,14 @@ def cmd_parliament(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read {args.records}: {exc.strerror}") from exc
 
     stats: dict = {}
-    complement_key = None
     if text.lstrip().startswith("{"):
-        manifest = json.loads(text)
-        records, complement_key, stats = _records_from_manifest(
-            args, manifest, coalition
-        )
+        records, stats = _records_from_manifest(args, json.loads(text), coalition)
     else:
         records = load_seat_records(text)
 
     limit = args.threshold if args.threshold is not None else threshold(len(records))
     if args.mode == "lose":
-        scenario = seats_to_lose_majority(
-            records, coalition, limit, complement_key=complement_key
-        )
+        scenario = seats_to_lose_majority(records, coalition, limit)
     else:
         scenario = seats_to_win(records, coalition, limit)
 

@@ -240,7 +240,6 @@ def exact_distance(
         senses,
         rhs,
         bounds,
-        integral_objective=True,
         cutoff=None if cutoff is None else cutoff - model.total,
         hint=round_down,
     )

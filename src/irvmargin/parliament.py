@@ -1,11 +1,13 @@
 """Chamber-level aggregation: fewest ballot changes to flip or build a majority.
 
-Seat records carry per-seat margins (last-round margin, margin of victory,
-and targeted margins keyed by coalition).  Scenario arithmetic then reduces
-to sorting: changing control needs the cheapest W - T + 1 coalition seats to
-fall, reaching control needs the cheapest T - W' seats to be captured, where
-T is the majority threshold and W (W') the seats currently held.
-analyze_seat computes a seat's record from its ballots.
+Seat records carry per-seat margins (last-round margin, margin of victory
+where known, and targeted margins keyed by coalition).  Scenario arithmetic
+then reduces to sorting: changing control needs the cheapest W - T + 1
+coalition seats to fall, reaching control needs the cheapest T - W' seats to
+be captured, where T is the majority threshold and W (W') the seats
+currently held.
+analyze_seat computes a seat's record from its ballots, with only the
+targeted margin its scenario reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .ballots import Profile
-from .search import SearchStats, compute_mov, compute_movc
+from .search import SearchStats, compute_movc
 from .tabulate import TieRule, last_round_margin, run_election
 
 
@@ -43,13 +45,14 @@ class SeatRecord:
     movc_by_target maps coalition keys (see coalition_key) to the number of
     ballot changes needed to elect some candidate of that coalition; zero for
     seats the coalition already holds, None where it fields no candidate (the
-    seat cannot be won for it).  A key that is absent was not computed.
+    seat cannot be won for it).  A key that is absent was not computed, and
+    so is a mov of None.
     """
 
     seat: str
     num_candidates: int
     lrm: int
-    mov: int
+    mov: int | None
     winner: str
     winner_party: str
     movc_by_target: Mapping[str, int | None]
@@ -100,17 +103,16 @@ def analyze_seat(
     seat: str,
 ) -> tuple[SeatRecord, SearchStats]:
     """The seat's record for a "win" or "lose" scenario of the coalition,
-    with the counters of its searches summed.
+    with the counters of the one search it runs.
 
     parties maps candidate ids to party codes and overrides the profile's
     roster.  In lose mode a held seat gets its margin toward the candidates
     outside the coalition, keyed by their parties (see relabel_complement);
     in win mode a seat the coalition does not hold gets its margin toward
     the coalition's candidates, keyed by the coalition, or None under that
-    key when the coalition fields no candidate there.  The record always
-    carries the MOV: after a targeted search it comes from compute_mov with
-    that result as known, which searches only the remaining non-winners,
-    so each suffix is bounded once per seat.
+    key when the coalition fields no candidate there.  A seat the scenario
+    does not contest runs no search and gets zero counters.  No scenario
+    reads the MOV, so the record carries mov=None.
     """
     if mode not in ("win", "lose"):
         raise ValueError(f"unknown scenario mode {mode!r}")
@@ -119,7 +121,7 @@ def analyze_seat(
     party.update((cid, p.upper()) for cid, p in (parties or {}).items())
     count = run_election(profile, tie_rule=tie_rule)
     movc: dict[str, int | None] = {}
-    known = None
+    stats = SearchStats()
     held = party[count.winner] in members
     if held == (mode == "lose"):
         # Lose mode targets a held seat's candidates outside the coalition,
@@ -129,17 +131,15 @@ def analyze_seat(
             key = coalition_key(
                 {party[c] for c in targets} if held else members
             )
-            known = compute_movc(profile, targets, tie_rule=tie_rule)
-            movc[key] = known.value
+            result = compute_movc(profile, targets, tie_rule=tie_rule)
+            movc[key], stats = result.value, result.stats
         elif not held:
             movc[coalition_key(members)] = None
-    mov = compute_mov(profile, tie_rule=tie_rule, known=known)
-    stats = mov.stats if known is None else known.stats + mov.stats
     record = SeatRecord(
         seat=seat,
         num_candidates=len(profile.candidates),
         lrm=last_round_margin(count),
-        mov=mov.value,
+        mov=None,
         winner=count.winner,
         winner_party=party[count.winner],
         movc_by_target=movc,
@@ -149,46 +149,49 @@ def analyze_seat(
 
 def relabel_complement(
     records: Sequence[SeatRecord], coalition: Iterable[str]
-) -> tuple[list[SeatRecord], str | None]:
+) -> list[SeatRecord]:
     """File lose-mode margins from analyze_seat under one chamber-wide key.
 
     Seat rosters differ, so each held seat's margin is keyed by the outside
     parties standing there.  A seat's margin toward its own outside
     candidates is its margin toward every party outside the coalition,
     restricted to whoever stands there, so all of them go under the key of
-    the roster's complement; a held seat with no outside candidate gets None
-    there, since it cannot be flipped.  Returns the records and that key, or
-    None when no party in the roster is outside the coalition.
+    the roster's complement, the key seats_to_lose_majority looks up; a held
+    seat with no outside candidate gets None there, since it cannot be
+    flipped.  Raises ValueError when no party in the roster is outside the
+    coalition, since then no seat can be flipped at all.
     """
     parties = _coalition_set(coalition)
     outside = _party_roster(records) - parties
     if not outside:
-        return list(records), None
+        raise ValueError(
+            "no seat can be flipped to a candidate outside the coalition "
+            f"{coalition_key(parties)}: every candidate belongs to it"
+        )
     key = coalition_key(outside)
-    relabelled = [
+    return [
         replace(r, movc_by_target={key: next(iter(r.movc_by_target.values()), None)})
         if r.winner_party.upper() in parties
         else r
         for r in records
     ]
-    return relabelled, key
 
 
 def seats_to_lose_majority(
     records: Sequence[SeatRecord],
     coalition: Iterable[str],
     threshold_seats: int,
-    complement_key: str | None = None,
 ) -> ParliamentScenario:
     """Fewest ballot changes flipping enough coalition seats to break a majority.
 
-    Each flipped seat must go to a candidate outside the coalition.  The cost
-    per seat is, in order of preference: the margin stored under
-    complement_key; the margin stored under the key for every non-coalition
-    party in the records' roster; otherwise the seat's MOV, which equals the
-    margin toward non-coalition candidates whenever no seat fields two
-    coalition candidates.  A seat whose margin is None has no candidate
-    outside the coalition: it counts as held but is never chosen.
+    Each flipped seat must go to a candidate outside the coalition.  A seat
+    is priced by its margin under the key for every non-coalition party in
+    the records' roster (the key relabel_complement files) when every held
+    seat carries that key; otherwise by its MOV, which equals the margin
+    toward non-coalition candidates whenever no seat fields two coalition
+    candidates, and a held seat without a MOV raises MissingMovc.  A seat
+    whose margin is None has no candidate outside the coalition: it counts
+    as held but is never chosen.
     """
     parties = _coalition_set(coalition)
     held = [r for r in records if r.winner_party.upper() in parties]
@@ -198,22 +201,15 @@ def seats_to_lose_majority(
             f"coalition {coalition_key(parties)} holds {len(held)} of the "
             f"{threshold_seats} seats needed for a majority"
         )
-    lookup_key = complement_key
-    if lookup_key is None:
-        complement = _party_roster(records) - parties
-        if complement:
-            candidate_key = coalition_key(complement)
-            if all(candidate_key in r.movc_by_target for r in held):
-                lookup_key = candidate_key
-
-    def cost(record: SeatRecord) -> int | None:
-        if lookup_key is None:
-            return record.mov
-        if lookup_key not in record.movc_by_target:
-            raise MissingMovc(f"seat {record.seat!r} lacks movc:{lookup_key}")
-        return record.movc_by_target[lookup_key]
-
-    costs = [(cost(r), r.seat) for r in held]
+    complement = _party_roster(records) - parties
+    key = coalition_key(complement) if complement else None
+    if key is not None and all(key in r.movc_by_target for r in held):
+        costs = [(r.movc_by_target[key], r.seat) for r in held]
+    else:
+        missing = sorted(r.seat for r in held if r.mov is None)
+        if missing:
+            raise MissingMovc(f"seats lacking mov: {', '.join(missing)}")
+        costs = [(r.mov, r.seat) for r in held]
     flippable = sorted((v, seat) for v, seat in costs if v is not None)
     if surplus > len(flippable):
         raise ValueError(
@@ -293,8 +289,9 @@ _BASE_COLUMNS = ["seat", "num_candidates", "lrm", "mov", "winner", "winner_party
 def load_seat_records(text: str) -> list[SeatRecord]:
     """Parse the seat-record CSV; movc:<KEY> columns become movc_by_target.
 
-    A blank cell was not computed and stays out of the map; "-" means the
-    coalition fields no candidate in the seat and becomes None.
+    A blank movc cell was not computed and stays out of the map; "-" means
+    the coalition fields no candidate in the seat and becomes None.  A blank
+    mov cell was not computed either and becomes None.
     """
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
@@ -316,7 +313,7 @@ def load_seat_records(text: str) -> list[SeatRecord]:
                     seat=row["seat"].strip(),
                     num_candidates=int(row["num_candidates"]),
                     lrm=int(row["lrm"]),
-                    mov=int(row["mov"]),
+                    mov=int(row["mov"]) if row["mov"].strip() else None,
                     winner=row["winner"].strip(),
                     winner_party=row["winner_party"].strip(),
                     movc_by_target=movc,
@@ -336,6 +333,7 @@ def dump_seat_records(records: Sequence[SeatRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_BASE_COLUMNS + [f"movc:{k}" for k in keys])
     for r in records:
+        # csv writes None, a mov that was not computed, as a blank cell.
         row = [r.seat, r.num_candidates, r.lrm, r.mov, r.winner, r.winner_party]
         for k in keys:
             v = r.movc_by_target.get(k, "")

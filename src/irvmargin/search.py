@@ -16,13 +16,6 @@ costs at most that much).  For alternate sets that exclude the runner-up that
 initialization would be unsound, so the bound starts open and the first scored
 complete order sets it.
 
-A margin toward a set is the minimum over its members, and every suffix ends
-in the alternate it elects, so compute_mov given a known margin toward some
-non-winners T searches only the others, with the bound started at the known
-value (or the last-round margin, if lower and the runner-up is outside T).
-That search expands none of the suffixes the search toward T expanded, and
-its bound is never open.
-
 Single-threaded by design: the frontier is safe to share because profiles and
 nodes are immutable and the only mutable state is the incumbent, but identical
 values and witnesses must come back regardless of worker count, so callers
@@ -32,7 +25,7 @@ parallelize across independent searches (e.g. seats) instead.
 from __future__ import annotations
 
 import heapq
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .ballots import Profile
@@ -43,7 +36,7 @@ from .distance import (
     lower_bound,
     swap_final_witness,
 )
-from .tabulate import CountResult, TieRule, last_round_margin, run_election
+from .tabulate import TieRule, last_round_margin, run_election
 
 
 class EmptyAlternates(ValueError):
@@ -59,9 +52,6 @@ class SearchStats:
     nodes_expanded: int = 0
     lps_solved: int = 0
     ips_solved: int = 0
-
-    def __add__(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -97,60 +87,8 @@ def compute_movc(
     if count.winner in alts:
         raise AlternateIsWinner(f"{count.winner} already wins this profile")
     upper = last_round_margin(count) if count.rounds[-1].eliminated in alts else None
-    return _search(profile, count, alts, upper, None)
+    incumbent: tuple[tuple[str, ...], Manipulation] | None = None
 
-
-def compute_mov(
-    profile: Profile,
-    tie_rule: TieRule = TieRule.FAIL,
-    *,
-    known: MarginResult | None = None,
-) -> MarginResult:
-    """Margin of victory: cheapest change electing any other candidate.
-
-    known is a compute_movc result for this profile toward some of its
-    non-winners.  The MOV is the smaller of that margin and the margin
-    toward the remaining non-winners, so only those are searched, with the
-    bound started at known.value (or the last-round margin when the
-    runner-up remains and costs less).  A tie keeps known's witness, and
-    the result's stats count only the search this call runs.
-    """
-    count = run_election(profile, tie_rule)
-    if known is None:
-        others = [c for c in profile.candidate_ids if c != count.winner]
-        return compute_movc(profile, others, tie_rule)
-    others = frozenset(profile.candidate_ids) - {count.winner}
-    if known.winner != count.winner or not others.issuperset(known.alternates):
-        raise ValueError(
-            f"known margin (winner {known.winner}, alternates "
-            f"{', '.join(known.alternates)}) does not fit this profile, "
-            f"which {count.winner} wins"
-        )
-    rest = others.difference(known.alternates)
-    if not rest:
-        return replace(known, stats=SearchStats())
-    upper = known.value
-    incumbent = (known.witness_order.order, known.witness_manipulation)
-    lrm = last_round_margin(count)
-    if count.rounds[-1].eliminated in rest and lrm < upper:
-        upper, incumbent = lrm, None
-    result = _search(profile, count, rest, upper, incumbent)
-    return replace(result, alternates=tuple(sorted(others)))
-
-
-def _search(
-    profile: Profile,
-    count: CountResult,
-    alts: frozenset[str],
-    upper: int | None,
-    incumbent: tuple[tuple[str, ...], Manipulation] | None,
-) -> MarginResult:
-    """Best-first search over orders electing a member of alts.
-
-    upper is the bound to beat (None: open) and incumbent the witness that
-    attains it; an incumbent of None with a bound means the last-round
-    margin, whose witness is minted only if nothing beats it.
-    """
     stats = SearchStats()
     ids = set(profile.candidate_ids)
     n = len(ids)
@@ -202,3 +140,10 @@ def _search(
         witness_manipulation=manip,
         stats=stats,
     )
+
+
+def compute_mov(profile: Profile, tie_rule: TieRule = TieRule.FAIL) -> MarginResult:
+    """Margin of victory: cheapest change electing any other candidate."""
+    count = run_election(profile, tie_rule)
+    others = [c for c in profile.candidate_ids if c != count.winner]
+    return compute_movc(profile, others, tie_rule)

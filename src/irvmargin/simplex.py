@@ -25,6 +25,8 @@ CUTOFF = "cutoff"
 
 _BASIC, _LOWER, _UPPER = 0, 1, 2
 _BLAND_AFTER = 40
+# Branch-and-bound nodes solve_ip explores before giving up.
+_NODE_LIMIT = 200_000
 
 
 class SolverError(RuntimeError):
@@ -359,17 +361,15 @@ def solve_ip(
     senses: Sequence[str],
     rhs: Sequence[Fraction | int],
     bounds: Sequence[Bound],
-    integral_objective: bool = False,
-    node_limit: int = 200_000,
     cutoff: Fraction | int | None = None,
     hint=None,
 ) -> LPResult:
     """Minimize over integer points by branch and bound on the LP relaxation.
 
     Branches on the first fractional variable with floor/ceiling bound splits;
-    never assumes the relaxation is integral.  With integral_objective=True the
-    relaxation value is rounded up before bound pruning, which is valid whenever
-    every integer point has integer objective.
+    never assumes the relaxation is integral.  When every objective coefficient
+    is an integer, so is the objective at every integer point, and the
+    relaxation value is rounded up before bound pruning.
 
     cutoff is an exclusive upper bound: subtrees that cannot beat it are
     pruned, and status CUTOFF means no integer point below it exists (which
@@ -387,13 +387,14 @@ def solve_ip(
             best_value = value
 
     c = [Fraction(v) for v in objective]
+    integral_objective = all(cj.denominator == 1 for cj in c)
     stack: list[tuple[Bound, ...]] = [tuple(bounds)]
     nodes = 0
     while stack:
         node_bounds = stack.pop()
         nodes += 1
-        if nodes > node_limit:
-            raise SolverError(f"branch and bound exceeded {node_limit} nodes")
+        if nodes > _NODE_LIMIT:
+            raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
         res = solve_lp(objective, rows, senses, rhs, node_bounds)
         if res.status == UNBOUNDED:
             raise SolverError("integer program has an unbounded relaxation")

@@ -2,8 +2,7 @@
 
 Run with ``pytest -v tests/test_acceptance.py``; every criterion below maps
 to exactly one test whose PASSED/FAILED line is the acceptance verdict.
-Timing tolerances are pinned in the asserts.  The tests after the criteria
-cross-check faster paths against the references on the same corpus.
+Timing tolerances are pinned in the asserts.
 """
 
 from __future__ import annotations
@@ -251,27 +250,3 @@ def test_criterion_7_performance_smoke() -> None:
         f"50000 ballots in {elapsed:.1f}s; nodes {stats.nodes_expanded}, "
         f"LPs {stats.lps_solved}, IPs {stats.ips_solved})"
     )
-
-
-def test_mov_from_a_known_targeted_margin_matches_the_references() -> None:
-    lex = TieRule.LEXICOGRAPHIC
-    checked = 0
-    for profile in _random_corpus():
-        count = run_election(profile, tie_rule=lex)
-        others = tuple(sorted(set(profile.candidate_ids) - {count.winner}))
-        mov = compute_mov(profile, tie_rule=lex).value
-        truth = oracle_movc(profile, others)
-        assert mov == truth or (truth is ABOVE_CAP and mov > 10)
-        for size in range(1, len(others) + 1):
-            for targets in itertools.combinations(others, size):
-                known = compute_movc(profile, targets, tie_rule=lex)
-                result = compute_mov(profile, tie_rule=lex, known=known)
-                assert result.value == mov
-                assert result.alternates == others
-                assert result.witness_order.order[-1] in others
-                assert exact_distance(profile, result.witness_order)[0] == mov
-                manipulated = apply_manipulation(profile, result.witness_manipulation)
-                assert order_attainable(manipulated, result.witness_order.order)
-                checked += 1
-    assert checked >= 300
-    print(f"known-margin MOV: {checked} target sets agree with the full search")

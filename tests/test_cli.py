@@ -334,7 +334,7 @@ def _report_from_seat_records(
         )
         records.append(record)
     if mode == "lose":
-        records, _ = relabel_complement(records, [coalition])
+        records = relabel_complement(records, [coalition])
     text = dump_seat_records(records)
     assert load_seat_records(text) == records
     csv_path = tmp_path / "records.csv"
@@ -371,6 +371,51 @@ def test_seats_without_a_target_candidate_do_not_abort_the_scenario(
     assert [(s["seat"], s["changes"]) for s in parsed["seats"]] == seats
     assert parsed["total_changes"] == sum(v for _, v in seats)
     assert _report_from_seat_records(path, tmp_path, capsys, mode, coalition, args) == report
+
+
+def test_lose_mode_without_an_outside_candidate_is_an_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    (tmp_path / "S2.ballots").write_text(
+        "# candidates: a:ALP, b:ALP\n60,a\n40,b\n", encoding="utf-8"
+    )
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seats": [{"name": "S2", "path": "S2.ballots"}]}),
+                    encoding="utf-8")
+    argv = ["parliament", str(path), "--coalition", "ALP", "--mode", "lose",
+            "--threshold", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no seat can be flipped to a candidate outside the coalition ALP: "
+        "every candidate belongs to it\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "coalition, mode, stats",
+    [
+        # LIB holds Second, so it runs no search; First and Third search
+        # toward their LIB candidate.
+        ("LIB", "win", {"First": [2, 2, 1], "Second": [0, 0, 0], "Third": [1, 0, 1]}),
+        # LIB's Second is not ALP's to lose; First searches toward b and c.
+        ("ALP", "lose", {"First": [4, 4, 2], "Second": [0, 0, 0], "Third": [1, 0, 1]}),
+    ],
+    ids=["win-LIB", "lose-ALP"],
+)
+def test_parliament_stats_count_one_search_per_contested_seat(
+    manifest: Path, capsys: pytest.CaptureFixture,
+    coalition: str, mode: str, stats: dict[str, list[int]],
+) -> None:
+    argv = ["parliament", str(manifest), "--coalition", coalition, "--mode", mode,
+            "--format", "json", "--stats"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    keys = ("nodes_expanded", "lps_solved", "ips_solved")
+    assert report["stats"] == {
+        seat: dict(zip(keys, counts)) for seat, counts in stats.items()
+    }
 
 
 def _write_manifest(tmp_path: Path, manifest: dict) -> Path:

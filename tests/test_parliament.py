@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from irvmargin import (
     TieRule,
     analyze_seat,
     coalition_key,
-    compute_mov,
     compute_movc,
     dump_seat_records,
     load_seat_records,
@@ -188,21 +188,19 @@ def test_lose_requires_majority() -> None:
         seats_to_lose_majority(records, ["LIB"], threshold(5))
 
 
-def test_lose_prefers_explicit_complement_key() -> None:
+def test_lose_prefers_the_complement_key_over_mov() -> None:
     records = [
-        _record("s1", "LIB", 50, {"ALP": 300}),
-        _record("s2", "LIB", 60, {"ALP": 100}),
+        _record("s1", "LIB", 50, {"ALP+GRE": 300}),
+        _record("s2", "LIB", 60, {"ALP+GRE": 100}),
         _record("s3", "ALP", 10),
+        _record("s4", "GRE", 10),
     ]
-    scenario = seats_to_lose_majority(
-        records, ["LIB"], threshold(3), complement_key="ALP"
-    )
+    scenario = seats_to_lose_majority(records, ["LIB"], 2)
     assert scenario.seats_needed == 1
     assert scenario.chosen_seats == (("s2", 100),)
-    with pytest.raises(MissingMovc):
-        seats_to_lose_majority(
-            records, ["LIB"], threshold(3), complement_key="GRE"
-        )
+    # A key for only some of the outside parties is not the complement key.
+    narrow = [_record(r.seat, r.winner_party, r.mov, {"ALP": 300}) for r in records]
+    assert seats_to_lose_majority(narrow, ["LIB"], 2).chosen_seats == (("s1", 50),)
 
 
 def test_lose_falls_back_to_roster_complement_then_mov() -> None:
@@ -255,6 +253,24 @@ def test_win_ranks_by_target_value_then_seat() -> None:
     assert scenario.total_changes == 140
 
 
+def test_lose_fallback_never_skips_a_seat_without_mov() -> None:
+    records = [
+        _record("s1", "LIB", 50),
+        replace(_record("s2", "LIB", 60), mov=None),
+        _record("s3", "ALP", 10),
+    ]
+    # Skipping s2 would still price s1, but the cheapest seat may be s2.
+    with pytest.raises(MissingMovc, match="seats lacking mov: s2"):
+        seats_to_lose_majority(records, ["LIB"], threshold(3))
+
+
+def test_blank_mov_cell_round_trips_as_none() -> None:
+    records = [replace(_record("s1", "LIB", 50, {"ALP": 70}), mov=None)]
+    text = dump_seat_records(records)
+    assert text.splitlines()[1] == "s1,5,50,,lib,LIB,70"
+    assert load_seat_records(text) == records
+
+
 def test_malformed_records_carry_line_numbers() -> None:
     header = (
         "seat,num_candidates,lrm,mov,winner,winner_party,movc:ALP\n"
@@ -263,6 +279,10 @@ def test_malformed_records_carry_line_numbers() -> None:
         load_seat_records(header + "X,notanint,5,5,w,LIB,9\n")
     with pytest.raises(ValueError, match="line 3"):
         load_seat_records(header + "X,4,5,5,w,LIB,9\nY,4,5,5,w\n")
+    # Only mov may be blank; a mov that is there must be a number.
+    for row in "X,,5,5,w,LIB,9", "X,4,,5,w,LIB,9", "X,4,5,five,w,LIB,9":
+        with pytest.raises(ValueError, match="line 2: bad seat record"):
+            load_seat_records(header + row + "\n")
 
 
 PARTY_SEAT = """\
@@ -276,34 +296,31 @@ PARTY_SEAT = """\
 
 def test_analyze_seat_targets_and_sums_stats() -> None:
     profile = parse_profile(PARTY_SEAT)
-    mov = compute_mov(profile)
     record, stats = analyze_seat(profile, ["lib"], "win", seat="S")
     movc = compute_movc(profile, {"b"})
-    assert record == SeatRecord("S", 3, 20, 1, "a", "ALP", {"LIB": movc.value})
-    # The MOV search after the targeted one covers only c.
-    rest = compute_mov(profile, known=movc)
-    assert rest.value == mov.value
-    assert (movc.stats, rest.stats) == (SearchStats(2, 2, 1), SearchStats(2, 2, 1))
-    assert stats == movc.stats + rest.stats == SearchStats(4, 4, 2)
+    assert record == SeatRecord("S", 3, 20, None, "a", "ALP", {"LIB": movc.value})
+    # The targeted search is the only one the seat runs.
+    assert stats == movc.stats == SearchStats(2, 2, 1)
 
     record, stats = analyze_seat(profile, ["ALP"], "lose", seat="S")
     both = compute_movc(profile, {"b", "c"})
     assert record.movc_by_target == {"GRE+LIB": both.value}
-    # Targeting every non-winner is the MOV search itself, run once.
-    assert record.mov == both.value
+    assert record.mov is None
     assert stats == both.stats == SearchStats(4, 4, 2)
     # Manifest parties override the roster: with c in the coalition only b is a target.
     record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
     assert record.movc_by_target == {"LIB": 10}
-    # Seats the scenario does not contest carry only the MOV.
+    # Seats the scenario does not contest run no search.
     for coalition, mode in (["ALP"], "win"), (["LIB"], "lose"):
         record, stats = analyze_seat(profile, coalition, mode, seat="S")
         assert record.movc_by_target == {}
-        assert stats == mov.stats
+        assert record.mov is None
+        assert stats == SearchStats()
     # A coalition with no candidate here cannot win the seat.
     record, stats = analyze_seat(profile, ["NAT"], "win", seat="S")
     assert record.movc_by_target == {"NAT": None}
-    assert stats == mov.stats
+    assert record.mov is None
+    assert stats == SearchStats()
     with pytest.raises(ValueError):
         analyze_seat(profile, ["ALP"], "flip", seat="S")
 
@@ -315,10 +332,13 @@ def test_relabel_complement_uses_the_roster_complement() -> None:
         _record("C", "NAT", 2),
         _record("D", "ALP", 3),
     ]
-    relabelled, key = relabel_complement(records, ["alp"])
-    assert key == "GRE+LIB+NAT"
+    relabelled = relabel_complement(records, ["alp"])
+    key = "GRE+LIB+NAT"
     assert [r.movc_by_target for r in relabelled] == [{key: 4}, {key: 7}, {}, {key: None}]
-    assert relabel_complement(records[:1], ["ALP", "GRE", "LIB"]) == (records[:1], None)
+    # seats_to_lose_majority derives the same key from the relabelled records.
+    assert seats_to_lose_majority(relabelled, ["ALP"], 2).chosen_seats == (("A", 4), ("B", 7))
+    with pytest.raises(ValueError, match="no seat can be flipped"):
+        relabel_complement(records[:1], ["ALP", "GRE", "LIB"])
 
 
 def test_seats_without_a_target_candidate_are_held_but_never_chosen() -> None:
@@ -327,11 +347,11 @@ def test_seats_without_a_target_candidate_are_held_but_never_chosen() -> None:
         _record("s2", "ALP", 5, {"LIB": None}),
         _record("s3", "ALP", 20, {"LIB": 20}),
     ]
-    scenario = seats_to_lose_majority(lose, ["ALP"], 2, complement_key="LIB")
+    # LIB is the roster's complement, so its margins price the seats.
+    scenario = seats_to_lose_majority(lose, ["ALP"], 2)
     assert scenario.chosen_seats == (("s1", 1), ("s3", 20))
-    assert seats_to_lose_majority(lose, ["ALP"], 2) == scenario
     with pytest.raises(ValueError, match="only 2 of its 3 seats"):
-        seats_to_lose_majority(lose, ["ALP"], 1, complement_key="LIB")
+        seats_to_lose_majority(lose, ["ALP"], 1)
 
     win = [
         _record("s1", "ALP", 1, {"LIB": 10}),

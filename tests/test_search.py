@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,6 @@ from irvmargin import (
     AlternateIsWinner,
     EmptyAlternates,
     Profile,
-    SearchStats,
     TieRule,
     UnresolvedTie,
     adversarial_winners,
@@ -166,22 +164,3 @@ def test_search_is_deterministic(example1: Profile) -> None:
     second = compute_mov(example1)
     assert first == second
     assert compute_movc(example1, {"b"}) == compute_movc(example1, {"b"})
-
-
-def test_known_margin_must_come_from_the_same_count(example1: Profile) -> None:
-    flipped = Profile.from_rankings({"b": 60, "a": 40})
-    with pytest.raises(ValueError, match="which a wins"):
-        compute_mov(example1, known=compute_movc(flipped, {"a"}))
-    # Same winner, but an alternate this profile does not field.
-    other = Profile.from_rankings({"a": 60, "d": 40})
-    with pytest.raises(ValueError):
-        compute_mov(example1, known=compute_movc(other, {"d"}))
-
-
-def test_known_margin_covering_every_non_winner_is_returned_unsearched(
-    example1: Profile,
-) -> None:
-    known = compute_movc(example1, {"b", "c"})
-    result = compute_mov(example1, known=known)
-    assert result.stats == SearchStats()
-    assert replace(result, stats=known.stats) == known == compute_mov(example1)

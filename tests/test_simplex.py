@@ -186,8 +186,13 @@ def test_ip_cutoff_is_exclusive() -> None:
 
 def test_ip_cutoff_with_integral_objective_rounds_bounds() -> None:
     # LP relaxation value 3/2 rounds up to 2, which already meets the cutoff.
-    res = solve_ip([1], [[2]], [">="], [3], [(0, 5)], integral_objective=True, cutoff=2)
+    res = solve_ip([1], [[2]], [">="], [3], [(0, 5)], cutoff=2)
     assert res.status == CUTOFF
+    # A fractional coefficient turns rounding off: 9/8 must not round up to
+    # the cutoff, since the integer optimum 3/2 lies below it.
+    res = solve_ip([Fraction(3, 4)], [[2]], [">="], [3], [(0, 5)], cutoff=2)
+    assert res.status == OPTIMAL
+    assert res.value == Fraction(3, 2)
 
 
 def test_ip_accepts_valid_hint_at_fractional_vertices() -> None:
