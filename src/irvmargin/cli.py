@@ -313,6 +313,11 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     rows: list[list] = [["seat", "changes"]]
     rows.extend([s, v] for s, v in scenario.chosen_seats)
     rows.append(["TOTAL", scenario.total_changes])
+    if args.stats:
+        for seat, counts in stats.items():
+            for key in sorted(counts):
+                lines.append(f"stat {seat} {key}: {counts[key]}")
+                rows.append([f"stat:{seat}:{key}", counts[key]])
     return _emit(args, report, "\n".join(lines), rows)
 
 

@@ -20,8 +20,13 @@ equivalent substitution y_t = u_t + e_t with u_t <= n_t the ballots kept and
 e_t the additions; integral (u, e) and integral y are cost-preserving images
 of each other, so values and witnesses match the y/d formulation exactly.
 
-Exact rational arithmetic throughout; lower bounds are ceilings of LP optima
-and exact distances come from branch and bound on the same model.
+Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
+a float run of the simplex whose duals give a Lagrangian bound and whose
+vertex gives a feasible point, both checked in exact rational arithmetic;
+when the two ceilings agree, the optimum's ceiling lies between them.  Any
+other suffix is solved exactly with simplex.solve_lp.  Exact distances come
+from branch and bound on the same model, which prunes on the same certified
+bounds.  Every value returned is exact.
 """
 
 from __future__ import annotations
@@ -184,11 +189,21 @@ def _assemble(model: DistanceModel):
 
 
 def lower_bound(profile: Profile, sequence: EliminationSequence) -> int:
-    """Ceiling of the LP relaxation; admissible for every completion of the suffix."""
+    """Ceiling of the LP relaxation; admissible for every completion of the suffix.
+
+    The float run's certified bounds settle it when their ceilings agree:
+    the exact optimum lies between them, so that is its ceiling too.
+    Otherwise the LP is solved exactly.
+    """
     if len(sequence.order) < 2:
         return 0
     model = build_model(profile, sequence)
     objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
+    lower, upper = simplex.certify(objective, rows, senses, rhs, bounds)
+    if lower is not None and upper is not None:
+        ceiling = math.ceil(model.total + lower)
+        if ceiling == math.ceil(model.total + upper):
+            return ceiling
     res = simplex.solve_lp(objective, rows, senses, rhs, bounds)
     if res.status != simplex.OPTIMAL:
         raise SolverError(f"distance relaxation reported {res.status}")

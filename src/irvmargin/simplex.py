@@ -1,9 +1,20 @@
-"""Exact linear and integer programming over rationals.
+"""Linear and integer programming with exact rational results.
 
-A bounded-variable primal simplex on fractions.Fraction, plus a small
-branch-and-bound layer for integer programs.  No floating point anywhere:
-optima, reduced costs, and branching bounds are exact, so callers can take
-ceilings of LP values without tolerance guards.
+A bounded-variable primal simplex, generic over its number type, plus a
+small branch-and-bound layer for integer programs.  Run on fractions.Fraction
+the simplex is exact: optima, reduced costs, duals and branching bounds carry
+no rounding, so callers can take ceilings of LP values without tolerance
+guards.  Run on float it only guides.  certify snaps the float run's duals to
+small-denominator rationals and evaluates the Lagrangian bound at them
+exactly (lagrangian_bound), which proves a lower bound on the LP minimum
+whatever the floats were; it snaps the float vertex the same way and keeps
+it as an upper bound only if it passes an exact feasibility check.
+Tolerances exist only inside the float run, no float value reaches a result
+without such a check, and any failure of the float run (a pivot cap, a
+non-finite value, a claim of infeasibility or unboundedness) leaves the
+caller to solve exactly.  The method is Neumaier & Shcherbina, "Safe bounds
+in linear and mixed-integer programming" (2004), and Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems" (2007).
 
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
@@ -27,6 +38,13 @@ _BASIC, _LOWER, _UPPER = 0, 1, 2
 _BLAND_AFTER = 40
 # Branch-and-bound nodes solve_ip explores before giving up.
 _NODE_LIMIT = 200_000
+# The float run's zero tolerance, and the iterations it may take per row and
+# column of the program before it gives up (runs on the distance models
+# take at most about one).
+_GUIDE_TOL = 1e-9
+_GUIDE_PIVOTS = 4
+# Largest denominator certify snaps a float dual or coordinate to.
+_SNAP_DENOMINATOR = 1000
 
 
 class SolverError(RuntimeError):
@@ -35,9 +53,17 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LPResult:
+    """status, plus the optimum's value and vertex when OPTIMAL.
+
+    duals, set by solve_lp at an optimum, holds row i's multiplier in the
+    Lagrangian objective.x + duals.(rows x - rhs): >= 0 on "<=" rows and
+    <= 0 on ">=" rows.  solve_ip leaves it None.
+    """
+
     status: str
     value: Fraction | None = None
     x: list[Fraction] | None = None
+    duals: list[Fraction] | None = None
 
 
 Bound = tuple[Fraction | int, "Fraction | int | None"]
@@ -53,13 +79,21 @@ def solve_lp(
     """Minimize objective . x subject to rows x (senses) rhs and lo <= x <= hi.
 
     senses entries are "<=", ">=" or "=".  Upper bounds of None mean
-    unbounded above; lower bounds must be finite.
+    unbounded above; lower bounds must be finite.  Exact: the result is in
+    Fractions.
     """
+    return _simplex(objective, rows, senses, rhs, bounds, Fraction, 0, None)
+
+
+def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
+    """solve_lp in the number type num, with comparisons against zero made
+    up to tol and at most limit iterations (None: no limit)."""
     n = len(objective)
     m = len(rows)
-    c = [Fraction(v) for v in objective]
-    lo = [Fraction(b[0]) for b in bounds]
-    hi: list[Fraction | None] = [None if b[1] is None else Fraction(b[1]) for b in bounds]
+    zero, one = num(0), num(1)
+    c = [num(v) for v in objective]
+    lo = [num(b[0]) for b in bounds]
+    hi: list = [None if b[1] is None else num(b[1]) for b in bounds]
     for l, u in zip(lo, hi):
         if u is not None and u < l:
             return LPResult(INFEASIBLE)
@@ -73,13 +107,13 @@ def solve_lp(
                 x.append(hi[j])
             else:
                 x.append(lo[j])
-        return LPResult(OPTIMAL, sum(cj * xj for cj, xj in zip(c, x)), x)
+        return LPResult(OPTIMAL, sum(cj * xj for cj, xj in zip(c, x)), x, [])
 
-    tab = [[Fraction(v) for v in row] for row in rows]
+    tab = [[num(v) for v in row] for row in rows]
     for row in tab:
         if len(row) != n:
             raise ValueError("row length does not match objective")
-    b = [Fraction(v) for v in rhs]
+    b = [num(v) for v in rhs]
 
     # One slack per inequality row.
     slack_of: dict[int, int] = {}
@@ -92,12 +126,12 @@ def solve_lp(
         slack_of[i] = col
     ncols = n + len(slack_of)
     for i, row in enumerate(tab):
-        row.extend([Fraction(0)] * len(slack_of))
+        row.extend([zero] * len(slack_of))
         if i in slack_of:
-            row[slack_of[i]] = Fraction(1) if senses[i] == "<=" else Fraction(-1)
-    lo += [Fraction(0)] * len(slack_of)
+            row[slack_of[i]] = one if senses[i] == "<=" else -one
+    lo += [zero] * len(slack_of)
     hi += [None] * len(slack_of)
-    c_full = c + [Fraction(0)] * len(slack_of)
+    c_full = c + [zero] * len(slack_of)
 
     # Start every variable at its lower bound; rows then need a basic slack or
     # an artificial carrying the residual.
@@ -107,12 +141,16 @@ def solve_lp(
         for i in range(m)
     ]
     basis = [-1] * m
-    xb = [Fraction(0)] * m
+    xb = [zero] * m
     artificial: list[int] = []
+    # Row -> the column whose final reduced cost, times its coefficient in
+    # the row, is the row's dual: the slack, else the artificial.
+    dual_col: dict[int, tuple[int, object]] = {}
     for i in range(m):
         col = slack_of.get(i)
         if col is not None:
             coef = tab[i][col]
+            dual_col[i] = (col, coef)
             val = residual[i] / coef
             if val >= 0:
                 basis[i] = col
@@ -121,24 +159,25 @@ def solve_lp(
                 continue
         acol = ncols + len(artificial)
         artificial.append(acol)
-        coef = Fraction(1) if residual[i] >= 0 else Fraction(-1)
+        coef = one if residual[i] >= 0 else -one
+        dual_col.setdefault(i, (acol, coef))
         for k, row in enumerate(tab):
-            row.append(coef if k == i else Fraction(0))
-        lo.append(Fraction(0))
+            row.append(coef if k == i else zero)
+        lo.append(zero)
         hi.append(None)
-        c_full.append(Fraction(0))
+        c_full.append(zero)
         status.append(_BASIC)
         basis[i] = acol
         xb[i] = abs(residual[i])
     ncols = len(lo)
     allowed = [True] * ncols
 
-    state = _State(tab, basis, xb, status, lo, hi, allowed)
+    state = _State(tab, basis, xb, status, lo, hi, allowed, tol, limit)
     _reduce_basic_columns(state)
 
     if artificial:
         art_set = set(artificial)
-        c1 = [Fraction(1) if j in art_set else Fraction(0) for j in range(ncols)]
+        c1 = [one if j in art_set else zero for j in range(ncols)]
         outcome = _iterate(state, _reduced_costs(state, c1))
         if outcome == UNBOUNDED:
             raise SolverError("phase one claims an unbounded artificial objective")
@@ -149,25 +188,29 @@ def solve_lp(
             for j in artificial
             if state.status[j] != _BASIC
         )
-        if infeas > 0:
+        if infeas > tol:
             return LPResult(INFEASIBLE)
         _drive_out_artificials(state, art_set)
         for j in artificial:
             state.allowed[j] = False
-            state.hi[j] = Fraction(0)
+            state.hi[j] = zero
 
-    outcome = _iterate(state, _reduced_costs(state, c_full))
+    d = _reduced_costs(state, c_full)
+    outcome = _iterate(state, d)
     if outcome == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [_variable_value(state, j) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    return LPResult(OPTIMAL, value, x)
+    duals = [d[col] * coef for col, coef in (dual_col[i] for i in range(m))]
+    return LPResult(OPTIMAL, value, x, duals)
 
 
 class _State:
-    __slots__ = ("tab", "basis", "xb", "status", "lo", "hi", "allowed")
+    __slots__ = (
+        "tab", "basis", "xb", "status", "lo", "hi", "allowed", "tol", "limit"
+    )
 
-    def __init__(self, tab, basis, xb, status, lo, hi, allowed):
+    def __init__(self, tab, basis, xb, status, lo, hi, allowed, tol, limit):
         self.tab = tab
         self.basis = basis
         self.xb = xb
@@ -175,19 +218,21 @@ class _State:
         self.lo = lo
         self.hi = hi
         self.allowed = allowed
+        self.tol = tol
+        self.limit = limit
 
 
-def _value_at_bound(state: _State, j: int) -> Fraction:
+def _value_at_bound(state: _State, j: int):
     return state.lo[j] if state.status[j] == _LOWER else state.hi[j]
 
 
-def _variable_value(state: _State, j: int) -> Fraction:
+def _variable_value(state: _State, j: int):
     if state.status[j] == _BASIC:
         return state.xb[state.basis.index(j)]
     return _value_at_bound(state, j)
 
 
-def _reduced_costs(state: _State, cost: list[Fraction]) -> list[Fraction]:
+def _reduced_costs(state: _State, cost: list) -> list:
     m = len(state.basis)
     d = list(cost)
     for i in range(m):
@@ -215,27 +260,31 @@ def _reduce_basic_columns(state: _State) -> None:
                 state.tab[k] = [vk - f * vi for vk, vi in zip(state.tab[k], rowi)]
 
 
-def _iterate(state: _State, d: list[Fraction]) -> str:
+def _iterate(state: _State, d: list) -> str:
     tab, basis, xb = state.tab, state.basis, state.xb
     status, lo, hi, allowed = state.status, state.lo, state.hi, state.allowed
+    tol = state.tol
     m = len(basis)
     ncols = len(lo)
-    zero = Fraction(0)
     degenerate_streak = 0
     while True:
+        if state.limit is not None:
+            if state.limit <= 0:
+                raise SolverError("simplex exceeded its iteration limit")
+            state.limit -= 1
         use_bland = degenerate_streak >= _BLAND_AFTER
         enter = -1
         direction = 0
-        best_score = zero
+        best_score = 0
         for j in range(ncols):
             if not allowed[j] or status[j] == _BASIC:
                 continue
             if hi[j] is not None and hi[j] == lo[j]:
                 continue
-            if status[j] == _LOWER and d[j] < 0:
+            if status[j] == _LOWER and d[j] < -tol:
                 cand = 1
                 score = -d[j]
-            elif status[j] == _UPPER and d[j] > 0:
+            elif status[j] == _UPPER and d[j] > tol:
                 cand = -1
                 score = d[j]
             else:
@@ -255,10 +304,10 @@ def _iterate(state: _State, d: list[Fraction]) -> str:
         leave_to = _LOWER
         for i in range(m):
             a = tab[i][j] * direction
-            if a > 0:
+            if a > tol:
                 cap = (xb[i] - lo[basis[i]]) / a
                 to = _LOWER
-            elif a < 0 and hi[basis[i]] is not None:
+            elif a < -tol and hi[basis[i]] is not None:
                 cap = (hi[basis[i]] - xb[i]) / (-a)
                 to = _UPPER
             else:
@@ -294,7 +343,7 @@ def _iterate(state: _State, d: list[Fraction]) -> str:
         degenerate_streak = degenerate_streak + 1 if t == 0 else 0
 
 
-def _pivot(state: _State, d: list[Fraction] | None, row: int, col: int) -> None:
+def _pivot(state: _State, d: list | None, row: int, col: int) -> None:
     tab = state.tab
     piv = tab[row][col]
     if piv != 1:
@@ -321,7 +370,7 @@ def _drive_out_artificials(state: _State, art_set: set[int]) -> None:
         for j in range(len(state.lo)):
             if j in art_set or state.status[j] == _BASIC:
                 continue
-            if state.tab[row][j]:
+            if abs(state.tab[row][j]) > state.tol:
                 pivot_col = j
                 break
         if pivot_col == -1:
@@ -335,7 +384,7 @@ def _drive_out_artificials(state: _State, art_set: set[int]) -> None:
 
 
 def _satisfies(
-    x: list[Fraction],
+    x: list[Fraction | int],
     rows: Sequence[Sequence[Fraction | int]],
     senses: Sequence[str],
     rhs: Sequence[Fraction | int],
@@ -344,8 +393,13 @@ def _satisfies(
     for (l, u), xj in zip(bounds, x):
         if xj < l or (u is not None and xj > u):
             return False
+    # Scaled by the common denominator, the row sums stay in integers when
+    # the rows are integers.
+    scale = math.lcm(*(xj.denominator for xj in x))
+    x = [xj.numerator * (scale // xj.denominator) for xj in x]
     for row, sense, b in zip(rows, senses, rhs):
         v = sum(coef * xj for coef, xj in zip(row, x) if coef)
+        b *= scale
         if sense == "<=" and v > b:
             return False
         if sense == ">=" and v < b:
@@ -353,6 +407,128 @@ def _satisfies(
         if sense == "=" and v != b:
             return False
     return True
+
+
+def lagrangian_bound(
+    objective: Sequence[Fraction | int],
+    rows: Sequence[Sequence[Fraction | int]],
+    senses: Sequence[str],
+    rhs: Sequence[Fraction | int],
+    bounds: Sequence[Bound],
+    duals: Sequence[Fraction | int | float],
+) -> Fraction | None:
+    """A proven lower bound on the LP minimum from any row multipliers.
+
+    Evaluates exactly -lam.rhs + the sum over j of the minimum over
+    [lo_j, hi_j] of (objective + rows^T lam)_j x_j, with lam the given
+    multipliers clamped to the signs their rows allow (>= 0 on "<=" rows,
+    <= 0 on ">=" rows).  Every feasible x lies in the box and costs at least
+    this much, so the bound holds whatever the multipliers are; at an exact
+    LPResult.duals it equals the optimum.  A column with no upper bound takes
+    the one implied by an equality row whose coefficients are all
+    nonnegative.  None when a multiplier is not finite, a box is empty, or a
+    column the bound would push up has no upper bound.
+    """
+    lam = []
+    for v, sense in zip(duals, senses):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        v = Fraction(v)
+        if (v < 0 and sense == "<=") or (v > 0 and sense == ">="):
+            v = Fraction(0)
+        lam.append(v)
+    # Scaled by the common denominator, the evaluation stays in integers
+    # when the program's data are integers.
+    scale = math.lcm(*(v.denominator for v in lam))
+    p = [v.numerator * (scale // v.denominator) for v in lam]
+    coefs = [cj * scale for cj in objective]
+    for row, pi in zip(rows, p):
+        if pi:
+            for j, a in enumerate(row):
+                if a:
+                    coefs[j] += a * pi
+    total = -sum(pi * b for pi, b in zip(p, rhs) if pi)
+    implied = None
+    for j, (cj, (lo, hi)) in enumerate(zip(coefs, bounds)):
+        if hi is not None and hi < lo:
+            return None
+        if cj > 0:
+            total += cj * lo
+        elif cj < 0:
+            if hi is None:
+                if implied is None:
+                    implied = _implied_upper(rows, senses, rhs, bounds)
+                hi = implied[j]
+                if hi is None or hi < lo:
+                    return None
+            total += cj * hi
+    return Fraction(total, scale)
+
+
+def _implied_upper(rows, senses, rhs, bounds) -> list:
+    """Per column, the least upper bound implied by an equality row whose
+    coefficients are all nonnegative, or None: in such a row
+    a_j (x_j - lo_j) <= rhs - a.lo, since every other term is nonnegative."""
+    lo = [b[0] for b in bounds]
+    upper: list = [None] * len(bounds)
+    for row, sense, b in zip(rows, senses, rhs):
+        if sense != "=" or any(a < 0 for a in row):
+            continue
+        room = Fraction(b - sum(a * l for a, l in zip(row, lo) if a))
+        for j, a in enumerate(row):
+            if a:
+                cap = lo[j] + room / a
+                if upper[j] is None or cap < upper[j]:
+                    upper[j] = cap
+    return upper
+
+
+def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
+    """The float run of the simplex: its optimal LPResult in floats, or None
+    when it reaches its iteration cap, fails, or claims the program
+    infeasible or unbounded."""
+    limit = _GUIDE_PIVOTS * (len(rows) + len(objective))
+    try:
+        res = _simplex(objective, rows, senses, rhs, bounds, float, _GUIDE_TOL, limit)
+    except (ArithmeticError, SolverError):
+        return None
+    return res if res.status == OPTIMAL else None
+
+
+def _snap(v: float) -> Fraction | int:
+    """The rational nearest v with denominator at most _SNAP_DENOMINATOR,
+    as an int when v is whole up to the float run's tolerance."""
+    r = round(v)
+    if abs(v - r) <= _GUIDE_TOL:
+        return r
+    return Fraction(v).limit_denominator(_SNAP_DENOMINATOR)
+
+
+def certify(
+    objective: Sequence[Fraction | int],
+    rows: Sequence[Sequence[Fraction | int]],
+    senses: Sequence[str],
+    rhs: Sequence[Fraction | int],
+    bounds: Sequence[Bound],
+) -> tuple[Fraction | None, Fraction | None]:
+    """Proven bounds (lower, upper) on the LP minimum from the float run.
+
+    lower is lagrangian_bound at the float duals, each snapped to a rational
+    of small denominator; upper is the objective at the float vertex snapped
+    the same way, kept only if that point satisfies every row and bound
+    exactly.  Either is None where the float run proves nothing; only
+    solve_lp can then tell.
+    """
+    guess = _guide(objective, rows, senses, rhs, bounds)
+    if guess is None or not all(map(math.isfinite, guess.duals + guess.x)):
+        return None, None
+    lower = lagrangian_bound(
+        objective, rows, senses, rhs, bounds, [_snap(v) for v in guess.duals]
+    )
+    x = [_snap(v) for v in guess.x]
+    if not _satisfies(x, rows, senses, rhs, bounds):
+        return lower, None
+    return lower, sum(cj * xj for cj, xj in zip(objective, x))
 
 
 def solve_ip(
@@ -369,7 +545,11 @@ def solve_ip(
     Branches on the first fractional variable with floor/ceiling bound splits;
     never assumes the relaxation is integral.  When every objective coefficient
     is an integer, so is the objective at every integer point, and the
-    relaxation value is rounded up before bound pruning.
+    relaxation value is rounded up before bound pruning.  Once there is an
+    incumbent or a cutoff, a node whose certified lower bound (certify)
+    already reaches it is pruned without an exact solve.  Its exact
+    relaxation would have been pruned too, or found infeasible, so the tree
+    and the result are those of exact solves at every node.
 
     cutoff is an exclusive upper bound: subtrees that cannot beat it are
     pruned, and status CUTOFF means no integer point below it exists (which
@@ -395,6 +575,13 @@ def solve_ip(
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
+        if best_value is not None:
+            lower, _ = certify(objective, rows, senses, rhs, node_bounds)
+            if lower is not None:
+                if integral_objective:
+                    lower = math.ceil(lower)
+                if lower >= best_value:
+                    continue
         res = solve_lp(objective, rows, senses, rhs, node_bounds)
         if res.status == UNBOUNDED:
             raise SolverError("integer program has an unbounded relaxation")

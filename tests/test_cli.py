@@ -408,14 +408,22 @@ def test_parliament_stats_count_one_search_per_contested_seat(
     manifest: Path, capsys: pytest.CaptureFixture,
     coalition: str, mode: str, stats: dict[str, list[int]],
 ) -> None:
-    argv = ["parliament", str(manifest), "--coalition", coalition, "--mode", mode,
-            "--format", "json", "--stats"]
-    assert main(argv) == 0
+    argv = ["parliament", str(manifest), "--coalition", coalition, "--mode", mode]
+    assert main(argv + ["--format", "json", "--stats"]) == 0
     report = json.loads(capsys.readouterr().out)
     keys = ("nodes_expanded", "lps_solved", "ips_solved")
-    assert report["stats"] == {
-        seat: dict(zip(keys, counts)) for seat, counts in stats.items()
-    }
+    expected = {seat: dict(zip(keys, counts)) for seat, counts in stats.items()}
+    assert report["stats"] == expected
+    # Table and CSV append the counters, in seat order and then key order.
+    for fmt, line in ("table", "stat {} {}: {}\n"), ("csv", "stat:{}:{},{}\n"):
+        assert main(argv + ["--format", fmt]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--format", fmt, "--stats"]) == 0
+        assert capsys.readouterr().out == plain + "".join(
+            line.format(seat, key, counts[key])
+            for seat, counts in expected.items()
+            for key in sorted(counts)
+        )
 
 
 def _write_manifest(tmp_path: Path, manifest: dict) -> Path:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from functools import lru_cache
 
 import pytest
+from test_acceptance import _random_corpus
+from test_simplex import PERTURBATIONS
 
 from irvmargin import (
     Ballot,
@@ -12,12 +17,14 @@ from irvmargin import (
     UnresolvedTie,
     apply_manipulation,
     build_model,
+    compute_mov,
     exact_distance,
     lower_bound,
     model_lp_text,
     run_election,
 )
-from irvmargin.distance import project_type, swap_final_witness
+from irvmargin import simplex
+from irvmargin.distance import _assemble, project_type, swap_final_witness
 from irvmargin.oracle import order_attainable
 from irvmargin.synth import random_profile
 from irvmargin.tabulate import TieRule, last_round_margin
@@ -178,3 +185,100 @@ def test_model_lp_text_shape(example1: Profile) -> None:
     assert "round 2 (a vs c):" in text
     assert "0 <= u[b>c] <= 41" in text
     assert "= 136" in text
+
+
+def _corpus_sequences():
+    """Each elimination order of each acceptance-corpus profile, and each of
+    its suffixes of two or more candidates, once."""
+    for profile in _random_corpus():
+        seen = set()
+        for perm in itertools.permutations(profile.candidate_ids):
+            for cut in range(len(perm) - 1):
+                if perm[cut:] not in seen:
+                    seen.add(perm[cut:])
+                    yield profile, EliminationSequence.for_profile(perm[cut:], profile)
+
+
+def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
+    checked = 0
+    for profile, sequence in _corpus_sequences():
+        model = build_model(profile, sequence)
+        program = _assemble(model)[:5]
+        exact = simplex.solve_lp(*program)
+        ceiling = math.ceil(model.total + exact.value)
+        assert lower_bound(profile, sequence) == ceiling
+        # The float run settles every one of them: no exact fallback.
+        lower, upper = simplex.certify(*program)
+        assert lower <= exact.value <= upper
+        assert math.ceil(model.total + lower) == ceiling
+        assert math.ceil(model.total + upper) == ceiling
+        checked += 1
+    assert checked > 2000
+
+
+def _corpus_answers() -> list:
+    """compute_mov on each corpus profile, and exact_distance of each of its
+    complete orders cut off just above the margin, so that solve_ip may
+    prune on certified bounds from its root."""
+    answers = []
+    for profile in _random_corpus():
+        result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
+        answers.append((result.value, result.witness_order,
+                        result.witness_manipulation, result.stats))
+        for perm in itertools.permutations(profile.candidate_ids):
+            pi = EliminationSequence.for_profile(perm, profile)
+            answers.append(exact_distance(profile, pi, cutoff=result.value + 1))
+    return answers
+
+
+@lru_cache(maxsize=1)
+def _reference_answers() -> list:
+    return _corpus_answers()
+
+
+def _garbage_guide():
+    """The float run with its duals and vertex perturbed, each call by one
+    of PERTURBATIONS drawn at random."""
+    real = simplex._guide
+    rng = random.Random(3)
+
+    def guide(*program):
+        res = real(*program)
+        if res is None:
+            return None
+        perturb = PERTURBATIONS[rng.choice(sorted(PERTURBATIONS))]
+        return simplex.LPResult(
+            res.status, res.value, perturb(rng, res.x), perturb(rng, res.duals)
+        )
+
+    return guide
+
+
+def _relaxed_guide():
+    """A float run that is wrong but self-consistent, as a float optimum can
+    be: it solves the program without its last row and gives that row a
+    zero dual."""
+    real = simplex._guide
+
+    def guide(objective, rows, senses, rhs, bounds):
+        res = real(objective, rows[:-1], senses[:-1], rhs[:-1], bounds)
+        if res is None:
+            return None
+        return simplex.LPResult(res.status, res.value, res.x, res.duals + [0.0])
+
+    return guide
+
+
+@pytest.mark.parametrize("mode", ["iteration cap", "garbage", "wrong optimum"])
+def test_answers_do_not_depend_on_the_float_guide(
+    monkeypatch: pytest.MonkeyPatch, mode: str
+) -> None:
+    reference = _reference_answers()
+    if mode == "iteration cap":
+        # Every float run fails, so everything is solved exactly.
+        monkeypatch.setattr(simplex, "_GUIDE_PIVOTS", 0)
+    elif mode == "garbage":
+        monkeypatch.setattr(simplex, "_guide", _garbage_guide())
+    else:
+        monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
+    assert _corpus_answers() == reference

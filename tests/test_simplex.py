@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from irvmargin.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LPResult,
+    lagrangian_bound,
     solve_ip,
     solve_lp,
 )
@@ -122,6 +124,87 @@ def test_lp_agrees_with_scipy_on_random_instances() -> None:
             assert abs(float(ours.value) - theirs.fun) < 1e-7
         checked += 1
     assert checked == 120
+
+
+def test_lp_duals_prove_the_optimum_exactly() -> None:
+    # The instances of test_lp_agrees_with_scipy_on_random_instances.
+    rng = random.Random(2024)
+    optimal_seen = 0
+    for _ in range(120):
+        problem = _random_problem(rng)
+        res = solve_lp(*problem)
+        if res.status != OPTIMAL:
+            assert res.duals is None
+            continue
+        senses = problem[2]
+        assert len(res.duals) == len(senses)
+        for dual, sense in zip(res.duals, senses):
+            assert isinstance(dual, Fraction)
+            if sense == "<=":
+                assert dual >= 0
+            elif sense == ">=":
+                assert dual <= 0
+        assert lagrangian_bound(*problem, res.duals) == res.value
+        optimal_seen += 1
+    assert optimal_seen > 50
+
+
+def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
+    """The problem behind an equality row with positive coefficients, with
+    every other column unbounded above: those take the row's implied box."""
+    objective, rows, senses, rhs, bounds = problem
+    n = len(objective)
+    bounds = [b if j % 2 == 0 else (rng.randint(0, 2), None) for j, b in enumerate(bounds)]
+    return (
+        objective,
+        [[rng.randint(1, 3) for _ in range(n)]] + rows,
+        ["="] + senses,
+        [rng.randint(0, 12)] + rhs,
+        bounds,
+    )
+
+
+def test_lagrangian_bound_boxes_free_columns_by_an_equality_row() -> None:
+    # min -y  s.t.  x + y = 5, x >= 0, y >= 2: the row caps y at 2 + (5 - 2).
+    problem = ([0, -1], [[1, 1]], ["="], [5], [(0, None), (2, None)])
+    assert solve_lp(*problem).value == -5
+    assert lagrangian_bound(*problem, [0]) == -5
+    assert lagrangian_bound(*problem, [Fraction(1, 2)]) == -5
+    # A row with a negative coefficient implies no cap, and an empty box
+    # proves nothing.
+    assert lagrangian_bound([0, -1], [[1, -1]], ["="], [0], [(0, 3), (0, None)], [0]) is None
+    assert lagrangian_bound([1], [[1]], ["<="], [5], [(2, 1)], [0]) is None
+
+
+PERTURBATIONS = {
+    "noise": lambda rng, y: [v + rng.gauss(0, 2) for v in y],
+    "wrong signs": lambda rng, y: [-v if v else rng.choice((-1.0, 1.0)) for v in y],
+    "nan": lambda rng, y: [math.nan] + y[1:],
+    "inf": lambda rng, y: y[:-1] + [math.inf],
+    "-inf": lambda rng, y: [-math.inf] + y[1:],
+    "1e300": lambda rng, y: [1e300 * rng.choice((-1, 1)) for _ in y],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_perturbed_duals_never_overstate_the_optimum(kind: str) -> None:
+    rng = random.Random(7)
+    perturb = PERTURBATIONS[kind]
+    proven = 0
+    for _ in range(150):
+        problem = _random_problem(rng)
+        if rng.random() < 0.5:
+            problem = _with_conservation_row(problem, rng)
+        res = solve_lp(*problem)
+        if res.status != OPTIMAL:
+            continue
+        duals = perturb(rng, [float(v) for v in res.duals])
+        bound = lagrangian_bound(*problem, duals)
+        if bound is not None:
+            assert bound <= res.value
+            proven += 1
+    if kind in ("noise", "wrong signs", "1e300"):
+        assert proven > 20
 
 
 def _enumerate_ip(problem: Problem) -> Fraction | None:
