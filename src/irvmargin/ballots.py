@@ -109,12 +109,6 @@ class Profile:
     def total(self) -> int:
         return sum(b.count for b in self.ballots)
 
-    def party_of(self, candidate_id: str) -> str:
-        for c in self.candidates:
-            if c.id == candidate_id:
-                return c.party
-        raise KeyError(candidate_id)
-
     @staticmethod
     def from_rankings(
         counts: Mapping[str, int],
@@ -133,12 +127,6 @@ class Profile:
             Candidate(cid, party=parties.get(cid, "none")) for cid in sorted(seen)
         )
         return Profile(roster, tuple(ballots))
-
-
-def restrict(ballot: Ballot, standing: Iterable[str]) -> tuple[str, ...]:
-    """Project a ranking onto the standing candidates, preserving order."""
-    keep = set(standing)
-    return tuple(c for c in ballot.ranking if c in keep)
 
 
 def first_preference(ballot: Ballot, standing: Iterable[str]) -> str | None:

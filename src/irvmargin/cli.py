@@ -1,26 +1,25 @@
 """Command-line front end.
 
 Subcommands: tabulate, margin, movc (margin with required alternates), and
-parliament.  Reports render as a table (default), JSON, or CSV, and are
-byte-identical across reruns on identical inputs.
+parliament.  Each command builds its report once, as a _Report that holds
+the JSON object, the table lines and the CSV rows side by side, and prints
+it as a table (default), JSON, or CSV.  Reports are byte-identical across
+reruns on identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
-from .ballots import Profile, ProfileError, parse_profile
+from .ballots import Profile, parse_profile
 from .distance import build_model, model_lp_text
 from .parliament import (
-    CoalitionLacksMajority,
-    MissingMovc,
     analyze_seat,
     load_seat_records,
     relabel_complement,
@@ -28,19 +27,47 @@ from .parliament import (
     seats_to_win,
     threshold,
 )
-from .search import (
-    AlternateIsWinner,
-    EmptyAlternates,
-    MarginResult,
-    compute_mov,
-    compute_movc,
-)
+from .search import MarginResult, compute_mov, compute_movc
 from .synth import synthetic_seat
 from .tabulate import TieRule, UnresolvedTie, last_round_margin, run_election
 
 
 class CliError(Exception):
     """User-facing failure; the message goes to stderr and the exit code is 1."""
+
+
+class _Report:
+    """One report in all three formats: the JSON object, the table lines and
+    the CSV rows (the first row is the header)."""
+
+    def __init__(self, data: dict, header: list[str]) -> None:
+        self.data = data
+        self.lines: list[str] = []
+        self.rows: list[list] = [header]
+
+    def add(self, line: str, row: list | None = None) -> None:
+        """One fact's table line and its CSV row, if CSV reports it."""
+        self.lines.append(line)
+        if row is not None:
+            self.rows.append(row)
+
+    def stats(self, label: str | None, counts: dict) -> None:
+        """Counters in key order: `stat <label> <key>: <n>` in the table and
+        `stat:<label>:<key>,<n>` in CSV, without the label when it is None."""
+        for key in sorted(counts):
+            path = (key,) if label is None else (label, key)
+            self.add(f"stat {' '.join(path)}: {counts[key]}",
+                     [f"stat:{':'.join(path)}", counts[key]])
+
+
+def _emit(args: argparse.Namespace, report: _Report) -> int:
+    if args.format == "json":
+        print(json.dumps(report.data, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(report.rows)
+    else:
+        print("\n".join(report.lines))
+    return 0
 
 
 def _load_profile(args: argparse.Namespace) -> Profile:
@@ -73,61 +100,30 @@ def _resolve_alternates(profile: Profile, raw: str) -> set[str]:
     return chosen
 
 
-def _emit(args: argparse.Namespace, report: dict, table: str, rows: list[list]) -> int:
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        sys.stdout.write(out.getvalue())
-    else:
-        print(table)
-    return 0
-
-
 def cmd_tabulate(args: argparse.Namespace) -> int:
     profile = _load_profile(args)
     result = run_election(profile, tie_rule=TieRule(args.tie_rule))
     lrm = last_round_margin(result)
-    rounds = []
+    rounds: list[dict] = []
+    report = _Report(
+        {"command": "tabulate", "winner": result.winner, "last_round_margin": lrm,
+         "rounds": rounds},
+        ["kind", "round", "key", "value"],
+    )
     for i, rnd in enumerate(result.rounds, start=1):
-        rounds.append(
-            {
-                "round": i,
-                "standing": sorted(rnd.standing),
-                "tallies": {c: rnd.tallies[c] for c in sorted(rnd.standing)},
-                "exhausted": rnd.tallies.exhausted,
-                "eliminated": rnd.eliminated,
-            }
-        )
-    report = {
-        "command": "tabulate",
-        "winner": result.winner,
-        "last_round_margin": lrm,
-        "rounds": rounds,
-    }
-
-    lines = []
-    for rnd in rounds:
-        lines.append(f"round {rnd['round']}:")
-        for cid in sorted(rnd["standing"]):
-            lines.append(f"  {cid:<16} {rnd['tallies'][cid]}")
-        lines.append(f"  {'(exhausted)':<16} {rnd['exhausted']}")
-        if rnd["eliminated"] is not None:
-            lines.append(f"  eliminated: {rnd['eliminated']}")
-    lines.append(f"winner: {result.winner}")
-    lines.append(f"last-round margin: {lrm}")
-
-    rows: list[list] = [["kind", "round", "key", "value"]]
-    for rnd in rounds:
-        for cid in sorted(rnd["standing"]):
-            rows.append(["tally", rnd["round"], cid, rnd["tallies"][cid]])
-        rows.append(["exhausted", rnd["round"], "", rnd["exhausted"]])
-        if rnd["eliminated"] is not None:
-            rows.append(["eliminated", rnd["round"], rnd["eliminated"], ""])
-    rows.append(["winner", "", result.winner, ""])
-    rows.append(["lrm", "", "", lrm])
-    return _emit(args, report, "\n".join(lines), rows)
+        standing = sorted(rnd.standing)
+        exhausted = rnd.tallies.exhausted
+        rounds.append({"round": i, "standing": standing,
+                       "tallies": {c: rnd.tallies[c] for c in standing},
+                       "exhausted": exhausted, "eliminated": rnd.eliminated})
+        report.add(f"round {i}:")
+        for cid in standing:
+            report.add(f"  {cid:<16} {rnd.tallies[cid]}", ["tally", i, cid, rnd.tallies[cid]])
+        report.add(f"  {'(exhausted)':<16} {exhausted}", ["exhausted", i, "", exhausted])
+        report.add(f"  eliminated: {rnd.eliminated}", ["eliminated", i, rnd.eliminated, ""])
+    report.add(f"winner: {result.winner}", ["winner", "", result.winner, ""])
+    report.add(f"last-round margin: {lrm}", ["lrm", "", "", lrm])
+    return _emit(args, report)
 
 
 def _margin_result(args: argparse.Namespace, profile: Profile) -> MarginResult:
@@ -142,52 +138,34 @@ def _margin_result(args: argparse.Namespace, profile: Profile) -> MarginResult:
 def cmd_margin(args: argparse.Namespace) -> int:
     profile = _load_profile(args)
     result = _margin_result(args, profile)
-    witness = result.witness_manipulation
     order = result.witness_order.order
-    changes = {
-        "removals": {">".join(chain): n for chain, n in witness.removals},
-        "additions": {">".join(chain): n for chain, n in witness.additions},
-    }
-    report = {
-        "command": "margin",
-        "value": result.value,
-        "winner": result.winner,
-        "alternates": sorted(result.alternates),
-        "witness_order": list(order),
-        "witness_changes": changes,
-    }
-    stats = asdict(result.stats)
-    if args.stats:
-        report["stats"] = stats
-
-    lines = [
-        f"margin: {result.value}",
-        f"winner: {result.winner}",
-        f"alternates: {', '.join(sorted(result.alternates))}",
-        f"witness order: {' -> '.join(order)}",
-    ]
-    for label, bag in ("remove", witness.removals), ("add", witness.additions):
+    alternates = sorted(result.alternates)
+    changes: dict[str, dict[str, int]] = {"removals": {}, "additions": {}}
+    report = _Report(
+        {"command": "margin", "value": result.value, "winner": result.winner,
+         "alternates": alternates, "witness_order": list(order),
+         "witness_changes": changes},
+        ["field", "value"],
+    )
+    report.add(f"margin: {result.value}", ["value", result.value])
+    report.add(f"winner: {result.winner}", ["winner", result.winner])
+    report.add(f"alternates: {', '.join(alternates)}", ["alternates", ";".join(alternates)])
+    report.add(f"witness order: {' -> '.join(order)}", ["witness_order", ">".join(order)])
+    witness = result.witness_manipulation
+    for key, verb, kind, bag in (
+        ("removals", "remove", "removal", witness.removals),
+        ("additions", "add", "addition", witness.additions),
+    ):
         for chain, n in bag:
-            lines.append(f"  {label} {n} x {'>'.join(chain)}")
+            path = ">".join(chain)
+            changes[key][path] = n
+            report.add(f"  {verb} {n} x {path}", [kind, f"{n} x {path}"])
     if args.stats:
-        for key in sorted(stats):
-            lines.append(f"stat {key}: {stats[key]}")
-
-    rows: list[list] = [["field", "value"]]
-    rows.append(["value", result.value])
-    rows.append(["winner", result.winner])
-    rows.append(["alternates", ";".join(sorted(result.alternates))])
-    rows.append(["witness_order", ">".join(order)])
-    for label, bag in ("removal", witness.removals), ("addition", witness.additions):
-        for chain, n in bag:
-            rows.append([label, f"{n} x {'>'.join(chain)}"])
-    if args.stats:
-        for key in sorted(stats):
-            rows.append([f"stat:{key}", stats[key]])
-
+        report.data["stats"] = asdict(result.stats)
+        report.stats(None, report.data["stats"])
     if args.dump_lp:
         sys.stderr.write(model_lp_text(build_model(profile, result.witness_order)))
-    return _emit(args, report, "\n".join(lines), rows)
+    return _emit(args, report)
 
 
 def _analyze_seat(task: tuple) -> tuple:
@@ -287,38 +265,28 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     else:
         scenario = seats_to_win(records, coalition, limit)
 
-    report = {
-        "command": "parliament",
-        "mode": scenario.mode,
-        "coalition": list(scenario.coalition),
-        "threshold": scenario.threshold,
-        "seats_needed": scenario.seats_needed,
-        "seats": [{"seat": s, "changes": v} for s, v in scenario.chosen_seats],
-        "total_changes": scenario.total_changes,
-    }
-    if args.stats and stats:
-        report["stats"] = stats
-
+    seats: list[dict] = []
+    report = _Report(
+        {"command": "parliament", "mode": scenario.mode,
+         "coalition": list(scenario.coalition), "threshold": scenario.threshold,
+         "seats_needed": scenario.seats_needed, "seats": seats,
+         "total_changes": scenario.total_changes},
+        ["seat", "changes"],
+    )
+    report.add(f"mode: {scenario.mode}")
+    report.add(f"coalition: {'+'.join(scenario.coalition)}")
+    report.add(f"threshold: {scenario.threshold}")
+    report.add(f"seats needed: {scenario.seats_needed}")
     width = max((len(s) for s, _ in scenario.chosen_seats), default=4)
-    lines = [
-        f"mode: {scenario.mode}",
-        f"coalition: {'+'.join(scenario.coalition)}",
-        f"threshold: {scenario.threshold}",
-        f"seats needed: {scenario.seats_needed}",
-    ]
     for seat, value in scenario.chosen_seats:
-        lines.append(f"  {seat:<{width}}  {value}")
-    lines.append(f"total changes: {scenario.total_changes}")
-
-    rows: list[list] = [["seat", "changes"]]
-    rows.extend([s, v] for s, v in scenario.chosen_seats)
-    rows.append(["TOTAL", scenario.total_changes])
-    if args.stats:
+        seats.append({"seat": seat, "changes": value})
+        report.add(f"  {seat:<{width}}  {value}", [seat, value])
+    report.add(f"total changes: {scenario.total_changes}", ["TOTAL", scenario.total_changes])
+    if args.stats and stats:
+        report.data["stats"] = stats
         for seat, counts in stats.items():
-            for key in sorted(counts):
-                lines.append(f"stat {seat} {key}: {counts[key]}")
-                rows.append([f"stat:{seat}:{key}", counts[key]])
-    return _emit(args, report, "\n".join(lines), rows)
+            report.stats(seat, counts)
+    return _emit(args, report)
 
 
 def _add_common(sub: argparse.ArgumentParser, *, dump_lp: bool = False) -> None:
@@ -388,16 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (
-        CliError,
-        ProfileError,
-        UnresolvedTie,
-        AlternateIsWinner,
-        EmptyAlternates,
-        MissingMovc,
-        CoalitionLacksMajority,
-        ValueError,
-    ) as exc:
+    except (CliError, UnresolvedTie, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,10 +105,6 @@ class DistanceModel:
     credits: tuple[tuple[int, ...], ...]
     total: int
 
-    @property
-    def rounds(self) -> int:
-        return len(self.sequence.order) - 1
-
     def chain(self, mask: int) -> tuple[str, ...]:
         order = self.sequence.order
         return tuple(order[i] for i in range(len(order)) if mask >> i & 1)

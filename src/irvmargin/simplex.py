@@ -98,17 +98,6 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if u is not None and u < l:
             return LPResult(INFEASIBLE)
 
-    if m == 0:
-        x = []
-        for j in range(n):
-            if c[j] < 0:
-                if hi[j] is None:
-                    return LPResult(UNBOUNDED)
-                x.append(hi[j])
-            else:
-                x.append(lo[j])
-        return LPResult(OPTIMAL, sum(cj * xj for cj, xj in zip(c, x)), x, [])
-
     tab = [[num(v) for v in row] for row in rows]
     for row in tab:
         if len(row) != n:
@@ -169,11 +158,16 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         status.append(_BASIC)
         basis[i] = acol
         xb[i] = abs(residual[i])
+    # Negate each row whose basic column starts at -1 (the slack of a ">="
+    # row, or the artificial of a negative residual) so that the tableau
+    # carries the identity on the basis; dual_col keeps the original sign.
+    for i, col in enumerate(basis):
+        if tab[i][col] != one:
+            tab[i] = [-v for v in tab[i]]
     ncols = len(lo)
     allowed = [True] * ncols
 
     state = _State(tab, basis, xb, status, lo, hi, allowed, tol, limit)
-    _reduce_basic_columns(state)
 
     if artificial:
         art_set = set(artificial)
@@ -243,21 +237,6 @@ def _reduced_costs(state: _State, cost: list) -> list:
                 if row[j]:
                     d[j] -= cb * row[j]
     return d
-
-
-def _reduce_basic_columns(state: _State) -> None:
-    # Ensure the tableau carries the identity on basic columns; needed when
-    # initial slack columns had coefficient -1.
-    for i, col in enumerate(state.basis):
-        piv = state.tab[i][col]
-        if piv == 1:
-            continue
-        state.tab[i] = [v / piv for v in state.tab[i]]
-        for k in range(len(state.tab)):
-            if k != i and state.tab[k][col]:
-                f = state.tab[k][col]
-                rowi = state.tab[i]
-                state.tab[k] = [vk - f * vi for vk, vi in zip(state.tab[k], rowi)]
 
 
 def _iterate(state: _State, d: list) -> str:

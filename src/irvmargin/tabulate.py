@@ -48,10 +48,6 @@ class CountResult:
     def elimination_order(self) -> tuple[str, ...]:
         return tuple(r.eliminated for r in self.rounds) + (self.winner,)
 
-    @property
-    def last_round_tallies(self) -> TallyMap:
-        return self.rounds[-1].tallies
-
 
 def tally(profile: Profile, standing: Iterable[str]) -> TallyMap:
     """First-preference tallies over the standing set; exhausted ballots counted apart."""

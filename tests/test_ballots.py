@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from irvmargin import (
@@ -13,7 +11,7 @@ from irvmargin import (
     parse_profile,
     serialize_profile,
 )
-from irvmargin.ballots import first_preference, restrict
+from irvmargin.ballots import first_preference
 
 
 def test_parse_example_profile(example1: Profile) -> None:
@@ -40,8 +38,7 @@ def test_parse_accepts_comments_and_blank_lines() -> None:
 
 def test_parse_roster_carries_parties() -> None:
     profile = parse_profile("# candidates: x:ALP, y:LIB\n1,x\n1,y\n")
-    assert profile.party_of("x") == "ALP"
-    assert profile.party_of("y") == "LIB"
+    assert [(c.id, c.party) for c in profile.candidates] == [("x", "ALP"), ("y", "LIB")]
 
 
 @pytest.mark.parametrize(
@@ -104,33 +101,10 @@ def test_profile_rejects_duplicate_roster_ids() -> None:
         Profile((Candidate("a"), Candidate("a")), ())
 
 
-def test_restrict_examples() -> None:
-    assert restrict(Ballot(("b", "c"), 1), {"a", "c"}) == ("c",)
-    assert restrict(Ballot(("c", "a"), 1), {"a", "b", "c"}) == ("c", "a")
-    assert restrict(Ballot(("a",), 1), {"b", "c"}) == ()
-
-
 def test_first_preference_examples() -> None:
     assert first_preference(Ballot(("b", "c"), 1), {"a", "b", "c"}) == "b"
     assert first_preference(Ballot(("b", "c"), 1), {"a", "c"}) == "c"
     assert first_preference(Ballot(("a",), 1), {"b", "c"}) is None
-
-
-def test_restrict_composes_over_nested_standing_sets() -> None:
-    rng = random.Random(7)
-    ids = list("abcdef")
-    for _ in range(200):
-        ranking = tuple(rng.sample(ids, rng.randint(1, len(ids))))
-        ballot = Ballot(ranking, 1)
-        big = set(rng.sample(ids, rng.randint(1, len(ids))))
-        small = {c for c in big if rng.random() < 0.6}
-        if not small:
-            continue
-        inner = Ballot(restrict(ballot, big) or ("z",), 1)
-        if inner.ranking == ("z",):
-            assert restrict(ballot, small) == ()
-            continue
-        assert restrict(inner, small) == restrict(ballot, small)
 
 
 def test_serialize_round_trips_bit_exactly(example1: Profile) -> None:

@@ -426,6 +426,159 @@ def test_parliament_stats_count_one_search_per_contested_seat(
         )
 
 
+PINNED = {
+    ("tabulate", "table"): """\
+round 1:
+  a                55
+  b                41
+  c                40
+  (exhausted)      0
+  eliminated: c
+round 2:
+  a                80
+  b                41
+  (exhausted)      15
+  eliminated: b
+winner: a
+last-round margin: 20
+""",
+    ("tabulate", "csv"): """\
+kind,round,key,value
+tally,1,a,55
+tally,1,b,41
+tally,1,c,40
+exhausted,1,,0
+eliminated,1,c,
+tally,2,a,80
+tally,2,b,41
+exhausted,2,,15
+eliminated,2,b,
+winner,,a,
+lrm,,,20
+""",
+    ("margin", "table"): """\
+margin: 1
+winner: a
+alternates: b, c
+witness order: b -> a -> c
+  remove 1 x b>c
+  add 1 x c
+stat ips_solved: 2
+stat lps_solved: 4
+stat nodes_expanded: 4
+""",
+    ("margin", "csv"): """\
+field,value
+value,1
+winner,a
+alternates,b;c
+witness_order,b>a>c
+removal,1 x b>c
+addition,1 x c
+stat:ips_solved,2
+stat:lps_solved,4
+stat:nodes_expanded,4
+""",
+    ("movc", "table"): """\
+margin: 10
+winner: a
+alternates: b
+witness order: a -> c -> b
+  remove 10 x a
+  add 5 x b
+  add 5 x c>b
+""",
+    ("movc", "csv"): """\
+field,value
+value,10
+winner,a
+alternates,b
+witness_order,a>c>b
+removal,10 x a
+addition,5 x b
+addition,5 x c>b
+""",
+    ("nsw", "table"): """\
+mode: lose-majority
+coalition: LIB+NAT
+threshold: 47
+seats needed: 8
+  East Hills    189
+  Lismore       209
+  Upper Hunter  866
+  Monaro        1122
+  Coogee        1243
+  Tweed         1291
+  Penrith       2576
+  Holsworthy    2902
+total changes: 10398
+""",
+    ("nsw", "csv"): """\
+seat,changes
+East Hills,189
+Lismore,209
+Upper Hunter,866
+Monaro,1122
+Coogee,1243
+Tweed,1291
+Penrith,2576
+Holsworthy,2902
+TOTAL,10398
+""",
+    ("manifest", "table"): """\
+mode: win-majority
+coalition: LIB
+threshold: 2
+seats needed: 1
+  Third  1
+total changes: 1
+stat First ips_solved: 1
+stat First lps_solved: 2
+stat First nodes_expanded: 2
+stat Second ips_solved: 0
+stat Second lps_solved: 0
+stat Second nodes_expanded: 0
+stat Third ips_solved: 1
+stat Third lps_solved: 0
+stat Third nodes_expanded: 1
+""",
+    ("manifest", "csv"): """\
+seat,changes
+Third,1
+TOTAL,1
+stat:First:ips_solved,1
+stat:First:lps_solved,2
+stat:First:nodes_expanded,2
+stat:Second:ips_solved,0
+stat:Second:lps_solved,0
+stat:Second:nodes_expanded,0
+stat:Third:ips_solved,1
+stat:Third:lps_solved,0
+stat:Third:nodes_expanded,1
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("case", ["tabulate", "margin", "movc", "nsw", "manifest"])
+def test_table_and_csv_reports_are_pinned_byte_for_byte(
+    seat_file: Path, manifest: Path, capsys: pytest.CaptureFixture, case: str, fmt: str
+) -> None:
+    argv = {
+        "tabulate": ["tabulate", str(seat_file)],
+        "margin": ["margin", str(seat_file), "--stats"],
+        "movc": ["movc", str(seat_file), "--alternates", "b"],
+        "nsw": ["parliament", str(FIXTURES / "nsw2015.csv"),
+                "--coalition", "LIB+NAT", "--mode", "lose"],
+        "manifest": ["parliament", str(manifest), "--coalition", "LIB", "--mode", "win",
+                     "--stats"],
+    }[case]
+    assert main(argv + ["--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == PINNED[case, fmt]
+    assert captured.err == ""
+
+
 def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
     path = tmp_path / "bad_manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")

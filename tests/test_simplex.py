@@ -73,6 +73,39 @@ def test_lp_unbounded() -> None:
     assert res.status == UNBOUNDED
 
 
+def _boxed_minimum(objective: list, bounds: list) -> LPResult:
+    """The closed form of a program with no rows: each column rests at the
+    bound its cost prefers."""
+    if any(hi is not None and hi < lo for lo, hi in bounds):
+        return LPResult(INFEASIBLE)
+    x = []
+    for cj, (lo, hi) in zip(objective, bounds):
+        if cj >= 0:
+            x.append(lo)
+        elif hi is None:
+            return LPResult(UNBOUNDED)
+        else:
+            x.append(hi)
+    return LPResult(OPTIMAL, sum(cj * xj for cj, xj in zip(objective, x)), x, [])
+
+
+def test_lp_without_rows_rests_at_the_bounds() -> None:
+    assert solve_lp([2, -3, 0], [], [], [], [(1, 4), (-2, 5), (0, None)]) == LPResult(
+        OPTIMAL, -13, [1, 5, 0], []
+    )
+    assert solve_lp([1, -1], [], [], [], [(0, 2), (0, None)]).status == UNBOUNDED
+    assert solve_lp([1, 1], [], [], [], [(0, 2), (3, 1)]).status == INFEASIBLE
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        objective = [rng.randint(-3, 3) for _ in range(n)]
+        bounds = []
+        for _ in range(n):
+            lo = rng.randint(-3, 3)
+            bounds.append((lo, rng.choice([None, lo + rng.randint(-1, 4)])))
+        assert solve_lp(objective, [], [], [], bounds) == _boxed_minimum(objective, bounds)
+
+
 def test_lp_rejects_unknown_sense() -> None:
     with pytest.raises(ValueError, match="unknown sense"):
         solve_lp([1], [[1]], ["<"], [1], [(0, None)])

@@ -31,9 +31,8 @@ def test_synthetic_seat_counts_cleanly_and_stays_close() -> None:
         profile = synthetic_seat(seed)
         count = run_election(profile)  # must not hit a tie under fail-on-tie
         assert count.rounds[-1].standing == ("c0", "c1")
-        gap = abs(
-            count.last_round_tallies["c0"] - count.last_round_tallies["c1"]
-        )
+        final = count.rounds[-1].tallies
+        gap = abs(final["c0"] - final["c1"])
         # The two majors finish within a whisker of each other while the
         # minor pile gaps sit strictly above the whole final-round gap.
         assert 0 < gap <= 2 * (50_000 // 1000) * 2 + 1

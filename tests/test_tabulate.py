@@ -40,7 +40,7 @@ def test_run_election_realized_order(example1: Profile) -> None:
     assert [r.eliminated for r in result.rounds] == ["c", "b"]
     assert result.rounds[0].standing == ("a", "b", "c")
     assert result.rounds[1].standing == ("a", "b")
-    assert result.last_round_tallies.votes == {"a": 80, "b": 41}
+    assert result.rounds[-1].tallies.votes == {"a": 80, "b": 41}
 
 
 def test_run_election_two_candidates() -> None:
