@@ -200,16 +200,17 @@ def _records_from_manifest(
     if workers < 1:
         raise CliError(f"options.workers must be at least 1, not {workers}")
     workers = args.workers or workers
-    names = [s.get("name") for s in seats]
+    for s in seats:
+        if not isinstance(s.get("name"), str) or not isinstance(s.get("path"), str):
+            raise CliError("each manifest seat needs a name and a path")
+    names = [s["name"] for s in seats]
     if len(set(names)) != len(names):
         raise CliError("manifest seat names must be unique")
 
     base = os.path.dirname(os.path.abspath(args.records))
     tasks = []
     for seat in seats:
-        path = seat.get("path")
-        if not isinstance(seat.get("name"), str) or not isinstance(path, str):
-            raise CliError("each manifest seat needs a name and a path")
+        path = seat["path"]
         if not os.path.isabs(path):
             path = os.path.join(base, path)
         try:

@@ -191,8 +191,6 @@ def lower_bound(profile: Profile, sequence: EliminationSequence) -> int:
     the exact optimum lies between them, so that is its ceiling too.
     Otherwise the LP is solved exactly.
     """
-    if len(sequence.order) < 2:
-        return 0
     model = build_model(profile, sequence)
     objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
     lower, upper = simplex.certify(objective, rows, senses, rhs, bounds)

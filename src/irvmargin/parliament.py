@@ -32,10 +32,7 @@ class MissingMovc(ValueError):
 
 def coalition_key(parties: Iterable[str]) -> str:
     """Canonical name for a coalition: sorted, upper-cased, '+'-joined."""
-    named = sorted({p.strip().upper() for p in parties if p.strip()})
-    if not named:
-        raise ValueError("empty coalition")
-    return "+".join(named)
+    return "+".join(sorted(_coalition_set(parties)))
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,17 @@ def _coalition_set(coalition: Iterable[str]) -> frozenset[str]:
     return parties
 
 
-def _party_roster(records: Sequence[SeatRecord]) -> frozenset[str]:
+def _complement_key(
+    records: Sequence[SeatRecord], parties: frozenset[str]
+) -> str | None:
+    """The key of every party in the records' roster outside parties, or None
+    when there is none."""
     roster = {r.winner_party.upper() for r in records}
     for r in records:
         for key in r.movc_by_target:
             roster.update(key.upper().split("+"))
-    return frozenset(roster)
+    outside = roster - parties
+    return coalition_key(outside) if outside else None
 
 
 def analyze_seat(
@@ -106,19 +108,24 @@ def analyze_seat(
     with the counters of the one search it runs.
 
     parties maps candidate ids to party codes and overrides the profile's
-    roster.  In lose mode a held seat gets its margin toward the candidates
-    outside the coalition, keyed by their parties (see relabel_complement);
-    in win mode a seat the coalition does not hold gets its margin toward
-    the coalition's candidates, keyed by the coalition, or None under that
-    key when the coalition fields no candidate there.  A seat the scenario
+    roster; an id that does not stand here raises ValueError.  In lose mode
+    a held seat gets its margin toward the candidates outside the
+    coalition, keyed by their parties (see relabel_complement); in win mode
+    a seat the coalition does not hold gets its margin toward the
+    coalition's candidates, keyed by the coalition, or None under that key
+    when the coalition fields no candidate there.  A seat the scenario
     does not contest runs no search and gets zero counters.  No scenario
     reads the MOV, so the record carries mov=None.
     """
     if mode not in ("win", "lose"):
         raise ValueError(f"unknown scenario mode {mode!r}")
     members = _coalition_set(coalition)
+    parties = parties or {}
+    unknown = set(parties) - set(profile.candidate_ids)
+    if unknown:
+        raise ValueError(f"unknown candidates in parties: {sorted(unknown)}")
     party = {c.id: c.party.upper() for c in profile.candidates}
-    party.update((cid, p.upper()) for cid, p in (parties or {}).items())
+    party.update((cid, p.upper()) for cid, p in parties.items())
     count = run_election(profile, tie_rule=tie_rule)
     movc: dict[str, int | None] = {}
     stats = SearchStats()
@@ -162,13 +169,12 @@ def relabel_complement(
     coalition, since then no seat can be flipped at all.
     """
     parties = _coalition_set(coalition)
-    outside = _party_roster(records) - parties
-    if not outside:
+    key = _complement_key(records, parties)
+    if key is None:
         raise ValueError(
             "no seat can be flipped to a candidate outside the coalition "
             f"{coalition_key(parties)}: every candidate belongs to it"
         )
-    key = coalition_key(outside)
     return [
         replace(r, movc_by_target={key: next(iter(r.movc_by_target.values()), None)})
         if r.winner_party.upper() in parties
@@ -201,8 +207,7 @@ def seats_to_lose_majority(
             f"coalition {coalition_key(parties)} holds {len(held)} of the "
             f"{threshold_seats} seats needed for a majority"
         )
-    complement = _party_roster(records) - parties
-    key = coalition_key(complement) if complement else None
+    key = _complement_key(records, parties)
     if key is not None and all(key in r.movc_by_target for r in held):
         costs = [(r.movc_by_target[key], r.seat) for r in held]
     else:
@@ -244,33 +249,26 @@ def seats_to_win(
     parties = _coalition_set(coalition)
     key = coalition_key(parties)
     held = sum(1 for r in records if r.winner_party.upper() in parties)
-    needed = threshold_seats - held
-    if needed <= 0:
-        return ParliamentScenario(
-            mode="win-majority",
-            coalition=tuple(sorted(parties)),
-            threshold=threshold_seats,
-            seats_needed=0,
-            chosen_seats=(),
-            total_changes=0,
+    needed = max(threshold_seats - held, 0)
+    chosen: tuple[tuple[str, int], ...] = ()
+    if needed:
+        targets = [r for r in records if r.winner_party.upper() not in parties]
+        missing = [r.seat for r in targets if key not in r.movc_by_target]
+        if missing:
+            raise MissingMovc(
+                f"seats lacking movc:{key}: {', '.join(sorted(missing))}"
+            )
+        winnable = sorted(
+            (r.movc_by_target[key], r.seat)
+            for r in targets
+            if r.movc_by_target[key] is not None
         )
-    targets = [r for r in records if r.winner_party.upper() not in parties]
-    missing = [r.seat for r in targets if key not in r.movc_by_target]
-    if missing:
-        raise MissingMovc(
-            f"seats lacking movc:{key}: {', '.join(sorted(missing))}"
-        )
-    winnable = sorted(
-        (r.movc_by_target[key], r.seat)
-        for r in targets
-        if r.movc_by_target[key] is not None
-    )
-    if needed > len(winnable):
-        raise ValueError(
-            f"coalition {key} cannot reach {threshold_seats} seats: "
-            f"only {len(winnable)} seats are winnable"
-        )
-    chosen = tuple((seat, v) for v, seat in winnable[:needed])
+        if needed > len(winnable):
+            raise ValueError(
+                f"coalition {key} cannot reach {threshold_seats} seats: "
+                f"only {len(winnable)} seats are winnable"
+            )
+        chosen = tuple((seat, v) for v, seat in winnable[:needed])
     return ParliamentScenario(
         mode="win-majority",
         coalition=tuple(sorted(parties)),

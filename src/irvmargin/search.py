@@ -10,11 +10,12 @@ the incumbent upper bound, and improvements become the new incumbent.  Nodes
 whose bound reaches the upper bound are pruned, and the incumbent value is
 the margin once the frontier empties.
 
-The upper bound starts at the last-round margin when the realized runner-up
-is an alternate (the realized order with its last two entries swapped always
-costs at most that much).  For alternate sets that exclude the runner-up that
-initialization would be unsound, so the bound starts open and the first scored
-complete order sets it.
+When the realized runner-up is an alternate, the upper bound and the
+incumbent start at the realized order with its last two entries swapped,
+which costs exactly the last-round margin (swap_final_witness); only a
+strictly cheaper order replaces it.  For alternate sets that exclude the
+runner-up that witness elects no alternate, so the bound starts open and the
+first scored complete order sets it.
 
 Single-threaded by design: the frontier is safe to share because profiles and
 nodes are immutable and the only mutable state is the incumbent, but identical
@@ -36,7 +37,7 @@ from .distance import (
     lower_bound,
     swap_final_witness,
 )
-from .tabulate import TieRule, last_round_margin, run_election
+from .tabulate import TieRule, run_election
 
 
 class EmptyAlternates(ValueError):
@@ -86,8 +87,10 @@ def compute_movc(
     count = run_election(profile, tie_rule)
     if count.winner in alts:
         raise AlternateIsWinner(f"{count.winner} already wins this profile")
-    upper = last_round_margin(count) if count.rounds[-1].eliminated in alts else None
-    incumbent: tuple[tuple[str, ...], Manipulation] | None = None
+    upper: int | None = None
+    witness: Manipulation | None = None
+    if count.rounds[-1].eliminated in alts:
+        upper, witness = swap_final_witness(profile, count)
 
     stats = SearchStats()
     ids = set(profile.candidate_ids)
@@ -109,8 +112,7 @@ def compute_movc(
                     profile, EliminationSequence(child, complete=True), cutoff=upper
                 )
                 if outcome is not None:
-                    upper, manip = outcome
-                    incumbent = (child, manip)
+                    upper, witness = outcome
             else:
                 child_bound = lower_bound(
                     profile, EliminationSequence(child, complete=False)
@@ -119,25 +121,12 @@ def compute_movc(
                 if upper is None or child_bound < upper:
                     heapq.heappush(frontier, (child_bound, -len(child), child))
 
-    if incumbent is None:
-        # Nothing beat the last-round-margin start, so the margin is exactly
-        # that; mint the witness from the realized order with the final two
-        # entries swapped, whose distance can never exceed the last-round
-        # margin and here cannot be below it either.
-        value, manip = swap_final_witness(profile, count)
-        if value != upper:
-            raise AssertionError(
-                f"swapped-final witness costs {value}, expected {upper}"
-            )
-        incumbent = (manip.sequence.order, manip)
-
-    order, manip = incumbent
     return MarginResult(
         value=upper,
         winner=count.winner,
         alternates=tuple(sorted(alts)),
-        witness_order=EliminationSequence(order, complete=True),
-        witness_manipulation=manip,
+        witness_order=witness.sequence,
+        witness_manipulation=witness,
         stats=stats,
     )
 

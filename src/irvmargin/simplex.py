@@ -11,10 +11,11 @@ whatever the floats were; it snaps the float vertex the same way and keeps
 it as an upper bound only if it passes an exact feasibility check.
 Tolerances exist only inside the float run, no float value reaches a result
 without such a check, and any failure of the float run (a pivot cap, a
-non-finite value, a claim of infeasibility or unboundedness) leaves the
-caller to solve exactly.  The method is Neumaier & Shcherbina, "Safe bounds
-in linear and mixed-integer programming" (2004), and Applegate, Cook, Dash &
-Espinoza, "Exact solutions to linear programming problems" (2007).
+non-finite value, a claim of infeasibility or unboundedness, or duals that
+would push up a column with no upper bound) leaves the caller to solve
+exactly.  The method is Neumaier & Shcherbina, "Safe bounds in linear and
+mixed-integer programming" (2004), and Applegate, Cook, Dash & Espinoza,
+"Exact solutions to linear programming problems" (2007).
 
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
@@ -403,10 +404,9 @@ def lagrangian_bound(
     multipliers clamped to the signs their rows allow (>= 0 on "<=" rows,
     <= 0 on ">=" rows).  Every feasible x lies in the box and costs at least
     this much, so the bound holds whatever the multipliers are; at an exact
-    LPResult.duals it equals the optimum.  A column with no upper bound takes
-    the one implied by an equality row whose coefficients are all
-    nonnegative.  None when a multiplier is not finite, a box is empty, or a
-    column the bound would push up has no upper bound.
+    LPResult.duals it equals the optimum.  None when a multiplier is not
+    finite, a box is empty, or a column the bound would push up has no upper
+    bound: the bound proves nothing then, and the caller solves exactly.
     """
     lam = []
     for v, sense in zip(duals, senses):
@@ -427,39 +427,16 @@ def lagrangian_bound(
                 if a:
                     coefs[j] += a * pi
     total = -sum(pi * b for pi, b in zip(p, rhs) if pi)
-    implied = None
-    for j, (cj, (lo, hi)) in enumerate(zip(coefs, bounds)):
+    for cj, (lo, hi) in zip(coefs, bounds):
         if hi is not None and hi < lo:
             return None
         if cj > 0:
             total += cj * lo
         elif cj < 0:
             if hi is None:
-                if implied is None:
-                    implied = _implied_upper(rows, senses, rhs, bounds)
-                hi = implied[j]
-                if hi is None or hi < lo:
-                    return None
+                return None
             total += cj * hi
     return Fraction(total, scale)
-
-
-def _implied_upper(rows, senses, rhs, bounds) -> list:
-    """Per column, the least upper bound implied by an equality row whose
-    coefficients are all nonnegative, or None: in such a row
-    a_j (x_j - lo_j) <= rhs - a.lo, since every other term is nonnegative."""
-    lo = [b[0] for b in bounds]
-    upper: list = [None] * len(bounds)
-    for row, sense, b in zip(rows, senses, rhs):
-        if sense != "=" or any(a < 0 for a in row):
-            continue
-        room = Fraction(b - sum(a * l for a, l in zip(row, lo) if a))
-        for j, a in enumerate(row):
-            if a:
-                cap = lo[j] + room / a
-                if upper[j] is None or cap < upper[j]:
-                    upper[j] = cap
-    return upper
 
 
 def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:

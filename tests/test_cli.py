@@ -610,10 +610,15 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          "--workers must be at least 1, not 0"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--threshold", "0"],
          "--threshold must be at least 1, not 0"),
+        ({"seats": [{"name": ["x"], "path": "seat1.ballots"}]}, [],
+         "each manifest seat needs a name and a path"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"zz": "LIB"}}]},
+         [], "seat 'S': unknown candidates in parties: ['zz']"),
     ],
     ids=["tie-rule", "seat-not-object", "parties-not-object", "options-not-object",
          "options-workers", "options-workers-float", "options-workers-bool",
-         "options-workers-string", "party-null", "workers-flag", "threshold-flag"],
+         "options-workers-string", "party-null", "workers-flag", "threshold-flag",
+         "name-not-string", "party-of-absent-candidate"],
 )
 def test_bad_manifest_input_is_an_error(
     manifest: Path, capsys: pytest.CaptureFixture,

@@ -224,7 +224,9 @@ def test_lose_falls_back_to_roster_complement_then_mov() -> None:
 
 def test_win_when_already_holding_majority() -> None:
     records = [_record(f"s{i}", "ALP", 100) for i in range(3)]
-    scenario = seats_to_win(records, ["ALP"], threshold(3))
+    # The unheld seat lacks the coalition's key, which is not needed.
+    records.append(_record("s3", "LIB", 5))
+    scenario = seats_to_win(records, ["ALP"], threshold(4))
     assert scenario.seats_needed == 0
     assert scenario.chosen_seats == ()
     assert scenario.total_changes == 0
@@ -310,6 +312,8 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
     # Manifest parties override the roster: with c in the coalition only b is a target.
     record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
     assert record.movc_by_target == {"LIB": 10}
+    with pytest.raises(ValueError, match=r"unknown candidates in parties: \['zz'\]"):
+        analyze_seat(profile, ["ALP"], "lose", {"zz": "LIB"}, seat="S")
     # Seats the scenario does not contest run no search.
     for coalition, mode in (["ALP"], "win"), (["LIB"], "lose"):
         record, stats = analyze_seat(profile, coalition, mode, seat="S")

@@ -20,6 +20,7 @@ from irvmargin import (
     oracle_movc,
     run_election,
 )
+from irvmargin.distance import swap_final_witness
 from irvmargin.oracle import OracleCapExceeded, order_attainable
 from irvmargin.synth import random_profile
 
@@ -157,6 +158,25 @@ def test_witness_elects_an_alternate() -> None:
         assert order_attainable(manipulated, result.witness_order.order)
         assert result.witness_order.order[-1] in result.alternates
         assert result.witness_order.order[-1] in adversarial_winners(manipulated)
+
+
+def test_margin_at_the_last_round_margin_keeps_the_swap_witness() -> None:
+    # Only a strictly cheaper order displaces the swapped realized order.
+    kept = 0
+    for seed in range(60):
+        profile = random_profile(seed)
+        try:
+            count = run_election(profile)
+        except UnresolvedTie:
+            continue
+        runner_up = count.rounds[-1].eliminated
+        for result in compute_mov(profile), compute_movc(profile, {runner_up}):
+            if result.value == last_round_margin(count):
+                _, swapped = swap_final_witness(profile, count)
+                assert result.witness_manipulation == swapped
+                assert result.witness_order == swapped.sequence
+                kept += 1
+    assert kept >= 40
 
 
 def test_search_is_deterministic(example1: Profile) -> None:

@@ -184,7 +184,8 @@ def test_lp_duals_prove_the_optimum_exactly() -> None:
 
 def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
     """The problem behind an equality row with positive coefficients, with
-    every other column unbounded above: those take the row's implied box."""
+    every other column unbounded above: a bound that would push one of those
+    up proves nothing."""
     objective, rows, senses, rhs, bounds = problem
     n = len(objective)
     bounds = [b if j % 2 == 0 else (rng.randint(0, 2), None) for j, b in enumerate(bounds)]
@@ -197,15 +198,15 @@ def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
     )
 
 
-def test_lagrangian_bound_boxes_free_columns_by_an_equality_row() -> None:
-    # min -y  s.t.  x + y = 5, x >= 0, y >= 2: the row caps y at 2 + (5 - 2).
+def test_lagrangian_bound_leaves_unbounded_columns_to_the_exact_solve() -> None:
+    # min -y  s.t.  x + y = 5, x >= 0, y >= 2.
     problem = ([0, -1], [[1, 1]], ["="], [5], [(0, None), (2, None)])
     assert solve_lp(*problem).value == -5
-    assert lagrangian_bound(*problem, [0]) == -5
-    assert lagrangian_bound(*problem, [Fraction(1, 2)]) == -5
-    # A row with a negative coefficient implies no cap, and an empty box
-    # proves nothing.
-    assert lagrangian_bound([0, -1], [[1, -1]], ["="], [0], [(0, 3), (0, None)], [0]) is None
+    # At lam = 0 the bound would push y, which has no upper bound, up.
+    assert lagrangian_bound(*problem, [0]) is None
+    # At lam = 1 no column is pushed up and the bound is the optimum.
+    assert lagrangian_bound(*problem, [1]) == -5
+    # An empty box proves nothing.
     assert lagrangian_bound([1], [[1]], ["<="], [5], [(2, 1)], [0]) is None
 
 
