@@ -218,7 +218,7 @@ def _records_from_manifest(
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-        parties = seat.get("parties") or {}
+        parties = seat.get("parties", {})
         if not isinstance(parties, dict):
             raise CliError(f"seat {seat['name']!r}: parties must be an object")
         for cid, code in parties.items():

@@ -93,16 +93,16 @@ def project_type(ballot: Ballot, sequence: EliminationSequence) -> tuple[str, ..
 
 @dataclass(frozen=True)
 class DistanceModel:
-    """Type counts and per-round credits for one elimination sequence.
+    """Type counts for one elimination sequence.
 
     counts[mask] is the number of profile ballots whose chain is the type
-    encoded by mask; credits[r][mask] is the position (index into the order)
-    the type counts toward in round r, or -1 once exhausted.
+    encoded by mask.  In round r, with order[r:] standing, a type counts
+    toward its earliest position at or after r (_credit), or toward no one
+    once every position in it is eliminated.
     """
 
     sequence: EliminationSequence
     counts: tuple[int, ...]
-    credits: tuple[tuple[int, ...], ...]
     total: int
 
     def chain(self, mask: int) -> tuple[str, ...]:
@@ -111,23 +111,21 @@ class DistanceModel:
 
 
 def build_model(profile: Profile, sequence: EliminationSequence) -> DistanceModel:
-    order = sequence.order
-    k = len(order)
     pos = sequence.positions
-    counts = [0] * (1 << k)
+    counts = [0] * (1 << len(sequence.order))
     for ballot in profile.ballots:
         mask = 0
         for c in project_type(ballot, sequence):
             mask |= 1 << pos[c]
         counts[mask] += ballot.count
-    credits = []
-    for r in range(k - 1):
-        row = []
-        for mask in range(1 << k):
-            rest = mask >> r
-            row.append(-1 if rest == 0 else r + (rest & -rest).bit_length() - 1)
-        credits.append(tuple(row))
-    return DistanceModel(sequence, tuple(counts), tuple(credits), profile.total)
+    return DistanceModel(sequence, tuple(counts), profile.total)
+
+
+def _credit(mask: int, r: int) -> int:
+    """The position type mask counts toward in round r: its lowest set bit
+    at or above r, or -1 when it has none (the type is exhausted)."""
+    rest = mask >> r
+    return r + (rest & -rest).bit_length() - 1 if rest else -1
 
 
 def _assemble(model: DistanceModel):
@@ -140,47 +138,26 @@ def _assemble(model: DistanceModel):
     rounds, so it weakens no constraint, and the final candidate's singleton
     chain covers what the empty chain would.  Objective sum(-u) so that
     distance = total + optimum.
+
+    Row 0 conserves the total.  Row (r, j), for each round r and later
+    position j, is tally(order[r]) - tally(order[j]) <= 0 in round r: a
+    column counts +1 where its type credits r (_credit), -1 where it credits j.
     """
-    ntypes = len(model.counts)
+    counts = model.counts
     k = len(model.sequence.order)
     top = 1 << (k - 1)
-    u_masks = [m for m in range(ntypes) if model.counts[m]]
-    e_masks = [m for m in range(ntypes) if m & top]
-    u_index = {m: i for i, m in enumerate(u_masks)}
-    e_index = {m: len(u_masks) + i for i, m in enumerate(e_masks)}
-    ncols = len(u_masks) + len(e_masks)
-
-    def columns(mask: int):
-        cols = []
-        if mask in u_index:
-            cols.append(u_index[mask])
-        if mask in e_index:
-            cols.append(e_index[mask])
-        return cols
+    u_masks = [m for m in range(len(counts)) if counts[m]]
+    e_masks = [m for m in range(len(counts)) if m & top]
+    masks = u_masks + e_masks
 
     objective = [-1] * len(u_masks) + [0] * len(e_masks)
-    bounds = [(0, model.counts[m]) for m in u_masks] + [(0, None)] * len(e_masks)
-
-    rows = [[1] * ncols]
-    senses = ["="]
-    rhs = [model.total]
+    bounds = [(0, counts[m]) for m in u_masks] + [(0, None)] * len(e_masks)
+    rows = [[1] * len(masks)]
     for r in range(k - 1):
-        credit = model.credits[r]
-        by_pos: dict[int, list[int]] = {}
-        for mask in range(ntypes):
-            by_pos.setdefault(credit[mask], []).append(mask)
-        losers = by_pos.get(r, [])
-        for j in range(r + 1, k):
-            row = [0] * ncols
-            for mask in losers:
-                for col in columns(mask):
-                    row[col] = 1
-            for mask in by_pos.get(j, []):
-                for col in columns(mask):
-                    row[col] = -1
-            rows.append(row)
-            senses.append("<=")
-            rhs.append(0)
+        credit = [_credit(m, r) for m in masks]
+        rows.extend([(c == r) - (c == j) for c in credit] for j in range(r + 1, k))
+    senses = ["="] + ["<="] * (len(rows) - 1)
+    rhs = [model.total] + [0] * (len(rows) - 1)
     return objective, rows, senses, rhs, bounds, u_masks, e_masks
 
 

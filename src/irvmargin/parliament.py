@@ -54,9 +54,6 @@ class SeatRecord:
     winner_party: str
     movc_by_target: Mapping[str, int | None]
 
-    def movc_for(self, key: str) -> int | None:
-        return self.movc_by_target.get(key)
-
 
 @dataclass(frozen=True)
 class ParliamentScenario:
@@ -284,12 +281,20 @@ NO_CANDIDATE = "-"
 _BASE_COLUMNS = ["seat", "num_candidates", "lrm", "mov", "winner", "winner_party"]
 
 
+def _count(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"negative count {value}")
+    return value
+
+
 def load_seat_records(text: str) -> list[SeatRecord]:
     """Parse the seat-record CSV; movc:<KEY> columns become movc_by_target.
 
     A blank movc cell was not computed and stays out of the map; "-" means
     the coalition fields no candidate in the seat and becomes None.  A blank
-    mov cell was not computed either and becomes None.
+    mov cell was not computed either and becomes None.  Counts must not be
+    negative, and no seat may appear twice.
     """
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
@@ -298,6 +303,7 @@ def load_seat_records(text: str) -> list[SeatRecord]:
         raise ValueError(f"seat CSV missing columns: {', '.join(missing)}")
     movc_columns = [c for c in header if c.startswith("movc:")]
     records = []
+    first_line: dict[str, int] = {}
     for i, row in enumerate(reader, start=2):
         try:
             movc = {}
@@ -305,13 +311,17 @@ def load_seat_records(text: str) -> list[SeatRecord]:
                 cell = (row[col] or "").strip()
                 if cell:
                     key = coalition_key(col[len("movc:"):].split("+"))
-                    movc[key] = None if cell == NO_CANDIDATE else int(cell)
+                    movc[key] = None if cell == NO_CANDIDATE else _count(cell)
+            seat = row["seat"].strip()
+            if seat in first_line:
+                raise ValueError(f"seat {seat!r} is already on line {first_line[seat]}")
+            first_line[seat] = i
             records.append(
                 SeatRecord(
-                    seat=row["seat"].strip(),
-                    num_candidates=int(row["num_candidates"]),
-                    lrm=int(row["lrm"]),
-                    mov=int(row["mov"]) if row["mov"].strip() else None,
+                    seat=seat,
+                    num_candidates=_count(row["num_candidates"]),
+                    lrm=_count(row["lrm"]),
+                    mov=_count(row["mov"]) if row["mov"].strip() else None,
                     winner=row["winner"].strip(),
                     winner_party=row["winner_party"].strip(),
                     movc_by_target=movc,

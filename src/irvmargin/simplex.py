@@ -20,7 +20,10 @@ mixed-integer programming" (2004), and Applegate, Cook, Dash & Espinoza,
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
 and may flip without a basis change).  Dantzig pricing is used until a long
-degenerate streak, then Bland's rule, which guarantees termination.
+degenerate streak, then Bland's rule, which guarantees termination.  An
+artificial still basic after phase one (a redundant equality row) stays
+basic: phase two bounds every artificial to [0, 0] and never lets one
+enter, so the ratio test holds a basic one at zero until it leaves.
 """
 
 from __future__ import annotations
@@ -112,8 +115,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
             continue
         if sense not in ("<=", ">="):
             raise ValueError(f"unknown sense {sense!r}")
-        col = n + len(slack_of)
-        slack_of[i] = col
+        slack_of[i] = n + len(slack_of)
     ncols = n + len(slack_of)
     for i, row in enumerate(tab):
         row.extend([zero] * len(slack_of))
@@ -173,26 +175,17 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     if artificial:
         art_set = set(artificial)
         c1 = [one if j in art_set else zero for j in range(ncols)]
-        outcome = _iterate(state, _reduced_costs(state, c1))
-        if outcome == UNBOUNDED:
+        if _iterate(state, _reduced_costs(state, c1)) == UNBOUNDED:
             raise SolverError("phase one claims an unbounded artificial objective")
-        infeas = sum(
-            state.xb[i] for i in range(m) if state.basis[i] in art_set
-        ) + sum(
-            _value_at_bound(state, j)
-            for j in artificial
-            if state.status[j] != _BASIC
-        )
-        if infeas > tol:
+        # A nonbasic artificial rests at 0: it has no upper bound to flip to.
+        if sum(state.xb[i] for i in range(m) if state.basis[i] in art_set) > tol:
             return LPResult(INFEASIBLE)
-        _drive_out_artificials(state, art_set)
         for j in artificial:
             state.allowed[j] = False
             state.hi[j] = zero
 
     d = _reduced_costs(state, c_full)
-    outcome = _iterate(state, d)
-    if outcome == UNBOUNDED:
+    if _iterate(state, d) == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [_variable_value(state, j) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
@@ -200,31 +193,23 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     return LPResult(OPTIMAL, value, x, duals)
 
 
+@dataclass(slots=True)
 class _State:
-    __slots__ = (
-        "tab", "basis", "xb", "status", "lo", "hi", "allowed", "tol", "limit"
-    )
-
-    def __init__(self, tab, basis, xb, status, lo, hi, allowed, tol, limit):
-        self.tab = tab
-        self.basis = basis
-        self.xb = xb
-        self.status = status
-        self.lo = lo
-        self.hi = hi
-        self.allowed = allowed
-        self.tol = tol
-        self.limit = limit
-
-
-def _value_at_bound(state: _State, j: int):
-    return state.lo[j] if state.status[j] == _LOWER else state.hi[j]
+    tab: list
+    basis: list[int]
+    xb: list
+    status: list[int]
+    lo: list
+    hi: list
+    allowed: list[bool]
+    tol: float
+    limit: int | None
 
 
 def _variable_value(state: _State, j: int):
     if state.status[j] == _BASIC:
         return state.xb[state.basis.index(j)]
-    return _value_at_bound(state, j)
+    return state.lo[j] if state.status[j] == _LOWER else state.hi[j]
 
 
 def _reduced_costs(state: _State, cost: list) -> list:
@@ -323,7 +308,7 @@ def _iterate(state: _State, d: list) -> str:
         degenerate_streak = degenerate_streak + 1 if t == 0 else 0
 
 
-def _pivot(state: _State, d: list | None, row: int, col: int) -> None:
+def _pivot(state: _State, d: list, row: int, col: int) -> None:
     tab = state.tab
     piv = tab[row][col]
     if piv != 1:
@@ -333,34 +318,13 @@ def _pivot(state: _State, d: list | None, row: int, col: int) -> None:
         if i != row and tab[i][col]:
             f = tab[i][col]
             tab[i] = [vi - f * vp for vi, vp in zip(tab[i], prow)]
-    if d is not None and d[col]:
+    if d[col]:
         f = d[col]
         for j in range(len(d)):
             if prow[j]:
                 d[j] -= f * prow[j]
     state.basis[row] = col
     state.status[col] = _BASIC
-
-
-def _drive_out_artificials(state: _State, art_set: set[int]) -> None:
-    for row in range(len(state.basis)):
-        if state.basis[row] not in art_set:
-            continue
-        pivot_col = -1
-        for j in range(len(state.lo)):
-            if j in art_set or state.status[j] == _BASIC:
-                continue
-            if abs(state.tab[row][j]) > state.tol:
-                pivot_col = j
-                break
-        if pivot_col == -1:
-            # Redundant row: the artificial stays basic, pinned at zero.
-            continue
-        leaving = state.basis[row]
-        value = _value_at_bound(state, pivot_col)
-        state.status[leaving] = _LOWER
-        _pivot(state, None, row, pivot_col)
-        state.xb[row] = value
 
 
 def _satisfies(

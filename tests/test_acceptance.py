@@ -136,7 +136,7 @@ def test_criterion_3_sydney_targeted_margin() -> None:
     by_seat = {r.seat: r for r in records}
     sydney = by_seat["Sydney"]
     assert sydney.mov == 2864
-    assert sydney.movc_for("ALP+CLP") == 5583
+    assert sydney.movc_by_target["ALP+CLP"] == 5583
 
     base = seats_to_win(records, ["ALP", "CLP"], 47)
     base_seats = dict(base.chosen_seats)

@@ -614,11 +614,16 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          "each manifest seat needs a name and a path"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"zz": "LIB"}}]},
          [], "seat 'S': unknown candidates in parties: ['zz']"),
+        # A falsy parties value is not an absent one.
+        *[({"seats": [{"name": "S", "path": "seat1.ballots", "parties": falsy}]},
+           [], "seat 'S': parties must be an object")
+          for falsy in ([], 0, "", False, None)],
     ],
     ids=["tie-rule", "seat-not-object", "parties-not-object", "options-not-object",
          "options-workers", "options-workers-float", "options-workers-bool",
          "options-workers-string", "party-null", "workers-flag", "threshold-flag",
-         "name-not-string", "party-of-absent-candidate"],
+         "name-not-string", "party-of-absent-candidate", "parties-empty-list",
+         "parties-zero", "parties-empty-string", "parties-false", "parties-null"],
 )
 def test_bad_manifest_input_is_an_error(
     manifest: Path, capsys: pytest.CaptureFixture,

@@ -27,7 +27,7 @@ from irvmargin import simplex
 from irvmargin.distance import _assemble, project_type, swap_final_witness
 from irvmargin.oracle import order_attainable
 from irvmargin.synth import random_profile
-from irvmargin.tabulate import TieRule, last_round_margin
+from irvmargin.tabulate import TieRule, last_round_margin, tally
 
 
 def _seq(profile: Profile, order: str) -> EliminationSequence:
@@ -58,13 +58,14 @@ def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
     tallies = {"a": 0, "b": 0}
     exhausted = 0
     for mask, count in enumerate(model.counts):
-        credit = model.credits[0][mask]
-        if credit < 0:
-            exhausted += count
+        chain = model.chain(mask)
+        if chain:
+            tallies[chain[0]] += count
         else:
-            tallies[model.sequence.order[credit]] += count
-    assert tallies == {"a": 80, "b": 41}
-    assert exhausted == 15
+            exhausted += count
+    expected = tally(example1, ("a", "b"))
+    assert tallies == expected.votes == {"a": 80, "b": 41}
+    assert exhausted == expected.exhausted == 15
     assert model.total == 136
 
 
@@ -197,6 +198,21 @@ def _corpus_sequences():
                 if perm[cut:] not in seen:
                     seen.add(perm[cut:])
                     yield profile, EliminationSequence.for_profile(perm[cut:], profile)
+
+
+def test_round_rows_are_the_suffix_tallies() -> None:
+    # At u = counts and e = 0, round row (r, j) reads the suffix count's
+    # tally of order[r] minus that of order[j].
+    for profile, sequence in _corpus_sequences():
+        model = build_model(profile, sequence)
+        _, rows, _, _, _, u_masks, e_masks = _assemble(model)
+        x = [model.counts[m] for m in u_masks] + [0] * len(e_masks)
+        order = sequence.order
+        expected = [model.total]
+        for r in range(len(order) - 1):
+            votes = tally(profile, order[r:])
+            expected += [votes[order[r]] - votes[order[j]] for j in range(r + 1, len(order))]
+        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == expected
 
 
 def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:

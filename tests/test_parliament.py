@@ -102,11 +102,11 @@ def test_fixture_round_trips(nsw_records_text: str) -> None:
     assert dump_seat_records(records) == nsw_records_text
     sydney = next(r for r in records if r.seat == "Sydney")
     assert sydney.mov == 2864
-    assert sydney.movc_for("ALP+CLP") == 5583
-    assert sydney.movc_for("ALP+CLP+GRE") == 5583
-    assert sydney.movc_for("LIB+NAT") is None
+    assert sydney.movc_by_target["ALP+CLP"] == 5583
+    assert sydney.movc_by_target["ALP+CLP+GRE"] == 5583
+    assert "LIB+NAT" not in sydney.movc_by_target
     held = next(r for r in records if r.seat == "Gosford")
-    assert held.movc_for("ALP+CLP") == 0
+    assert held.movc_by_target["ALP+CLP"] == 0
 
 
 def test_fixture_margin_invariants(nsw_records_text: str) -> None:
@@ -285,6 +285,16 @@ def test_malformed_records_carry_line_numbers() -> None:
     for row in "X,,5,5,w,LIB,9", "X,4,,5,w,LIB,9", "X,4,5,five,w,LIB,9":
         with pytest.raises(ValueError, match="line 2: bad seat record"):
             load_seat_records(header + row + "\n")
+    # No count may be negative.
+    negative = "X,-4,5,5,w,LIB,9", "X,4,-5,5,w,LIB,9", "X,4,5,-5,w,LIB,9", "X,4,5,5,w,LIB,-7"
+    for row in negative:
+        with pytest.raises(ValueError, match=r"line 2: bad seat record \(negative count"):
+            load_seat_records(header + row + "\n")
+    # A seat named twice would be counted, and could be chosen, twice.
+    with pytest.raises(
+        ValueError, match=r"line 4: bad seat record \(seat 'S1' is already on line 2\)"
+    ):
+        load_seat_records(header + "S1,4,5,5,w,LIB,9\nS2,4,5,5,w,LIB,9\nS1,4,5,5,w,LIB,3\n")
 
 
 PARTY_SEAT = """\

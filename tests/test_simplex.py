@@ -13,6 +13,7 @@ from irvmargin.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LPResult,
+    certify,
     lagrangian_bound,
     solve_ip,
     solve_lp,
@@ -180,6 +181,18 @@ def test_lp_duals_prove_the_optimum_exactly() -> None:
         assert lagrangian_bound(*problem, res.duals) == res.value
         optimal_seen += 1
     assert optimal_seen > 50
+
+
+def test_redundant_equality_row_keeps_the_artificial_at_zero() -> None:
+    # min x + 2y  s.t.  x + y = 2, 2x + 2y = 4, x - y <= 0: the second row
+    # repeats the first, so phase one ends with an artificial still basic at
+    # zero, and phase two must keep it there.
+    problem = ([1, 2], [[1, 1], [2, 2], [1, -1]], ["=", "=", "<="], [2, 4, 0],
+               [(0, None), (0, None)])
+    res = solve_lp(*problem)
+    assert (res.status, res.value, res.x) == (OPTIMAL, 3, [1, 1])
+    assert lagrangian_bound(*problem, res.duals) == 3
+    assert certify(*problem) == (3, 3)
 
 
 def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
