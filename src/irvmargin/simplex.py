@@ -19,8 +19,13 @@ mixed-integer programming" (2004), and Applegate, Cook, Dash & Espinoza,
 
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
-and may flip without a basis change).  Dantzig pricing is used until a long
-degenerate streak, then Bland's rule, which guarantees termination.  An
+and may flip without a basis change).  The exact run pivots in integers: the
+tableau is an integer matrix over one common denominator, the reduced costs
+an integer row over it times the costs' own, and both are updated by
+integer-preserving elimination whose divisions are exact (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian elimination",
+1968); only the basic values are Fractions.  Dantzig pricing is used until a
+long degenerate streak, then Bland's rule, which guarantees termination.  An
 artificial still basic after phase one (a redundant equality row) stays
 basic: phase two bounds every artificial to [0, 0] and never lets one
 enter, so the ratio test holds a basic one at zero until it leaves.
@@ -94,6 +99,10 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     up to tol and at most limit iterations (None: no limit)."""
     n = len(objective)
     m = len(rows)
+    if len(senses) != m or len(rhs) != m:
+        raise ValueError("senses and rhs need one entry per row")
+    if len(bounds) != n:
+        raise ValueError("bounds need one entry per column")
     zero, one = num(0), num(1)
     c = [num(v) for v in objective]
     lo = [num(b[0]) for b in bounds]
@@ -169,8 +178,21 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
             tab[i] = [-v for v in tab[i]]
     ncols = len(lo)
     allowed = [True] * ncols
+    # The exact run holds the tableau as integers over one denominator den,
+    # and the costs (phase one's too, from zero and one) as integers over
+    # cscale.  den starts at the product of the rows' own denominators, which
+    # keeps every later division in _pivot exact; one lcm over the whole
+    # tableau would not.
+    den = cscale = 1
+    if num is Fraction:
+        for row in tab:
+            den *= math.lcm(*(v.denominator for v in row))
+        tab = [[v.numerator * (den // v.denominator) for v in row] for row in tab]
+        cscale = math.lcm(*(v.denominator for v in c_full))
+        c_full = [v.numerator * (cscale // v.denominator) for v in c_full]
+        zero, one = 0, 1
 
-    state = _State(tab, basis, xb, status, lo, hi, allowed, tol, limit)
+    state = _State(tab, den, basis, xb, status, lo, hi, allowed, tol, limit)
 
     if artificial:
         art_set = set(artificial)
@@ -189,13 +211,16 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         return LPResult(UNBOUNDED)
     x = [_variable_value(state, j) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    duals = [d[col] * coef for col, coef in (dual_col[i] for i in range(m))]
+    scale = state.den * cscale
+    duals = [d[col] * coef / scale for col, coef in (dual_col[i] for i in range(m))]
     return LPResult(OPTIMAL, value, x, duals)
 
 
 @dataclass(slots=True)
 class _State:
+    # The tableau is tab / den: den stays 1 in the float run.
     tab: list
+    den: int
     basis: list[int]
     xb: list
     status: list[int]
@@ -214,7 +239,7 @@ def _variable_value(state: _State, j: int):
 
 def _reduced_costs(state: _State, cost: list) -> list:
     m = len(state.basis)
-    d = list(cost)
+    d = [cj * state.den for cj in cost]
     for i in range(m):
         cb = cost[state.basis[i]]
         if cb:
@@ -262,6 +287,7 @@ def _iterate(state: _State, d: list) -> str:
         if enter == -1:
             return OPTIMAL
         j = enter
+        den = state.den
 
         flip_limit = None if hi[j] is None else hi[j] - lo[j]
         row_cap = None
@@ -270,10 +296,10 @@ def _iterate(state: _State, d: list) -> str:
         for i in range(m):
             a = tab[i][j] * direction
             if a > tol:
-                cap = (xb[i] - lo[basis[i]]) / a
+                cap = (xb[i] - lo[basis[i]]) * den / a
                 to = _LOWER
             elif a < -tol and hi[basis[i]] is not None:
-                cap = (hi[basis[i]] - xb[i]) / (-a)
+                cap = (hi[basis[i]] - xb[i]) * den / (-a)
                 to = _UPPER
             else:
                 continue
@@ -289,17 +315,19 @@ def _iterate(state: _State, d: list) -> str:
         if row_cap is None or (flip_limit is not None and flip_limit <= row_cap):
             t = flip_limit
             if t:
+                step = t / den
                 for i in range(m):
                     if tab[i][j]:
-                        xb[i] -= tab[i][j] * direction * t
+                        xb[i] -= tab[i][j] * direction * step
             status[j] = _UPPER if status[j] == _LOWER else _LOWER
             degenerate_streak = 0
             continue
 
         t = row_cap
+        step = t / den
         for i in range(m):
             if i != leave_row and tab[i][j]:
-                xb[i] -= tab[i][j] * direction * t
+                xb[i] -= tab[i][j] * direction * step
         enter_value = lo[j] + t if direction == 1 else hi[j] - t
         leaving = basis[leave_row]
         status[leaving] = leave_to
@@ -311,18 +339,34 @@ def _iterate(state: _State, d: list) -> str:
 def _pivot(state: _State, d: list, row: int, col: int) -> None:
     tab = state.tab
     piv = tab[row][col]
-    if piv != 1:
-        tab[row] = [v / piv for v in tab[row]]
-    prow = tab[row]
-    for i in range(len(tab)):
-        if i != row and tab[i][col]:
-            f = tab[i][col]
-            tab[i] = [vi - f * vp for vi, vp in zip(tab[i], prow)]
-    if d[col]:
+    if isinstance(piv, float):
+        if piv != 1:
+            tab[row] = [v / piv for v in tab[row]]
+        prow = tab[row]
+        for i in range(len(tab)):
+            if i != row and tab[i][col]:
+                f = tab[i][col]
+                tab[i] = [vi - f * vp for vi, vp in zip(tab[i], prow)]
+        if d[col]:
+            f = d[col]
+            for j in range(len(d)):
+                if prow[j]:
+                    d[j] -= f * prow[j]
+    else:
+        # Integer-preserving (Bareiss): the pivot row stays as it is, with
+        # its sign turned so that the new denominator, the pivot, is positive.
+        # Every other row's division by the old denominator is exact.
+        if piv < 0:
+            piv = -piv
+            tab[row] = [-v for v in tab[row]]
+        prow, den = tab[row], state.den
+        for i in range(len(tab)):
+            if i != row:
+                f = tab[i][col]
+                tab[i] = [(piv * vi - f * vp) // den for vi, vp in zip(tab[i], prow)]
         f = d[col]
-        for j in range(len(d)):
-            if prow[j]:
-                d[j] -= f * prow[j]
+        d[:] = [(piv * dj - f * vp) // den for dj, vp in zip(d, prow)]
+        state.den = piv
     state.basis[row] = col
     state.status[col] = _BASIC
 

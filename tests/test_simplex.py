@@ -13,6 +13,7 @@ from irvmargin.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LPResult,
+    _satisfies,
     certify,
     lagrangian_bound,
     solve_ip,
@@ -112,6 +113,24 @@ def test_lp_rejects_unknown_sense() -> None:
         solve_lp([1], [[1]], ["<"], [1], [(0, None)])
 
 
+@pytest.mark.parametrize(
+    "senses, rhs, bounds, message",
+    [
+        (["<="], [3, 1], [(0, 5), (0, 5)], "one entry per row"),
+        (["<=", "<=", "<="], [3, 1], [(0, 5), (0, 5)], "one entry per row"),
+        (["<=", "<="], [3], [(0, 5), (0, 5)], "one entry per row"),
+        (["<=", "<="], [3, 1], [(0, 5)], "one entry per column"),
+        (["<=", "<="], [3, 1], [(0, 5)] * 3, "one entry per column"),
+    ],
+    ids=["short senses", "long senses", "short rhs", "short bounds", "long bounds"],
+)
+def test_lp_rejects_mismatched_lengths(senses, rhs, bounds, message) -> None:
+    # A row without a sense must not be solved as an equality, and a short
+    # rhs or bounds must not end in a bare IndexError.
+    with pytest.raises(ValueError, match=message):
+        solve_lp([1, 1], [[1, 1], [1, -1]], senses, rhs, bounds)
+
+
 def _random_problem(rng: random.Random) -> Problem:
     n = rng.randint(1, 4)
     m = rng.randint(1, 3)
@@ -123,33 +142,40 @@ def _random_problem(rng: random.Random) -> Problem:
     return objective, rows, senses, rhs, bounds
 
 
-def test_lp_agrees_with_scipy_on_random_instances() -> None:
+def _linprog(problem: Problem):
+    """scipy's HiGHS result for the problem, in floats."""
     scipy_opt = pytest.importorskip("scipy.optimize")
+    objective, rows, senses, rhs, bounds = problem
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, sense, b in zip(rows, senses, rhs):
+        row = [float(v) for v in row]
+        if sense == "<=":
+            a_ub.append(row)
+            b_ub.append(float(b))
+        elif sense == ">=":
+            a_ub.append([-v for v in row])
+            b_ub.append(-float(b))
+        else:
+            a_eq.append(row)
+            b_eq.append(float(b))
+    return scipy_opt.linprog(
+        [float(v) for v in objective],
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=[(float(lo), None if hi is None else float(hi)) for lo, hi in bounds],
+        method="highs",
+    )
+
+
+def test_lp_agrees_with_scipy_on_random_instances() -> None:
     rng = random.Random(2024)
     checked = 0
     for _ in range(120):
-        objective, rows, senses, rhs, bounds = _random_problem(rng)
-        ours = solve_lp(objective, rows, senses, rhs, bounds)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, sense, b in zip(rows, senses, rhs):
-            if sense == "<=":
-                a_ub.append(row)
-                b_ub.append(b)
-            elif sense == ">=":
-                a_ub.append([-v for v in row])
-                b_ub.append(-b)
-            else:
-                a_eq.append(row)
-                b_eq.append(b)
-        theirs = scipy_opt.linprog(
-            objective,
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=bounds,
-            method="highs",
-        )
+        problem = _random_problem(rng)
+        ours = solve_lp(*problem)
+        theirs = _linprog(problem)
         if theirs.status == 2:
             assert ours.status == INFEASIBLE
         else:
@@ -158,6 +184,55 @@ def test_lp_agrees_with_scipy_on_random_instances() -> None:
             assert abs(float(ours.value) - theirs.fun) < 1e-7
         checked += 1
     assert checked == 120
+
+
+def _random_fractional_problem(rng: random.Random) -> Problem:
+    """A program whose rows each carry their own denominators, with
+    fractional objective, rhs and bounds, some columns unbounded above and,
+    at times, an equality row repeated at a fractional scale."""
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 3)
+
+    def frac(lo: int, hi: int, den: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+    objective = [frac(-8, 8, 3) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        den = rng.randint(1, 7)
+        rows.append([Fraction(rng.randint(-6, 6), den * rng.randint(1, 2)) for _ in range(n)])
+    senses = [rng.choice(["<=", ">=", "<=", "="]) for _ in range(m)]
+    rhs = [frac(-4, 16, 4) for _ in range(m)]
+    bounds = []
+    for _ in range(n):
+        lo = frac(-4, 4, 3)
+        bounds.append((lo, None if rng.random() < 0.3 else lo + frac(0, 24, 4)))
+    if rng.random() < 0.5:
+        i = rng.randrange(m)
+        scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        senses[i] = "="
+        rows.append([scale * v for v in rows[i]])
+        senses.append("=")
+        rhs.append(scale * rhs[i])
+    return objective, rows, senses, rhs, bounds
+
+
+def test_lp_is_exact_on_random_fractional_programs() -> None:
+    rng = random.Random(31)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(300):
+        problem = _random_fractional_problem(rng)
+        res = solve_lp(*problem)
+        seen[res.status] += 1
+        theirs = _linprog(problem)
+        assert theirs.status == {OPTIMAL: 0, INFEASIBLE: 2, UNBOUNDED: 3}[res.status]
+        if res.status != OPTIMAL:
+            continue
+        assert all(isinstance(v, Fraction) for v in res.x + res.duals)
+        assert _satisfies(res.x, *problem[1:])
+        assert lagrangian_bound(*problem, res.duals) == res.value
+        assert abs(float(res.value) - theirs.fun) < 1e-7 * (1 + abs(theirs.fun))
+    assert min(seen.values()) > 10
 
 
 def test_lp_duals_prove_the_optimum_exactly() -> None:
