@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .ballots import Profile, parse_profile
@@ -230,6 +229,10 @@ def _records_from_manifest(
         tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
     if workers > 1:
+        # Imported here: the process pool costs start-up time that a
+        # single-worker run never repays.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             analyzed = list(pool.map(_analyze_seat, tasks))
     else:

@@ -20,6 +20,14 @@ equivalent substitution y_t = u_t + e_t with u_t <= n_t the ballots kept and
 e_t the additions; integral (u, e) and integral y are cost-preserving images
 of each other, so values and witnesses match the y/d formulation exactly.
 
+Before any solver runs, a search cutoff is checked against the tally
+bound (tally_bound): the largest lead, over rounds r and later positions
+j, of order[r]'s round-r tally over order[j]'s, halved and rounded up.
+One rewritten ballot leaves one type and joins another, so it moves each
+such difference by at most 2: the bound is sound, and no LP optimum lies
+below it.  A sequence whose tally bound reaches the cutoff is settled
+without building its program.
+
 Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
 a float run of the simplex whose duals give a Lagrangian bound and whose
 vertex gives a feasible point, both checked in exact rational arithmetic;
@@ -128,6 +136,36 @@ def _credit(mask: int, r: int) -> int:
     return r + (rest & -rest).bit_length() - 1 if rest else -1
 
 
+def tally_bound(model: DistanceModel) -> int:
+    """Half the largest round-r lead of order[r]'s tally over a later
+    position's, rounded up, and 0 when order[r] never leads: the tally
+    bound of the module docstring."""
+    k = len(model.sequence.order)
+    typed = [(m, n) for m, n in enumerate(model.counts) if n]
+    gap = 0
+    for r in range(k - 1):
+        votes = [0] * k
+        for mask, n in typed:
+            c = _credit(mask, r)
+            if c >= 0:
+                votes[c] += n
+        gap = max(gap, votes[r] - min(votes[r + 1:]))
+    return (gap + 1) // 2
+
+
+def _unsettled(
+    profile: Profile, sequence: EliminationSequence, cutoff: int | None, stats
+) -> DistanceModel | None:
+    """The sequence's model, or None when its tally bound reaches the cutoff
+    (counted as a tally prune in stats, if given)."""
+    model = build_model(profile, sequence)
+    if cutoff is not None and tally_bound(model) >= cutoff:
+        if stats is not None:
+            stats.tally_prunes += 1
+        return None
+    return model
+
+
 def _assemble(model: DistanceModel):
     """Rows/bounds for the solver in the u/e substitution described above.
 
@@ -161,14 +199,27 @@ def _assemble(model: DistanceModel):
     return objective, rows, senses, rhs, bounds, u_masks, e_masks
 
 
-def lower_bound(profile: Profile, sequence: EliminationSequence) -> int:
+def lower_bound(
+    profile: Profile,
+    sequence: EliminationSequence,
+    cutoff: int | None = None,
+    stats=None,
+) -> int | None:
     """Ceiling of the LP relaxation; admissible for every completion of the suffix.
 
-    The float run's certified bounds settle it when their ceilings agree:
-    the exact optimum lies between them, so that is its ceiling too.
-    Otherwise the LP is solved exactly.
+    With a cutoff, returns None without solving anything when the tally
+    bound already reaches it; the LP ceiling, which is never below the
+    tally bound, would reach it too.  Otherwise the float run's certified
+    bounds settle the ceiling when theirs agree: the exact optimum lies
+    between them, so that is its ceiling too.  Failing that, the LP is
+    solved exactly.  stats, if given, counts the tally prune or the LP
+    (its tally_prunes and lps_solved).
     """
-    model = build_model(profile, sequence)
+    model = _unsettled(profile, sequence, cutoff, stats)
+    if model is None:
+        return None
+    if stats is not None:
+        stats.lps_solved += 1
     objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
     lower, upper = simplex.certify(objective, rows, senses, rhs, bounds)
     if lower is not None and upper is not None:
@@ -199,16 +250,25 @@ class Manipulation:
 
 
 def exact_distance(
-    profile: Profile, sequence: EliminationSequence, cutoff: int | None = None
+    profile: Profile,
+    sequence: EliminationSequence,
+    cutoff: int | None = None,
+    stats=None,
 ) -> tuple[int, Manipulation] | None:
     """Minimum ballots to rewrite so the complete order is adversarially valid.
 
-    With a cutoff, returns None as soon as the distance provably reaches it;
-    otherwise the exact value and a witness.
+    With a cutoff, returns None as soon as the distance provably reaches it:
+    at once when the tally bound does, otherwise when branch and bound
+    proves it.  Else the exact value and a witness.  stats, if given,
+    counts the tally prune or the IP (its tally_prunes and ips_solved).
     """
     if not sequence.complete or len(sequence.order) != len(profile.candidate_ids):
         raise DistanceError("exact distance requires a complete elimination order")
-    model = build_model(profile, sequence)
+    model = _unsettled(profile, sequence, cutoff, stats)
+    if model is None:
+        return None
+    if stats is not None:
+        stats.ips_solved += 1
     objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
     winner_col = len(u_masks) + e_masks.index(1 << (len(sequence.order) - 1))
 

@@ -10,6 +10,13 @@ the incumbent upper bound, and improvements become the new incumbent.  Nodes
 whose bound reaches the upper bound are pruned, and the incumbent value is
 the margin once the frontier empties.
 
+Every child is first checked against the upper bound by its tally bound
+(distance.tally_bound), which needs no solver: a child it reaches is
+dropped before its LP or IP is built, exactly as the LP or IP would have
+dropped it, so the frontier, values and witnesses do not depend on the
+check.  SearchStats counts such children as tally_prunes; lps_solved and
+ips_solved count only the LPs and IPs actually solved.
+
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
 which costs exactly the last-round margin (swap_final_witness); only a
@@ -53,6 +60,7 @@ class SearchStats:
     nodes_expanded: int = 0
     lps_solved: int = 0
     ips_solved: int = 0
+    tally_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,18 +115,18 @@ def compute_movc(
         for c in sorted(ids.difference(order)):
             child = (c,) + order
             if len(child) == n:
-                stats.ips_solved += 1
                 outcome = exact_distance(
-                    profile, EliminationSequence(child, complete=True), cutoff=upper
+                    profile, EliminationSequence(child, complete=True),
+                    cutoff=upper, stats=stats,
                 )
                 if outcome is not None:
                     upper, witness = outcome
             else:
                 child_bound = lower_bound(
-                    profile, EliminationSequence(child, complete=False)
+                    profile, EliminationSequence(child, complete=False),
+                    cutoff=upper, stats=stats,
                 )
-                stats.lps_solved += 1
-                if upper is None or child_bound < upper:
+                if child_bound is not None and (upper is None or child_bound < upper):
                     heapq.heappush(frontier, (child_bound, -len(child), child))
 
     return MarginResult(

@@ -250,3 +250,21 @@ def test_criterion_7_performance_smoke() -> None:
         f"50000 ballots in {elapsed:.1f}s; nodes {stats.nodes_expanded}, "
         f"LPs {stats.lps_solved}, IPs {stats.ips_solved})"
     )
+
+
+def test_criterion_8_ten_candidate_smoke() -> None:
+    profile = synthetic_seat(1, num_candidates=10)
+    start = time.perf_counter()
+    result = compute_mov(profile)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    # The tally bound drops children without moving the frontier, so these
+    # are the values of a search that solves every child's LP or IP.
+    assert result.value == 58
+    assert result.stats.nodes_expanded == 511
+    stats = result.stats
+    print(
+        f"criterion 8: PASS (mov {result.value} on 10 candidates in "
+        f"{elapsed:.1f}s; nodes {stats.nodes_expanded}, LPs {stats.lps_solved}, "
+        f"IPs {stats.ips_solved}, tally prunes {stats.tally_prunes})"
+    )

@@ -118,8 +118,9 @@ def test_margin_json_report(seat_file: Path, capsys: pytest.CaptureFixture) -> N
     }
     assert report["stats"] == {
         "nodes_expanded": 4,
-        "lps_solved": 4,
+        "lps_solved": 3,
         "ips_solved": 2,
+        "tally_prunes": 1,
     }
 
 
@@ -398,9 +399,11 @@ def test_lose_mode_without_an_outside_candidate_is_an_error(
     [
         # LIB holds Second, so it runs no search; First and Third search
         # toward their LIB candidate.
-        ("LIB", "win", {"First": [2, 2, 1], "Second": [0, 0, 0], "Third": [1, 0, 1]}),
+        ("LIB", "win",
+         {"First": [2, 1, 1, 1], "Second": [0, 0, 0, 0], "Third": [1, 0, 0, 1]}),
         # LIB's Second is not ALP's to lose; First searches toward b and c.
-        ("ALP", "lose", {"First": [4, 4, 2], "Second": [0, 0, 0], "Third": [1, 0, 1]}),
+        ("ALP", "lose",
+         {"First": [4, 3, 2, 1], "Second": [0, 0, 0, 0], "Third": [1, 0, 0, 1]}),
     ],
     ids=["win-LIB", "lose-ALP"],
 )
@@ -411,7 +414,7 @@ def test_parliament_stats_count_one_search_per_contested_seat(
     argv = ["parliament", str(manifest), "--coalition", coalition, "--mode", mode]
     assert main(argv + ["--format", "json", "--stats"]) == 0
     report = json.loads(capsys.readouterr().out)
-    keys = ("nodes_expanded", "lps_solved", "ips_solved")
+    keys = ("nodes_expanded", "lps_solved", "ips_solved", "tally_prunes")
     expected = {seat: dict(zip(keys, counts)) for seat, counts in stats.items()}
     assert report["stats"] == expected
     # Table and CSV append the counters, in seat order and then key order.
@@ -464,8 +467,9 @@ witness order: b -> a -> c
   remove 1 x b>c
   add 1 x c
 stat ips_solved: 2
-stat lps_solved: 4
+stat lps_solved: 3
 stat nodes_expanded: 4
+stat tally_prunes: 1
 """,
     ("margin", "csv"): """\
 field,value
@@ -476,8 +480,9 @@ witness_order,b>a>c
 removal,1 x b>c
 addition,1 x c
 stat:ips_solved,2
-stat:lps_solved,4
+stat:lps_solved,3
 stat:nodes_expanded,4
+stat:tally_prunes,1
 """,
     ("movc", "table"): """\
 margin: 10
@@ -533,28 +538,34 @@ seats needed: 1
   Third  1
 total changes: 1
 stat First ips_solved: 1
-stat First lps_solved: 2
+stat First lps_solved: 1
 stat First nodes_expanded: 2
+stat First tally_prunes: 1
 stat Second ips_solved: 0
 stat Second lps_solved: 0
 stat Second nodes_expanded: 0
-stat Third ips_solved: 1
+stat Second tally_prunes: 0
+stat Third ips_solved: 0
 stat Third lps_solved: 0
 stat Third nodes_expanded: 1
+stat Third tally_prunes: 1
 """,
     ("manifest", "csv"): """\
 seat,changes
 Third,1
 TOTAL,1
 stat:First:ips_solved,1
-stat:First:lps_solved,2
+stat:First:lps_solved,1
 stat:First:nodes_expanded,2
+stat:First:tally_prunes,1
 stat:Second:ips_solved,0
 stat:Second:lps_solved,0
 stat:Second:nodes_expanded,0
-stat:Third:ips_solved,1
+stat:Second:tally_prunes,0
+stat:Third:ips_solved,0
 stat:Third:lps_solved,0
 stat:Third:nodes_expanded,1
+stat:Third:tally_prunes,1
 """,
 }
 
@@ -682,3 +693,18 @@ def test_module_entry_point_runs() -> None:
     assert proc.returncode == 0
     assert "tabulate" in proc.stdout
     assert "oracle" not in proc.stdout.split("positional")[0]
+
+
+def test_import_leaves_the_process_pool_unloaded() -> None:
+    # Only a multi-worker parliament run pays for the pool's import.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irvmargin.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "False\n"

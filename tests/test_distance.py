@@ -24,7 +24,7 @@ from irvmargin import (
     run_election,
 )
 from irvmargin import simplex
-from irvmargin.distance import _assemble, project_type, swap_final_witness
+from irvmargin.distance import _assemble, project_type, swap_final_witness, tally_bound
 from irvmargin.oracle import order_attainable
 from irvmargin.synth import random_profile
 from irvmargin.tabulate import TieRule, last_round_margin, tally
@@ -230,6 +230,33 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
         assert math.ceil(model.total + upper) == ceiling
         checked += 1
     assert checked > 2000
+
+
+def test_tally_bound_settles_only_what_the_solvers_would() -> None:
+    # The bound is half the largest suffix-tally lead, rounded up; a cutoff
+    # it reaches is reached by the LP ceiling and the exact distance too.
+    settled = 0
+    for profile, sequence in _corpus_sequences():
+        order = sequence.order
+        lead = 0
+        for r in range(len(order) - 1):
+            votes = tally(profile, order[r:])
+            lead = max(lead, votes[order[r]] - min(votes[c] for c in order[r + 1:]))
+        bound = tally_bound(build_model(profile, sequence))
+        assert bound == math.ceil(lead / 2)
+        ceiling = lower_bound(profile, sequence)
+        assert bound <= ceiling
+        for cutoff in {bound, ceiling + 1}:
+            cut = lower_bound(profile, sequence, cutoff=cutoff)
+            assert cut == (None if bound >= cutoff else ceiling)
+            assert cut is not None or ceiling >= cutoff
+        if sequence.complete:
+            value, witness = exact_distance(profile, sequence)
+            for cutoff in {bound, value + 1}:
+                cut = exact_distance(profile, sequence, cutoff=cutoff)
+                assert cut == (None if value >= cutoff else (value, witness))
+        settled += bound > 0
+    assert settled > 1000
 
 
 def _corpus_answers() -> list:

@@ -38,8 +38,9 @@ def test_mov_golden(example1: Profile) -> None:
 def test_mov_search_stats_are_reproducible(example1: Profile) -> None:
     result = compute_mov(example1)
     assert result.stats.nodes_expanded == 4
-    assert result.stats.lps_solved == 4
+    assert result.stats.lps_solved == 3
     assert result.stats.ips_solved == 2
+    assert result.stats.tally_prunes == 1
 
 
 def test_movc_goldens(example1: Profile) -> None:
