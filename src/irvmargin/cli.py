@@ -189,16 +189,8 @@ def _records_from_manifest(
         raise CliError("manifest needs a nonempty seats list")
     if not all(isinstance(s, dict) for s in seats):
         raise CliError("each manifest seat must be an object")
-    options = manifest.get("options", {})
-    if not isinstance(options, dict):
-        raise CliError("manifest options must be an object")
-    tie_rule = TieRule(args.tie_rule or options.get("tie_rule", "fail"))
-    workers = options.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise CliError(f"options.workers must be an integer, not {json.dumps(workers)}")
-    if workers < 1:
-        raise CliError(f"options.workers must be at least 1, not {workers}")
-    workers = args.workers or workers
+    if "options" in manifest:
+        raise CliError("manifest options are not read: use --workers and --tie-rule")
     for s in seats:
         if not isinstance(s.get("name"), str) or not isinstance(s.get("path"), str):
             raise CliError("each manifest seat needs a name and a path")
@@ -207,6 +199,7 @@ def _records_from_manifest(
         raise CliError("manifest seat names must be unique")
 
     base = os.path.dirname(os.path.abspath(args.records))
+    tie_rule = TieRule(args.tie_rule)
     tasks = []
     for seat in seats:
         path = seat["path"]
@@ -228,12 +221,12 @@ def _records_from_manifest(
                 )
         tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
-    if workers > 1:
+    if args.workers > 1:
         # Imported here: the process pool costs start-up time that a
         # single-worker run never repays.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             analyzed = list(pool.map(_analyze_seat, tasks))
     else:
         analyzed = [_analyze_seat(t) for t in tasks]
@@ -342,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="party codes joined with +")
     p_parl.add_argument("--threshold", type=int, default=None,
                         help="majority threshold (default: majority of records)")
-    p_parl.add_argument("--workers", type=int, default=None,
+    p_parl.add_argument("--workers", type=int, default=1,
                         help="seats analyzed concurrently (manifest input)")
     p_parl.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
-    p_parl.add_argument("--tie-rule", choices=("fail", "lex"), default=None)
+    p_parl.add_argument("--tie-rule", choices=("fail", "lex"), default="fail")
     p_parl.add_argument("--stats", action="store_true")
     p_parl.set_defaults(func=cmd_parliament)
     return parser

@@ -20,13 +20,12 @@ equivalent substitution y_t = u_t + e_t with u_t <= n_t the ballots kept and
 e_t the additions; integral (u, e) and integral y are cost-preserving images
 of each other, so values and witnesses match the y/d formulation exactly.
 
-Before any solver runs, a search cutoff is checked against the tally
-bound (tally_bound): the largest lead, over rounds r and later positions
-j, of order[r]'s round-r tally over order[j]'s, halved and rounded up.
-One rewritten ballot leaves one type and joins another, so it moves each
-such difference by at most 2: the bound is sound, and no LP optimum lies
-below it.  A sequence whose tally bound reaches the cutoff is settled
-without building its program.
+The tally bound (tally_bound) needs no solver: the largest lead, over
+rounds r and later positions j, of order[r]'s round-r tally over
+order[j]'s, halved and rounded up.  One rewritten ballot leaves one type
+and joins another, so it moves each such difference by at most 2: the
+bound is sound, and no LP optimum lies below it.  Every function here is a
+pure function of a DistanceModel; the search decides which of them to run.
 
 Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
 a float run of the simplex whose duals give a Lagrangian bound and whose
@@ -119,6 +118,10 @@ class DistanceModel:
 
 
 def build_model(profile: Profile, sequence: EliminationSequence) -> DistanceModel:
+    """The sequence's type counts over the profile's ballots.  A complete
+    sequence must name every candidate of the profile."""
+    if sequence.complete and set(sequence.order) != set(profile.candidate_ids):
+        raise DistanceError("a complete elimination order must cover every candidate")
     pos = sequence.positions
     counts = [0] * (1 << len(sequence.order))
     for ballot in profile.ballots:
@@ -151,19 +154,6 @@ def tally_bound(model: DistanceModel) -> int:
                 votes[c] += n
         gap = max(gap, votes[r] - min(votes[r + 1:]))
     return (gap + 1) // 2
-
-
-def _unsettled(
-    profile: Profile, sequence: EliminationSequence, cutoff: int | None, stats
-) -> DistanceModel | None:
-    """The sequence's model, or None when its tally bound reaches the cutoff
-    (counted as a tally prune in stats, if given)."""
-    model = build_model(profile, sequence)
-    if cutoff is not None and tally_bound(model) >= cutoff:
-        if stats is not None:
-            stats.tally_prunes += 1
-        return None
-    return model
 
 
 def _assemble(model: DistanceModel):
@@ -199,27 +189,13 @@ def _assemble(model: DistanceModel):
     return objective, rows, senses, rhs, bounds, u_masks, e_masks
 
 
-def lower_bound(
-    profile: Profile,
-    sequence: EliminationSequence,
-    cutoff: int | None = None,
-    stats=None,
-) -> int | None:
+def lower_bound(model: DistanceModel) -> int:
     """Ceiling of the LP relaxation; admissible for every completion of the suffix.
 
-    With a cutoff, returns None without solving anything when the tally
-    bound already reaches it; the LP ceiling, which is never below the
-    tally bound, would reach it too.  Otherwise the float run's certified
-    bounds settle the ceiling when theirs agree: the exact optimum lies
-    between them, so that is its ceiling too.  Failing that, the LP is
-    solved exactly.  stats, if given, counts the tally prune or the LP
-    (its tally_prunes and lps_solved).
+    The float run's certified bounds settle the ceiling when theirs agree:
+    the exact optimum lies between them, so that is its ceiling too.
+    Failing that, the LP is solved exactly.
     """
-    model = _unsettled(profile, sequence, cutoff, stats)
-    if model is None:
-        return None
-    if stats is not None:
-        stats.lps_solved += 1
     objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
     lower, upper = simplex.certify(objective, rows, senses, rhs, bounds)
     if lower is not None and upper is not None:
@@ -250,25 +226,16 @@ class Manipulation:
 
 
 def exact_distance(
-    profile: Profile,
-    sequence: EliminationSequence,
-    cutoff: int | None = None,
-    stats=None,
+    model: DistanceModel, cutoff: int | None = None
 ) -> tuple[int, Manipulation] | None:
     """Minimum ballots to rewrite so the complete order is adversarially valid.
 
-    With a cutoff, returns None as soon as the distance provably reaches it:
-    at once when the tally bound does, otherwise when branch and bound
-    proves it.  Else the exact value and a witness.  stats, if given,
-    counts the tally prune or the IP (its tally_prunes and ips_solved).
+    With a cutoff, returns None once branch and bound proves the distance
+    reaches it; else the exact value and a witness.
     """
-    if not sequence.complete or len(sequence.order) != len(profile.candidate_ids):
+    sequence = model.sequence
+    if not sequence.complete:
         raise DistanceError("exact distance requires a complete elimination order")
-    model = _unsettled(profile, sequence, cutoff, stats)
-    if model is None:
-        return None
-    if stats is not None:
-        stats.ips_solved += 1
     objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
     winner_col = len(u_masks) + e_masks.index(1 << (len(sequence.order) - 1))
 

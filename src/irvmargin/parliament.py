@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ballots import Profile
 from .search import SearchStats, compute_movc
@@ -180,6 +180,27 @@ def relabel_complement(
     ]
 
 
+def _cheapest(
+    mode: str, parties: frozenset[str], threshold_seats: int, needed: int,
+    costs: Iterable[tuple[int | None, str]], error: Callable[[int], str],
+) -> ParliamentScenario:
+    """The scenario choosing the needed cheapest (value, seat) costs, by
+    value then seat; a None value is never chosen.  When too few are
+    priced, raises ValueError(error(number priced))."""
+    priced = sorted((v, seat) for v, seat in costs if v is not None)
+    if needed > len(priced):
+        raise ValueError(error(len(priced)))
+    chosen = tuple((seat, v) for v, seat in priced[:needed])
+    return ParliamentScenario(
+        mode=mode,
+        coalition=tuple(sorted(parties)),
+        threshold=threshold_seats,
+        seats_needed=needed,
+        chosen_seats=chosen,
+        total_changes=sum(v for _, v in chosen),
+    )
+
+
 def seats_to_lose_majority(
     records: Sequence[SeatRecord],
     coalition: Iterable[str],
@@ -212,21 +233,11 @@ def seats_to_lose_majority(
         if missing:
             raise MissingMovc(f"seats lacking mov: {', '.join(missing)}")
         costs = [(r.mov, r.seat) for r in held]
-    flippable = sorted((v, seat) for v, seat in costs if v is not None)
-    if surplus > len(flippable):
-        raise ValueError(
-            f"coalition {coalition_key(parties)} cannot fall below "
-            f"{threshold_seats} seats: only {len(flippable)} of its "
-            f"{len(held)} seats have a candidate outside it"
-        )
-    chosen = tuple((seat, v) for v, seat in flippable[:surplus])
-    return ParliamentScenario(
-        mode="lose-majority",
-        coalition=tuple(sorted(parties)),
-        threshold=threshold_seats,
-        seats_needed=surplus,
-        chosen_seats=chosen,
-        total_changes=sum(v for _, v in chosen),
+    return _cheapest(
+        "lose-majority", parties, threshold_seats, surplus, costs,
+        lambda priced: f"coalition {coalition_key(parties)} cannot fall below "
+        f"{threshold_seats} seats: only {priced} of its "
+        f"{len(held)} seats have a candidate outside it",
     )
 
 
@@ -245,34 +256,16 @@ def seats_to_win(
     """
     parties = _coalition_set(coalition)
     key = coalition_key(parties)
-    held = sum(1 for r in records if r.winner_party.upper() in parties)
-    needed = max(threshold_seats - held, 0)
-    chosen: tuple[tuple[str, int], ...] = ()
-    if needed:
-        targets = [r for r in records if r.winner_party.upper() not in parties]
-        missing = [r.seat for r in targets if key not in r.movc_by_target]
-        if missing:
-            raise MissingMovc(
-                f"seats lacking movc:{key}: {', '.join(sorted(missing))}"
-            )
-        winnable = sorted(
-            (r.movc_by_target[key], r.seat)
-            for r in targets
-            if r.movc_by_target[key] is not None
-        )
-        if needed > len(winnable):
-            raise ValueError(
-                f"coalition {key} cannot reach {threshold_seats} seats: "
-                f"only {len(winnable)} seats are winnable"
-            )
-        chosen = tuple((seat, v) for v, seat in winnable[:needed])
-    return ParliamentScenario(
-        mode="win-majority",
-        coalition=tuple(sorted(parties)),
-        threshold=threshold_seats,
-        seats_needed=needed,
-        chosen_seats=chosen,
-        total_changes=sum(v for _, v in chosen),
+    targets = [r for r in records if r.winner_party.upper() not in parties]
+    needed = max(threshold_seats - (len(records) - len(targets)), 0)
+    missing = [r.seat for r in targets if key not in r.movc_by_target]
+    if needed and missing:
+        raise MissingMovc(f"seats lacking movc:{key}: {', '.join(sorted(missing))}")
+    return _cheapest(
+        "win-majority", parties, threshold_seats, needed,
+        [(r.movc_by_target.get(key), r.seat) for r in targets],
+        lambda priced: f"coalition {key} cannot reach {threshold_seats} seats: "
+        f"only {priced} seats are winnable",
     )
 
 
@@ -294,23 +287,35 @@ def load_seat_records(text: str) -> list[SeatRecord]:
     A blank movc cell was not computed and stays out of the map; "-" means
     the coalition fields no candidate in the seat and becomes None.  A blank
     mov cell was not computed either and becomes None.  Counts must not be
-    negative, and no seat may appear twice.
+    negative, no seat may appear twice, and no two movc columns may name
+    the same coalition.
     """
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
     missing = [c for c in _BASE_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"seat CSV missing columns: {', '.join(missing)}")
-    movc_columns = [c for c in header if c.startswith("movc:")]
+    movc_columns: dict[str, str] = {}  # coalition key -> its column
+    for col in header:
+        if col.startswith("movc:"):
+            try:
+                key = coalition_key(col[len("movc:"):].split("+"))
+            except ValueError:
+                raise ValueError(f"seat CSV column {col!r} names no coalition") from None
+            if key in movc_columns:
+                raise ValueError(
+                    f"seat CSV columns {movc_columns[key]!r} and {col!r} "
+                    f"both hold coalition {key}"
+                )
+            movc_columns[key] = col
     records = []
     first_line: dict[str, int] = {}
     for i, row in enumerate(reader, start=2):
         try:
             movc = {}
-            for col in movc_columns:
+            for key, col in movc_columns.items():
                 cell = (row[col] or "").strip()
                 if cell:
-                    key = coalition_key(col[len("movc:"):].split("+"))
                     movc[key] = None if cell == NO_CANDIDATE else _count(cell)
             seat = row["seat"].strip()
             if seat in first_line:

@@ -10,12 +10,14 @@ the incumbent upper bound, and improvements become the new incumbent.  Nodes
 whose bound reaches the upper bound are pruned, and the incumbent value is
 the margin once the frontier empties.
 
-Every child is first checked against the upper bound by its tally bound
-(distance.tally_bound), which needs no solver: a child it reaches is
-dropped before its LP or IP is built, exactly as the LP or IP would have
+The search makes every prune decision.  It builds each child's distance
+model once and first checks its tally bound (distance.tally_bound), which
+needs no solver, against the upper bound: a child it reaches is dropped
+before its LP or IP is assembled, exactly as the LP or IP would have
 dropped it, so the frontier, values and witnesses do not depend on the
-check.  SearchStats counts such children as tally_prunes; lps_solved and
-ips_solved count only the LPs and IPs actually solved.
+check.  compute_movc alone writes SearchStats: nodes_expanded counts
+expanded suffixes, tally_prunes the children the tally bound dropped, and
+lps_solved and ips_solved the LPs and IPs actually solved.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -40,9 +42,11 @@ from .ballots import Profile
 from .distance import (
     EliminationSequence,
     Manipulation,
+    build_model,
     exact_distance,
     lower_bound,
     swap_final_witness,
+    tally_bound,
 )
 from .tabulate import TieRule, run_election
 
@@ -67,9 +71,10 @@ class SearchStats:
 class MarginResult:
     """The margin plus the cheapest witness found first.
 
-    value == exact_distance(witness_order) and applying witness_manipulation
-    makes witness_order adversarially valid, electing its final entry.  Only
-    the value is unique; distinct optimal witnesses may exist.
+    value is the exact distance of witness_order, and applying
+    witness_manipulation makes witness_order adversarially valid, electing
+    its final entry.  Only the value is unique; distinct optimal witnesses
+    may exist.
     """
 
     value: int
@@ -114,19 +119,19 @@ def compute_movc(
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            if len(child) == n:
-                outcome = exact_distance(
-                    profile, EliminationSequence(child, complete=True),
-                    cutoff=upper, stats=stats,
-                )
+            complete = len(child) == n
+            model = build_model(profile, EliminationSequence(child, complete))
+            if upper is not None and tally_bound(model) >= upper:
+                stats.tally_prunes += 1
+            elif complete:
+                stats.ips_solved += 1
+                outcome = exact_distance(model, cutoff=upper)
                 if outcome is not None:
                     upper, witness = outcome
             else:
-                child_bound = lower_bound(
-                    profile, EliminationSequence(child, complete=False),
-                    cutoff=upper, stats=stats,
-                )
-                if child_bound is not None and (upper is None or child_bound < upper):
+                stats.lps_solved += 1
+                child_bound = lower_bound(model)
+                if upper is None or child_bound < upper:
                     heapq.heappush(frontier, (child_bound, -len(child), child))
 
     return MarginResult(

@@ -19,6 +19,7 @@ from irvmargin import (
     Profile,
     TieRule,
     apply_manipulation,
+    build_model,
     compute_mov,
     compute_movc,
     exact_distance,
@@ -97,9 +98,9 @@ def test_criterion_1_worked_example_goldens() -> None:
     def order(text: str) -> EliminationSequence:
         return EliminationSequence.for_profile(tuple(text.split(">")), profile)
 
-    assert exact_distance(profile, order("b>a>c"))[0] == 1
-    assert exact_distance(profile, order("a>c>b"))[0] == 10
-    assert exact_distance(profile, order("c>b>a"))[0] == 0
+    assert exact_distance(build_model(profile, order("b>a>c")))[0] == 1
+    assert exact_distance(build_model(profile, order("a>c>b")))[0] == 10
+    assert exact_distance(build_model(profile, order("c>b>a")))[0] == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 1: PASS (worked-example goldens, {elapsed:.3f}s)")
@@ -209,10 +210,10 @@ def test_criterion_5_bound_soundness() -> None:
         ).value <= last_round_margin(count)
         for perm in itertools.permutations(profile.candidate_ids):
             complete = EliminationSequence.for_profile(perm, profile)
-            value, _ = exact_distance(profile, complete)
+            value, _ = exact_distance(build_model(profile, complete))
             for cut in range(1, len(perm)):
                 suffix = EliminationSequence.for_profile(perm[cut:], profile)
-                assert lower_bound(profile, suffix) <= value
+                assert lower_bound(build_model(profile, suffix)) <= value
                 suffixes_checked += 1
     elapsed = time.perf_counter() - start
     print(

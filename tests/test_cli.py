@@ -65,7 +65,6 @@ def manifest(tmp_path: Path) -> Path:
                     {"name": "Second", "path": "seat2.ballots", "parties": {}},
                     {"name": "Third", "path": "seat3.ballots", "parties": {}},
                 ],
-                "options": {},
             }
         ),
         encoding="utf-8",
@@ -599,22 +598,11 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
 @pytest.mark.parametrize(
     "manifest_doc, extra, message",
     [
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}],
-          "options": {"tie_rule": "bogus"}}, [],
-         "'bogus' is not a valid TieRule"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 2}},
+         [], "manifest options are not read: use --workers and --tie-rule"),
         ({"seats": ["seat1.ballots"]}, [], "each manifest seat must be an object"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": ["a", "ALP"]}]},
          [], "seat 'S': parties must be an object"),
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": ["lex"]},
-         [], "manifest options must be an object"),
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 0}},
-         [], "options.workers must be at least 1, not 0"),
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 2.9}},
-         [], "options.workers must be an integer, not 2.9"),
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": True}},
-         [], "options.workers must be an integer, not true"),
-        ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": "2"}},
-         [], 'options.workers must be an integer, not "2"'),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": None}}]},
          [], "seat 'S': party of 'a' must be a string, not null"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--workers", "0"],
@@ -630,9 +618,8 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
            [], "seat 'S': parties must be an object")
           for falsy in ([], 0, "", False, None)],
     ],
-    ids=["tie-rule", "seat-not-object", "parties-not-object", "options-not-object",
-         "options-workers", "options-workers-float", "options-workers-bool",
-         "options-workers-string", "party-null", "workers-flag", "threshold-flag",
+    ids=["options", "seat-not-object", "parties-not-object", "party-null",
+         "workers-flag", "threshold-flag",
          "name-not-string", "party-of-absent-candidate", "parties-empty-list",
          "parties-zero", "parties-empty-string", "parties-false", "parties-null"],
 )

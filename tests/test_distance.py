@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from test_acceptance import _random_corpus
@@ -70,35 +71,40 @@ def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
 
 
 def test_lower_bound_goldens(example1: Profile) -> None:
-    assert lower_bound(example1, _seq(example1, "a>b")) == 20
-    assert lower_bound(example1, _seq(example1, "c>b")) == 0
-    assert lower_bound(example1, _seq(example1, "b")) == 0
+    assert lower_bound(build_model(example1, _seq(example1, "a>b"))) == 20
+    assert lower_bound(build_model(example1, _seq(example1, "c>b"))) == 0
+    assert lower_bound(build_model(example1, _seq(example1, "b"))) == 0
 
 
 def test_exact_distance_goldens(example1: Profile) -> None:
-    assert exact_distance(example1, _seq(example1, "b>a>c"))[0] == 1
-    assert exact_distance(example1, _seq(example1, "a>c>b"))[0] == 10
-    assert exact_distance(example1, _seq(example1, "c>b>a"))[0] == 0
-    assert exact_distance(example1, _seq(example1, "c>a>b"))[0] == 20
-    assert exact_distance(example1, _seq(example1, "a>b>c"))[0] == 10
-    assert exact_distance(example1, _seq(example1, "b>c>a"))[0] == 13
+    assert exact_distance(build_model(example1, _seq(example1, "b>a>c")))[0] == 1
+    assert exact_distance(build_model(example1, _seq(example1, "a>c>b")))[0] == 10
+    assert exact_distance(build_model(example1, _seq(example1, "c>b>a")))[0] == 0
+    assert exact_distance(build_model(example1, _seq(example1, "c>a>b")))[0] == 20
+    assert exact_distance(build_model(example1, _seq(example1, "a>b>c")))[0] == 10
+    assert exact_distance(build_model(example1, _seq(example1, "b>c>a")))[0] == 13
 
 
 def test_exact_distance_requires_complete_sequence(example1: Profile) -> None:
     with pytest.raises(DistanceError):
-        exact_distance(example1, _seq(example1, "c>b"))
+        exact_distance(build_model(example1, _seq(example1, "c>b")))
+
+
+def test_complete_sequence_must_cover_the_profile(example1: Profile) -> None:
+    with pytest.raises(DistanceError, match="must cover every candidate"):
+        build_model(example1, EliminationSequence(("c", "b"), complete=True))
 
 
 def test_exact_distance_cutoff_semantics(example1: Profile) -> None:
-    pi = _seq(example1, "a>c>b")
-    assert exact_distance(example1, pi, cutoff=10) is None
-    assert exact_distance(example1, pi, cutoff=11)[0] == 10
+    model = build_model(example1, _seq(example1, "a>c>b"))
+    assert exact_distance(model, cutoff=10) is None
+    assert exact_distance(model, cutoff=11)[0] == 10
 
 
 def test_witness_balances_and_realizes_order(example1: Profile) -> None:
     for order in ("b>a>c", "a>c>b", "b>c>a", "c>a>b"):
         pi = _seq(example1, order)
-        value, witness = exact_distance(example1, pi)
+        value, witness = exact_distance(build_model(example1, pi))
         assert sum(n for _, n in witness.removals) == value
         assert sum(n for _, n in witness.additions) == value
         manipulated = apply_manipulation(example1, witness)
@@ -108,7 +114,7 @@ def test_witness_balances_and_realizes_order(example1: Profile) -> None:
 
 def test_apply_manipulation_rejects_overdraw(example1: Profile) -> None:
     pi = _seq(example1, "b>a>c")
-    _, witness = exact_distance(example1, pi)
+    _, witness = exact_distance(build_model(example1, pi))
     from irvmargin.distance import Manipulation
 
     greedy = Manipulation(pi, ((("b", "c"), 99),), witness.additions)
@@ -124,7 +130,7 @@ def test_realized_order_distance_is_zero() -> None:
         except UnresolvedTie:
             continue
         pi = EliminationSequence.for_profile(realized, profile)
-        assert exact_distance(profile, pi)[0] == 0
+        assert exact_distance(build_model(profile, pi))[0] == 0
 
 
 def test_suffix_bounds_admissible_by_enumeration() -> None:
@@ -137,16 +143,17 @@ def test_suffix_bounds_admissible_by_enumeration() -> None:
             continue
         for perm in itertools.permutations(ids):
             pi = EliminationSequence.for_profile(perm, profile)
-            value, _ = exact_distance(profile, pi)
+            value, _ = exact_distance(build_model(profile, pi))
             for start in range(1, len(perm)):
                 suffix = EliminationSequence.for_profile(perm[start:], profile)
-                assert lower_bound(profile, suffix) <= value
+                assert lower_bound(build_model(profile, suffix)) <= value
 
 
 def test_lower_bound_of_complete_order_never_exceeds_exact(example1: Profile) -> None:
     for perm in itertools.permutations(example1.candidate_ids):
         pi = EliminationSequence.for_profile(perm, example1)
-        assert lower_bound(example1, pi) <= exact_distance(example1, pi)[0]
+        model = build_model(example1, pi)
+        assert lower_bound(model) <= exact_distance(model)[0]
 
 
 def test_swap_final_witness_costs_last_round_margin(example1: Profile) -> None:
@@ -222,7 +229,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
         program = _assemble(model)[:5]
         exact = simplex.solve_lp(*program)
         ceiling = math.ceil(model.total + exact.value)
-        assert lower_bound(profile, sequence) == ceiling
+        assert lower_bound(model) == ceiling
         # The float run settles every one of them: no exact fallback.
         lower, upper = simplex.certify(*program)
         assert lower <= exact.value <= upper
@@ -233,8 +240,9 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
 
 
 def test_tally_bound_settles_only_what_the_solvers_would() -> None:
-    # The bound is half the largest suffix-tally lead, rounded up; a cutoff
-    # it reaches is reached by the LP ceiling and the exact distance too.
+    # The bound is half the largest suffix-tally lead, rounded up, and never
+    # above the LP ceiling or the exact distance, so a cutoff it reaches is
+    # reached by the solvers too.
     settled = 0
     for profile, sequence in _corpus_sequences():
         order = sequence.order
@@ -242,18 +250,15 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
         for r in range(len(order) - 1):
             votes = tally(profile, order[r:])
             lead = max(lead, votes[order[r]] - min(votes[c] for c in order[r + 1:]))
-        bound = tally_bound(build_model(profile, sequence))
+        model = build_model(profile, sequence)
+        bound = tally_bound(model)
         assert bound == math.ceil(lead / 2)
-        ceiling = lower_bound(profile, sequence)
-        assert bound <= ceiling
-        for cutoff in {bound, ceiling + 1}:
-            cut = lower_bound(profile, sequence, cutoff=cutoff)
-            assert cut == (None if bound >= cutoff else ceiling)
-            assert cut is not None or ceiling >= cutoff
+        assert bound <= lower_bound(model)
         if sequence.complete:
-            value, witness = exact_distance(profile, sequence)
+            value, witness = exact_distance(model)
+            assert bound <= value
             for cutoff in {bound, value + 1}:
-                cut = exact_distance(profile, sequence, cutoff=cutoff)
+                cut = exact_distance(model, cutoff=cutoff)
                 assert cut == (None if value >= cutoff else (value, witness))
         settled += bound > 0
     assert settled > 1000
@@ -261,16 +266,21 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
 
 def _corpus_answers() -> list:
     """compute_mov on each corpus profile, and exact_distance of each of its
-    complete orders cut off just above the margin, so that solve_ip may
-    prune on certified bounds from its root."""
+    complete orders cut off just above the margin.  Every one of those
+    orders reaches solve_ip, so the float guide inside branch and bound is
+    exercised on all of them, and solve_ip may prune on certified bounds
+    from its root."""
     answers = []
     for profile in _random_corpus():
         result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
         answers.append((result.value, result.witness_order,
                         result.witness_manipulation, result.stats))
-        for perm in itertools.permutations(profile.candidate_ids):
-            pi = EliminationSequence.for_profile(perm, profile)
-            answers.append(exact_distance(profile, pi, cutoff=result.value + 1))
+        perms = list(itertools.permutations(profile.candidate_ids))
+        with mock.patch.object(simplex, "solve_ip", wraps=simplex.solve_ip) as solve_ip:
+            for perm in perms:
+                model = build_model(profile, EliminationSequence.for_profile(perm, profile))
+                answers.append(exact_distance(model, cutoff=result.value + 1))
+        assert solve_ip.call_count == len(perms)
     return answers
 
 

@@ -295,6 +295,13 @@ def test_malformed_records_carry_line_numbers() -> None:
         ValueError, match=r"line 4: bad seat record \(seat 'S1' is already on line 2\)"
     ):
         load_seat_records(header + "S1,4,5,5,w,LIB,9\nS2,4,5,5,w,LIB,9\nS1,4,5,5,w,LIB,3\n")
+    # Two columns for one coalition would let the later one silently win.
+    with pytest.raises(
+        ValueError, match=r"seat CSV columns 'movc:ALP' and 'movc:alp' both hold coalition ALP"
+    ):
+        load_seat_records(header.replace("\n", ",movc:alp\n") + "S2,4,5,5,w,LIB,7,1\n")
+    with pytest.raises(ValueError, match=r"seat CSV column 'movc:\+' names no coalition"):
+        load_seat_records(header.replace("\n", ",movc:+\n") + "S2,4,5,5,w,LIB,7,\n")
 
 
 PARTY_SEAT = """\
