@@ -160,10 +160,11 @@ def parse_profile(text: str) -> Profile:
                 if candidates is not None:
                     raise ParseError("duplicate candidate roster line", lineno)
                 candidates = _parse_roster(line[len(HEADER_PREFIX):], lineno)
+                known = {c.id for c in candidates}
             continue
         if candidates is None:
             raise ParseError("ballot record before candidate roster", lineno)
-        ballots.append(_parse_record(line, candidates, lineno))
+        ballots.append(_parse_record(line, known, lineno))
     if candidates is None:
         raise ParseError("no candidate roster line found")
     try:
@@ -191,7 +192,7 @@ def _parse_roster(body: str, lineno: int) -> list[Candidate]:
     return roster
 
 
-def _parse_record(line: str, roster: list[Candidate], lineno: int) -> Ballot:
+def _parse_record(line: str, known: set[str], lineno: int) -> Ballot:
     head, sep, tail = line.partition(",")
     if not sep:
         raise ParseError("record is not count,ranking", lineno)
@@ -199,18 +200,16 @@ def _parse_record(line: str, roster: list[Candidate], lineno: int) -> Ballot:
         count = int(head.strip())
     except ValueError:
         raise ParseError(f"bad ballot count {head.strip()!r}", lineno) from None
-    if count < 1:
-        raise ParseError(f"nonpositive ballot count {count}", lineno)
     tokens = [t.strip() for t in tail.split(">")]
     if any(not t for t in tokens):
         raise ParseError("empty candidate id in ranking", lineno)
-    known = {c.id for c in roster}
     for tok in tokens:
         if tok not in known:
             raise ParseError(f"unknown candidate {tok!r} in ranking", lineno)
-    if len(set(tokens)) != len(tokens):
-        raise ParseError("duplicate candidate in ranking", lineno)
-    return Ballot(tuple(tokens), count)
+    try:
+        return Ballot(tuple(tokens), count)
+    except ProfileError as exc:
+        raise ParseError(str(exc), lineno) from exc
 
 
 def serialize_profile(profile: Profile) -> str:

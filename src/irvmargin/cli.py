@@ -66,6 +66,7 @@ def _emit(args: argparse.Namespace, report: _Report) -> int:
         csv.writer(sys.stdout, lineterminator="\n").writerows(report.rows)
     else:
         print("\n".join(report.lines))
+    sys.stdout.flush()
     return 0
 
 
@@ -163,7 +164,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
         report.data["stats"] = asdict(result.stats)
         report.stats(None, report.data["stats"])
     if args.dump_lp:
-        sys.stderr.write(model_lp_text(build_model(profile, result.witness_order)))
+        sys.stderr.write(model_lp_text(build_model(profile, order)))
     return _emit(args, report)
 
 
@@ -353,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader has gone (found by _emit's flush): silence the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, UnresolvedTie, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

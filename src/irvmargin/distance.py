@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from . import simplex
 from .ballots import Ballot, Profile
@@ -54,14 +55,10 @@ class DistanceError(ValueError):
 
 @dataclass(frozen=True)
 class EliminationSequence:
-    """A suffix of an elimination order, earliest elimination first.
-
-    complete means the order covers every candidate of the profile it was
-    built against, so the final entry wins the manipulated count.
-    """
+    """A suffix of an elimination order, earliest elimination first: distinct
+    candidate ids, at least one."""
 
     order: tuple[str, ...]
-    complete: bool
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
@@ -69,15 +66,6 @@ class EliminationSequence:
             raise DistanceError("empty elimination sequence")
         if len(set(self.order)) != len(self.order):
             raise DistanceError(f"repeated candidate in sequence {self.order!r}")
-
-    @staticmethod
-    def for_profile(order, profile: Profile) -> "EliminationSequence":
-        order = tuple(order)
-        ids = set(profile.candidate_ids)
-        for c in order:
-            if c not in ids:
-                raise DistanceError(f"sequence names unknown candidate {c!r}")
-        return EliminationSequence(order, complete=len(order) == len(ids))
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -105,23 +93,28 @@ class DistanceModel:
     counts[mask] is the number of profile ballots whose chain is the type
     encoded by mask.  In round r, with order[r:] standing, a type counts
     toward its earliest position at or after r (_credit), or toward no one
-    once every position in it is eliminated.
+    once every position in it is eliminated.  complete: the sequence names
+    every candidate of the profile, so its final entry wins.
     """
 
     sequence: EliminationSequence
     counts: tuple[int, ...]
     total: int
+    complete: bool
 
     def chain(self, mask: int) -> tuple[str, ...]:
         order = self.sequence.order
         return tuple(order[i] for i in range(len(order)) if mask >> i & 1)
 
 
-def build_model(profile: Profile, sequence: EliminationSequence) -> DistanceModel:
-    """The sequence's type counts over the profile's ballots.  A complete
-    sequence must name every candidate of the profile."""
-    if sequence.complete and set(sequence.order) != set(profile.candidate_ids):
-        raise DistanceError("a complete elimination order must cover every candidate")
+def build_model(profile: Profile, order: Iterable[str]) -> DistanceModel:
+    """The type counts of the elimination sequence order over the profile's
+    ballots.  DistanceError unless order names distinct candidates of the
+    profile, at least one."""
+    sequence = EliminationSequence(order)
+    unknown = set(sequence.order).difference(profile.candidate_ids)
+    if unknown:
+        raise DistanceError(f"sequence names unknown candidates {sorted(unknown)}")
     pos = sequence.positions
     counts = [0] * (1 << len(sequence.order))
     for ballot in profile.ballots:
@@ -129,7 +122,8 @@ def build_model(profile: Profile, sequence: EliminationSequence) -> DistanceMode
         for c in project_type(ballot, sequence):
             mask |= 1 << pos[c]
         counts[mask] += ballot.count
-    return DistanceModel(sequence, tuple(counts), profile.total)
+    complete = len(sequence.order) == len(profile.candidate_ids)
+    return DistanceModel(sequence, tuple(counts), profile.total, complete)
 
 
 def _credit(mask: int, r: int) -> int:
@@ -234,7 +228,7 @@ def exact_distance(
     reaches it; else the exact value and a witness.
     """
     sequence = model.sequence
-    if not sequence.complete:
+    if not model.complete:
         raise DistanceError("exact distance requires a complete elimination order")
     objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
     winner_col = len(u_masks) + e_masks.index(1 << (len(sequence.order) - 1))
@@ -319,10 +313,9 @@ def swap_final_witness(
     if len(realized) < 2:
         raise DistanceError("need at least two candidates to swap")
     order = realized[:-2] + (realized[-1], realized[-2])
-    sequence = EliminationSequence(order, complete=True)
     k = len(order)
     winner_bit = 1 << (k - 2)
-    model = build_model(profile, sequence)
+    model = build_model(profile, order)
     need = last_round_margin(count)
 
     piles = [m for m in range(len(model.counts)) if m & winner_bit and model.counts[m]]
@@ -341,7 +334,7 @@ def swap_final_witness(
     if left:
         raise SolverError("final-round pile smaller than the last-round margin")
     manip = Manipulation(
-        sequence,
+        model.sequence,
         tuple(sorted(removals)),
         tuple(sorted((model.chain(m), n) for m, n in additions.items())),
     )
@@ -386,7 +379,7 @@ def model_lp_text(model: DistanceModel) -> str:
     lines = [
         "# elimination distance model: u = ballots kept, e = ballots added",
         "# order: " + " > ".join(order)
-        + (" (complete)" if model.sequence.complete else " (suffix)"),
+        + (" (complete)" if model.complete else " (suffix)"),
         f"# distance = {model.total} + minimum",
         "minimize: " + _linear(objective, names),
         "subject to:",

@@ -286,17 +286,20 @@ def load_seat_records(text: str) -> list[SeatRecord]:
 
     A blank movc cell was not computed and stays out of the map; "-" means
     the coalition fields no candidate in the seat and becomes None.  A blank
-    mov cell was not computed either and becomes None.  Counts must not be
-    negative, no seat may appear twice, and no two movc columns may name
-    the same coalition.
+    mov cell was not computed either and becomes None.  No column may repeat
+    and no two movc columns may name the same coalition.  Every row has as
+    many cells as the header, counts must not be negative, and seat names
+    must be non-blank and unique.  An error in a row names its line.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     missing = [c for c in _BASE_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"seat CSV missing columns: {', '.join(missing)}")
     movc_columns: dict[str, str] = {}  # coalition key -> its column
     for col in header:
+        if header.count(col) > 1:
+            raise ValueError(f"line 1: seat CSV repeats column {col!r}")
         if col.startswith("movc:"):
             try:
                 key = coalition_key(col[len("movc:"):].split("+"))
@@ -310,30 +313,32 @@ def load_seat_records(text: str) -> list[SeatRecord]:
             movc_columns[key] = col
     records = []
     first_line: dict[str, int] = {}
-    for i, row in enumerate(reader, start=2):
+    for cells in filter(None, reader):  # skipping blank lines
         try:
-            movc = {}
-            for key, col in movc_columns.items():
-                cell = (row[col] or "").strip()
-                if cell:
-                    movc[key] = None if cell == NO_CANDIDATE else _count(cell)
-            seat = row["seat"].strip()
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells where the header has {len(header)}")
+            row = dict(zip(header, (cell.strip() for cell in cells)))
+            movc = {key: None if row[col] == NO_CANDIDATE else _count(row[col])
+                    for key, col in movc_columns.items() if row[col]}
+            seat = row["seat"]
+            if not seat:
+                raise ValueError("blank seat name")
             if seat in first_line:
                 raise ValueError(f"seat {seat!r} is already on line {first_line[seat]}")
-            first_line[seat] = i
+            first_line[seat] = reader.line_num
             records.append(
                 SeatRecord(
                     seat=seat,
                     num_candidates=_count(row["num_candidates"]),
                     lrm=_count(row["lrm"]),
-                    mov=_count(row["mov"]) if row["mov"].strip() else None,
-                    winner=row["winner"].strip(),
-                    winner_party=row["winner_party"].strip(),
+                    mov=_count(row["mov"]) if row["mov"] else None,
+                    winner=row["winner"],
+                    winner_party=row["winner_party"],
                     movc_by_target=movc,
                 )
             )
-        except (ValueError, AttributeError, KeyError) as exc:
-            raise ValueError(f"line {i}: bad seat record ({exc})") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: bad seat record ({exc})") from exc
     if not records:
         raise ValueError("seat CSV contains no records")
     return records

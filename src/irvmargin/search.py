@@ -80,9 +80,12 @@ class MarginResult:
     value: int
     winner: str
     alternates: tuple[str, ...]
-    witness_order: EliminationSequence
     witness_manipulation: Manipulation
     stats: SearchStats
+
+    @property
+    def witness_order(self) -> EliminationSequence:
+        return self.witness_manipulation.sequence
 
 
 def compute_movc(
@@ -107,7 +110,6 @@ def compute_movc(
 
     stats = SearchStats()
     ids = set(profile.candidate_ids)
-    n = len(ids)
     frontier: list[tuple[int, int, tuple[str, ...]]] = []
     for a in sorted(alts):
         heapq.heappush(frontier, (0, -1, (a,)))
@@ -119,11 +121,10 @@ def compute_movc(
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            complete = len(child) == n
-            model = build_model(profile, EliminationSequence(child, complete))
+            model = build_model(profile, child)
             if upper is not None and tally_bound(model) >= upper:
                 stats.tally_prunes += 1
-            elif complete:
+            elif model.complete:
                 stats.ips_solved += 1
                 outcome = exact_distance(model, cutoff=upper)
                 if outcome is not None:
@@ -138,7 +139,6 @@ def compute_movc(
         value=upper,
         winner=count.winner,
         alternates=tuple(sorted(alts)),
-        witness_order=witness.sequence,
         witness_manipulation=witness,
         stats=stats,
     )

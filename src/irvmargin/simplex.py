@@ -177,7 +177,6 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if tab[i][col] != one:
             tab[i] = [-v for v in tab[i]]
     ncols = len(lo)
-    allowed = [True] * ncols
     # The exact run holds the tableau as integers over one denominator den,
     # and the costs (phase one's too, from zero and one) as integers over
     # cscale.  den starts at the product of the rows' own denominators, which
@@ -192,7 +191,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         c_full = [v.numerator * (cscale // v.denominator) for v in c_full]
         zero, one = 0, 1
 
-    state = _State(tab, den, basis, xb, status, lo, hi, allowed, tol, limit)
+    state = _State(tab, den, basis, xb, status, lo, hi, tol, limit)
 
     if artificial:
         art_set = set(artificial)
@@ -203,7 +202,6 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if sum(state.xb[i] for i in range(m) if state.basis[i] in art_set) > tol:
             return LPResult(INFEASIBLE)
         for j in artificial:
-            state.allowed[j] = False
             state.hi[j] = zero
 
     d = _reduced_costs(state, c_full)
@@ -226,7 +224,6 @@ class _State:
     status: list[int]
     lo: list
     hi: list
-    allowed: list[bool]
     tol: float
     limit: int | None
 
@@ -252,7 +249,7 @@ def _reduced_costs(state: _State, cost: list) -> list:
 
 def _iterate(state: _State, d: list) -> str:
     tab, basis, xb = state.tab, state.basis, state.xb
-    status, lo, hi, allowed = state.status, state.lo, state.hi, state.allowed
+    status, lo, hi = state.status, state.lo, state.hi
     tol = state.tol
     m = len(basis)
     ncols = len(lo)
@@ -267,7 +264,7 @@ def _iterate(state: _State, d: list) -> str:
         direction = 0
         best_score = 0
         for j in range(ncols):
-            if not allowed[j] or status[j] == _BASIC:
+            if status[j] == _BASIC:
                 continue
             if hi[j] is not None and hi[j] == lo[j]:
                 continue

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from irvmargin import (
-    EliminationSequence,
     TieRule,
     analyze_seat,
     build_model,
@@ -230,7 +229,7 @@ def test_dump_lp_lists_the_solved_program(
     captured = capsys.readouterr()
     order = json.loads(captured.out)["witness_order"]
     profile = parse_profile(EXAMPLE_WITH_PARTIES)
-    model = build_model(profile, EliminationSequence.for_profile(order, profile))
+    model = build_model(profile, order)
     _, rows, _, _, _, u_masks, e_masks = _assemble(model)
     columns = [f"u[{'>'.join(model.chain(m)) or '-'}]" for m in u_masks]
     columns += [f"e[{'>'.join(model.chain(m))}]" for m in e_masks]
@@ -667,15 +666,20 @@ def test_parliament_lose_without_majority_fails(
     assert "majority" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs() -> None:
+def _package_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "irvmargin", "--help"],
         capture_output=True,
         text=True,
         check=False,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert "tabulate" in proc.stdout
@@ -684,14 +688,28 @@ def test_module_entry_point_runs() -> None:
 
 def test_import_leaves_the_process_pool_unloaded() -> None:
     # Only a multi-worker parliament run pays for the pool's import.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, irvmargin.cli; print('concurrent.futures.process' in sys.modules)"],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_package_env(),
     )
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_without_a_traceback(unbuffered: str) -> None:
+    # Buffered, the write fails at the flush; unbuffered, at the print.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "irvmargin", "margin", str(FIXTURES / "example1.ballots")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**_package_env(), "PYTHONUNBUFFERED": unbuffered},
+    )
+    proc.stdout.close()  # before the program starts writing
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    assert proc.returncode == 1

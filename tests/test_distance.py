@@ -31,31 +31,37 @@ from irvmargin.synth import random_profile
 from irvmargin.tabulate import TieRule, last_round_margin, tally
 
 
-def _seq(profile: Profile, order: str) -> EliminationSequence:
-    return EliminationSequence.for_profile(tuple(order.split(">")), profile)
+def _order(text: str) -> tuple[str, ...]:
+    return tuple(text.split(">"))
 
 
 def test_sequence_invariants(example1: Profile) -> None:
     with pytest.raises(DistanceError):
-        EliminationSequence((), complete=False)
+        EliminationSequence(())
     with pytest.raises(DistanceError):
-        EliminationSequence(("a", "a"), complete=False)
+        EliminationSequence(("a", "a"))
     with pytest.raises(DistanceError):
-        EliminationSequence.for_profile(("a", "z"), example1)
-    assert _seq(example1, "c>b>a").complete
-    assert not _seq(example1, "c>b").complete
+        build_model(example1, ())
+    with pytest.raises(DistanceError):
+        build_model(example1, ("a", "a"))
+
+
+def test_build_model_rejects_candidates_outside_the_profile(example1: Profile) -> None:
+    for order in (("a", "z"), ("z",), ("a", "b", "z")):
+        with pytest.raises(DistanceError, match=r"unknown candidates \['z'\]"):
+            build_model(example1, order)
 
 
 def test_project_type_examples(example1: Profile) -> None:
-    pi = _seq(example1, "b>a>c")
+    pi = EliminationSequence(_order("b>a>c"))
     assert project_type(Ballot(("c", "a"), 1), pi) == ("c",)
     assert project_type(Ballot(("b", "c"), 1), pi) == ("b", "c")
-    suffix = _seq(example1, "b>c")
+    suffix = EliminationSequence(_order("b>c"))
     assert project_type(Ballot(("a",), 1), suffix) == ()
 
 
 def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
-    model = build_model(example1, _seq(example1, "a>b"))
+    model = build_model(example1, _order("a>b"))
     tallies = {"a": 0, "b": 0}
     exhausted = 0
     for mask, count in enumerate(model.counts):
@@ -71,53 +77,54 @@ def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
 
 
 def test_lower_bound_goldens(example1: Profile) -> None:
-    assert lower_bound(build_model(example1, _seq(example1, "a>b"))) == 20
-    assert lower_bound(build_model(example1, _seq(example1, "c>b"))) == 0
-    assert lower_bound(build_model(example1, _seq(example1, "b"))) == 0
+    assert lower_bound(build_model(example1, _order("a>b"))) == 20
+    assert lower_bound(build_model(example1, _order("c>b"))) == 0
+    assert lower_bound(build_model(example1, _order("b"))) == 0
 
 
 def test_exact_distance_goldens(example1: Profile) -> None:
-    assert exact_distance(build_model(example1, _seq(example1, "b>a>c")))[0] == 1
-    assert exact_distance(build_model(example1, _seq(example1, "a>c>b")))[0] == 10
-    assert exact_distance(build_model(example1, _seq(example1, "c>b>a")))[0] == 0
-    assert exact_distance(build_model(example1, _seq(example1, "c>a>b")))[0] == 20
-    assert exact_distance(build_model(example1, _seq(example1, "a>b>c")))[0] == 10
-    assert exact_distance(build_model(example1, _seq(example1, "b>c>a")))[0] == 13
+    assert exact_distance(build_model(example1, _order("b>a>c")))[0] == 1
+    assert exact_distance(build_model(example1, _order("a>c>b")))[0] == 10
+    assert exact_distance(build_model(example1, _order("c>b>a")))[0] == 0
+    assert exact_distance(build_model(example1, _order("c>a>b")))[0] == 20
+    assert exact_distance(build_model(example1, _order("a>b>c")))[0] == 10
+    assert exact_distance(build_model(example1, _order("b>c>a")))[0] == 13
 
 
 def test_exact_distance_requires_complete_sequence(example1: Profile) -> None:
-    with pytest.raises(DistanceError):
-        exact_distance(build_model(example1, _seq(example1, "c>b")))
+    model = build_model(example1, _order("c>b"))
+    assert model.complete is False
+    with pytest.raises(DistanceError, match="requires a complete"):
+        exact_distance(model)
 
 
 def test_complete_sequence_must_cover_the_profile(example1: Profile) -> None:
-    with pytest.raises(DistanceError, match="must cover every candidate"):
-        build_model(example1, EliminationSequence(("c", "b"), complete=True))
+    assert build_model(example1, _order("c>b>a")).complete is True
+    for order in ("c>b", "a", "b>a"):
+        assert build_model(example1, _order(order)).complete is False
 
 
 def test_exact_distance_cutoff_semantics(example1: Profile) -> None:
-    model = build_model(example1, _seq(example1, "a>c>b"))
+    model = build_model(example1, _order("a>c>b"))
     assert exact_distance(model, cutoff=10) is None
     assert exact_distance(model, cutoff=11)[0] == 10
 
 
 def test_witness_balances_and_realizes_order(example1: Profile) -> None:
     for order in ("b>a>c", "a>c>b", "b>c>a", "c>a>b"):
-        pi = _seq(example1, order)
-        value, witness = exact_distance(build_model(example1, pi))
+        value, witness = exact_distance(build_model(example1, _order(order)))
         assert sum(n for _, n in witness.removals) == value
         assert sum(n for _, n in witness.additions) == value
         manipulated = apply_manipulation(example1, witness)
         assert manipulated.total == example1.total
-        assert order_attainable(manipulated, pi.order)
+        assert order_attainable(manipulated, _order(order))
 
 
 def test_apply_manipulation_rejects_overdraw(example1: Profile) -> None:
-    pi = _seq(example1, "b>a>c")
-    _, witness = exact_distance(build_model(example1, pi))
+    _, witness = exact_distance(build_model(example1, _order("b>a>c")))
     from irvmargin.distance import Manipulation
 
-    greedy = Manipulation(pi, ((("b", "c"), 99),), witness.additions)
+    greedy = Manipulation(witness.sequence, ((("b", "c"), 99),), witness.additions)
     with pytest.raises(DistanceError, match="more ballots than exist"):
         apply_manipulation(example1, greedy)
 
@@ -129,8 +136,7 @@ def test_realized_order_distance_is_zero() -> None:
             realized = run_election(profile).elimination_order
         except UnresolvedTie:
             continue
-        pi = EliminationSequence.for_profile(realized, profile)
-        assert exact_distance(build_model(profile, pi))[0] == 0
+        assert exact_distance(build_model(profile, realized))[0] == 0
 
 
 def test_suffix_bounds_admissible_by_enumeration() -> None:
@@ -142,17 +148,14 @@ def test_suffix_bounds_admissible_by_enumeration() -> None:
         if len(ids) > 4:
             continue
         for perm in itertools.permutations(ids):
-            pi = EliminationSequence.for_profile(perm, profile)
-            value, _ = exact_distance(build_model(profile, pi))
+            value, _ = exact_distance(build_model(profile, perm))
             for start in range(1, len(perm)):
-                suffix = EliminationSequence.for_profile(perm[start:], profile)
-                assert lower_bound(build_model(profile, suffix)) <= value
+                assert lower_bound(build_model(profile, perm[start:])) <= value
 
 
 def test_lower_bound_of_complete_order_never_exceeds_exact(example1: Profile) -> None:
     for perm in itertools.permutations(example1.candidate_ids):
-        pi = EliminationSequence.for_profile(perm, example1)
-        model = build_model(example1, pi)
+        model = build_model(example1, perm)
         assert lower_bound(model) <= exact_distance(model)[0]
 
 
@@ -185,7 +188,7 @@ def test_swap_final_witness_on_random_profiles() -> None:
 
 
 def test_model_lp_text_shape(example1: Profile) -> None:
-    model = build_model(example1, _seq(example1, "b>a>c"))
+    model = build_model(example1, _order("b>a>c"))
     text = model_lp_text(model)
     assert "minimize:" in text
     assert "conserve:" in text
@@ -204,17 +207,16 @@ def _corpus_sequences():
             for cut in range(len(perm) - 1):
                 if perm[cut:] not in seen:
                     seen.add(perm[cut:])
-                    yield profile, EliminationSequence.for_profile(perm[cut:], profile)
+                    yield profile, perm[cut:]
 
 
 def test_round_rows_are_the_suffix_tallies() -> None:
     # At u = counts and e = 0, round row (r, j) reads the suffix count's
     # tally of order[r] minus that of order[j].
-    for profile, sequence in _corpus_sequences():
-        model = build_model(profile, sequence)
+    for profile, order in _corpus_sequences():
+        model = build_model(profile, order)
         _, rows, _, _, _, u_masks, e_masks = _assemble(model)
         x = [model.counts[m] for m in u_masks] + [0] * len(e_masks)
-        order = sequence.order
         expected = [model.total]
         for r in range(len(order) - 1):
             votes = tally(profile, order[r:])
@@ -224,8 +226,8 @@ def test_round_rows_are_the_suffix_tallies() -> None:
 
 def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
     checked = 0
-    for profile, sequence in _corpus_sequences():
-        model = build_model(profile, sequence)
+    for profile, order in _corpus_sequences():
+        model = build_model(profile, order)
         program = _assemble(model)[:5]
         exact = simplex.solve_lp(*program)
         ceiling = math.ceil(model.total + exact.value)
@@ -244,17 +246,16 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     # above the LP ceiling or the exact distance, so a cutoff it reaches is
     # reached by the solvers too.
     settled = 0
-    for profile, sequence in _corpus_sequences():
-        order = sequence.order
+    for profile, order in _corpus_sequences():
         lead = 0
         for r in range(len(order) - 1):
             votes = tally(profile, order[r:])
             lead = max(lead, votes[order[r]] - min(votes[c] for c in order[r + 1:]))
-        model = build_model(profile, sequence)
+        model = build_model(profile, order)
         bound = tally_bound(model)
         assert bound == math.ceil(lead / 2)
         assert bound <= lower_bound(model)
-        if sequence.complete:
+        if model.complete:
             value, witness = exact_distance(model)
             assert bound <= value
             for cutoff in {bound, value + 1}:
@@ -278,7 +279,7 @@ def _corpus_answers() -> list:
         perms = list(itertools.permutations(profile.candidate_ids))
         with mock.patch.object(simplex, "solve_ip", wraps=simplex.solve_ip) as solve_ip:
             for perm in perms:
-                model = build_model(profile, EliminationSequence.for_profile(perm, profile))
+                model = build_model(profile, perm)
                 answers.append(exact_distance(model, cutoff=result.value + 1))
         assert solve_ip.call_count == len(perms)
     return answers

@@ -281,6 +281,9 @@ def test_malformed_records_carry_line_numbers() -> None:
         load_seat_records(header + "X,notanint,5,5,w,LIB,9\n")
     with pytest.raises(ValueError, match="line 3"):
         load_seat_records(header + "X,4,5,5,w,LIB,9\nY,4,5,5,w\n")
+    # Blank lines count toward the line number.
+    with pytest.raises(ValueError, match="line 4"):
+        load_seat_records(header + "X,4,5,5,w,LIB,9\n\nY,x,5,5,w,LIB,9\n")
     # Only mov may be blank; a mov that is there must be a number.
     for row in "X,,5,5,w,LIB,9", "X,4,,5,w,LIB,9", "X,4,5,five,w,LIB,9":
         with pytest.raises(ValueError, match="line 2: bad seat record"):
@@ -302,6 +305,19 @@ def test_malformed_records_carry_line_numbers() -> None:
         load_seat_records(header.replace("\n", ",movc:alp\n") + "S2,4,5,5,w,LIB,7,1\n")
     with pytest.raises(ValueError, match=r"seat CSV column 'movc:\+' names no coalition"):
         load_seat_records(header.replace("\n", ",movc:+\n") + "S2,4,5,5,w,LIB,7,\n")
+    # A repeated column would let the later one silently win.
+    with pytest.raises(ValueError, match=r"line 1: seat CSV repeats column 'lrm'"):
+        load_seat_records(header.replace("movc:ALP", "lrm") + "S1,4,5,5,w,LIB,900\n")
+    # A row must have the header's cells: one short would drop its movc cell
+    # as not computed, one over would be ignored.
+    for row, cells in ("X,4,5,5,w,LIB", 6), ("X,4,5,5,w,LIB,9,1", 8), ("X,4,5", 3):
+        with pytest.raises(
+            ValueError,
+            match=rf"line 3: bad seat record \({cells} cells where the header has 7\)",
+        ):
+            load_seat_records(header + "Y,4,5,5,w,LIB,9\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"line 2: bad seat record \(blank seat name\)"):
+        load_seat_records(header + " ,4,5,5,w,LIB,9\n")
 
 
 PARTY_SEAT = """\

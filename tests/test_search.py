@@ -54,7 +54,7 @@ def test_movc_single_alternate_witness(example1: Profile) -> None:
     result = compute_movc(example1, {"b"})
     assert result.witness_order.order == ("a", "c", "b")
     assert result.witness_order.order[-1] == "b"
-    assert exact_distance(build_model(example1, result.witness_order))[0] == result.value
+    assert exact_distance(build_model(example1, result.witness_order.order))[0] == result.value
 
 
 def test_two_candidate_margin() -> None:
