@@ -73,7 +73,7 @@ def _emit(args: argparse.Namespace, report: _Report) -> int:
 def _load_profile(args: argparse.Namespace) -> Profile:
     if args.ballots is not None:
         try:
-            with open(args.ballots, encoding="utf-8") as fh:
+            with open(args.ballots, encoding="utf-8-sig") as fh:
                 return parse_profile(fh.read())
         except OSError as exc:
             raise CliError(f"cannot read {args.ballots}: {exc.strerror}") from exc
@@ -128,10 +128,9 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
 
 def _margin_result(args: argparse.Namespace, profile: Profile) -> MarginResult:
     tie_rule = TieRule(args.tie_rule)
-    raw = getattr(args, "alternates", None)
-    if raw is None:
+    if args.alternates is None:
         return compute_mov(profile, tie_rule=tie_rule)
-    alternates = _resolve_alternates(profile, raw)
+    alternates = _resolve_alternates(profile, args.alternates)
     return compute_movc(profile, alternates, tie_rule=tie_rule)
 
 
@@ -207,7 +206,7 @@ def _records_from_manifest(
         if not os.path.isabs(path):
             path = os.path.join(base, path)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror}") from exc
@@ -222,12 +221,14 @@ def _records_from_manifest(
                 )
         tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
-    if args.workers > 1:
+    # A pool may start all its workers at once: never more than there are seats.
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
         # Imported here: the process pool costs start-up time that a
         # single-worker run never repays.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             analyzed = list(pool.map(_analyze_seat, tasks))
     else:
         analyzed = [_analyze_seat(t) for t in tasks]
@@ -246,7 +247,7 @@ def cmd_parliament(args: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise CliError(f"{flag} must be at least 1, not {value}")
     try:
-        with open(args.records, encoding="utf-8") as fh:
+        with open(args.records, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {args.records}: {exc.strerror}") from exc
@@ -287,18 +288,6 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     return _emit(args, report)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, dump_lp: bool = False) -> None:
-    sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    sub.add_argument("--tie-rule", choices=("fail", "lex"), default="fail")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="generate a synthetic instance instead of reading a file")
-    sub.add_argument("--stats", action="store_true",
-                     help="include search statistics in the report")
-    if dump_lp:
-        sub.add_argument("--dump-lp", action="store_true",
-                         help="write the witness order's distance model to stderr")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irvmargin",
@@ -307,28 +296,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", metavar="{tabulate,margin,movc,parliament}"
     )
+    # Flags shared by several subcommands, each declared once.
+    seat = argparse.ArgumentParser(add_help=False)
+    seat.add_argument("ballots", nargs="?", help="ballot file")
+    seat.add_argument("--seed", type=int, default=None,
+                      help="generate a synthetic instance instead of reading a file")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    common.add_argument("--tie-rule", choices=("fail", "lex"), default="fail")
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true",
+                       help="include search statistics in the report")
 
-    p_tab = sub.add_parser("tabulate", help="run the count and report each round")
-    p_tab.add_argument("ballots", nargs="?", help="ballot file")
-    _add_common(p_tab)
+    p_tab = sub.add_parser("tabulate", parents=[seat, common],
+                           help="run the count and report each round")
     p_tab.set_defaults(func=cmd_tabulate)
 
-    p_margin = sub.add_parser("margin", help="margin of victory (all alternates)")
-    p_margin.add_argument("ballots", nargs="?", help="ballot file")
-    p_margin.add_argument("--alternates", default=None,
-                          help="comma-separated candidate ids or party codes")
-    _add_common(p_margin, dump_lp=True)
-    p_margin.set_defaults(func=cmd_margin)
-
-    p_movc = sub.add_parser("movc", help="margin toward a chosen alternate set")
-    p_movc.add_argument("ballots", nargs="?", help="ballot file")
-    p_movc.add_argument("--alternates", required=True,
-                        help="comma-separated candidate ids or party codes")
-    _add_common(p_movc, dump_lp=True)
-    p_movc.set_defaults(func=cmd_margin)
+    for name, help_text, required in (
+        ("margin", "margin of victory (all alternates)", False),
+        ("movc", "margin toward a chosen alternate set", True),
+    ):
+        p_margin = sub.add_parser(name, parents=[seat, common, stats], help=help_text)
+        p_margin.add_argument("--alternates", required=required,
+                              help="comma-separated candidate ids or party codes")
+        p_margin.add_argument("--dump-lp", action="store_true",
+                              help="write the witness order's distance model to stderr")
+        p_margin.set_defaults(func=cmd_margin)
 
     p_parl = sub.add_parser(
-        "parliament", help="chamber-level scenario from seat records or a manifest"
+        "parliament", parents=[common, stats],
+        help="chamber-level scenario from seat records or a manifest",
     )
     p_parl.add_argument("records", help="seat-record CSV or manifest JSON")
     p_parl.add_argument("--mode", choices=("lose", "win"), required=True)
@@ -338,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="majority threshold (default: majority of records)")
     p_parl.add_argument("--workers", type=int, default=1,
                         help="seats analyzed concurrently (manifest input)")
-    p_parl.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
-    p_parl.add_argument("--tie-rule", choices=("fail", "lex"), default="fail")
-    p_parl.add_argument("--stats", action="store_true")
     p_parl.set_defaults(func=cmd_parliament)
     return parser
 

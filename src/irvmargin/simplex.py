@@ -25,7 +25,16 @@ an integer row over it times the costs' own, and both are updated by
 integer-preserving elimination whose divisions are exact (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian elimination",
 1968); only the basic values are Fractions.  Dantzig pricing is used until a
-long degenerate streak, then Bland's rule, which guarantees termination.  An
+long degenerate streak, then Bland's rule, which guarantees termination.
+
+The columns of a program with n columns and m rows are its own at [0, n),
+then row i's slack at n + i, then, from n + m on and in row order, an
+artificial for each row that starts on one.  The slack's coefficient,
+sign[i], is -1 on a ">=" row and +1 otherwise; on an "=" row the slack is
+held at [0, 0] and the row starts on an artificial.  The tableau is always
+B^-1 [A | S | Art] (over den in the exact run), so its slack block times
+the signs is B^-1, whatever rows were negated to put the identity on the
+starting basis, and row i's dual is read off its slack's reduced cost.  An
 artificial still basic after phase one (a redundant equality row) stays
 basic: phase two bounds every artificial to [0, 0] and never lets one
 enter, so the ratio test holds a basic one at zero until it leaves.
@@ -117,66 +126,39 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
             raise ValueError("row length does not match objective")
     b = [num(v) for v in rhs]
 
-    # One slack per inequality row.
-    slack_of: dict[int, int] = {}
-    for i, sense in enumerate(senses):
-        if sense == "=":
-            continue
-        if sense not in ("<=", ">="):
+    for sense in senses:
+        if sense not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {sense!r}")
-        slack_of[i] = n + len(slack_of)
-    ncols = n + len(slack_of)
-    for i, row in enumerate(tab):
-        row.extend([zero] * len(slack_of))
-        if i in slack_of:
-            row[slack_of[i]] = one if senses[i] == "<=" else -one
-    lo += [zero] * len(slack_of)
-    hi += [None] * len(slack_of)
-    c_full = c + [zero] * len(slack_of)
-
-    # Start every variable at its lower bound; rows then need a basic slack or
-    # an artificial carrying the residual.
-    status = [_LOWER] * ncols
+    sign = [-one if sense == ">=" else one for sense in senses]
+    # Start every variable at its lower bound.  A row starts on its slack
+    # when that can carry the residual, else, as an "=" row always does, on
+    # an artificial of the residual's sign.
     residual = [
-        b[i] - sum(tab[i][j] * lo[j] for j in range(ncols) if lo[j])
+        b[i] - sum(tab[i][j] * lo[j] for j in range(n) if lo[j])
         for i in range(m)
     ]
-    basis = [-1] * m
-    xb = [zero] * m
-    artificial: list[int] = []
-    # Row -> the column whose final reduced cost, times its coefficient in
-    # the row, is the row's dual: the slack, else the artificial.
-    dual_col: dict[int, tuple[int, object]] = {}
-    for i in range(m):
-        col = slack_of.get(i)
-        if col is not None:
-            coef = tab[i][col]
-            dual_col[i] = (col, coef)
-            val = residual[i] / coef
-            if val >= 0:
-                basis[i] = col
-                status[col] = _BASIC
-                xb[i] = val
-                continue
-        acol = ncols + len(artificial)
-        artificial.append(acol)
-        coef = one if residual[i] >= 0 else -one
-        dual_col.setdefault(i, (acol, coef))
-        for k, row in enumerate(tab):
-            row.append(coef if k == i else zero)
-        lo.append(zero)
-        hi.append(None)
-        c_full.append(zero)
-        status.append(_BASIC)
-        basis[i] = acol
+    art_rows = [i for i in range(m) if senses[i] == "=" or residual[i] * sign[i] < 0]
+    for i, row in enumerate(tab):
+        row += [zero] * (m + len(art_rows))
+        row[n + i] = sign[i]
+    basis = [n + i for i in range(m)]
+    xb = [r * s for r, s in zip(residual, sign)]
+    for k, i in enumerate(art_rows):
+        basis[i] = n + m + k
         xb[i] = abs(residual[i])
+        tab[i][n + m + k] = one if residual[i] >= 0 else -one
+    lo += [zero] * (m + len(art_rows))
+    hi += [zero if sense == "=" else None for sense in senses] + [None] * len(art_rows)
+    c_full = c + [zero] * (m + len(art_rows))
+    status = [_LOWER] * len(lo)
+    for col in basis:
+        status[col] = _BASIC
     # Negate each row whose basic column starts at -1 (the slack of a ">="
     # row, or the artificial of a negative residual) so that the tableau
-    # carries the identity on the basis; dual_col keeps the original sign.
+    # carries the identity on the basis.
     for i, col in enumerate(basis):
         if tab[i][col] != one:
             tab[i] = [-v for v in tab[i]]
-    ncols = len(lo)
     # The exact run holds the tableau as integers over one denominator den,
     # and the costs (phase one's too, from zero and one) as integers over
     # cscale.  den starts at the product of the rows' own denominators, which
@@ -193,15 +175,14 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
 
     state = _State(tab, den, basis, xb, status, lo, hi, tol, limit)
 
-    if artificial:
-        art_set = set(artificial)
-        c1 = [one if j in art_set else zero for j in range(ncols)]
+    if art_rows:
+        c1 = [zero] * (n + m) + [one] * len(art_rows)
         if _iterate(state, _reduced_costs(state, c1)) == UNBOUNDED:
             raise SolverError("phase one claims an unbounded artificial objective")
         # A nonbasic artificial rests at 0: it has no upper bound to flip to.
-        if sum(state.xb[i] for i in range(m) if state.basis[i] in art_set) > tol:
+        if sum(state.xb[i] for i in range(m) if state.basis[i] >= n + m) > tol:
             return LPResult(INFEASIBLE)
-        for j in artificial:
+        for j in range(n + m, len(lo)):
             state.hi[j] = zero
 
     d = _reduced_costs(state, c_full)
@@ -210,7 +191,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     x = [_variable_value(state, j) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
     scale = state.den * cscale
-    duals = [d[col] * coef / scale for col, coef in (dual_col[i] for i in range(m))]
+    duals = [d[n + i] * sign[i] / scale for i in range(m)]
     return LPResult(OPTIMAL, value, x, duals)
 
 
@@ -309,27 +290,19 @@ def _iterate(state: _State, d: list) -> str:
         if row_cap is None and flip_limit is None:
             return UNBOUNDED
 
-        if row_cap is None or (flip_limit is not None and flip_limit <= row_cap):
-            t = flip_limit
-            if t:
-                step = t / den
-                for i in range(m):
-                    if tab[i][j]:
-                        xb[i] -= tab[i][j] * direction * step
-            status[j] = _UPPER if status[j] == _LOWER else _LOWER
-            degenerate_streak = 0
-            continue
-
-        t = row_cap
+        flip = row_cap is None or (flip_limit is not None and flip_limit <= row_cap)
+        t = flip_limit if flip else row_cap
         step = t / den
         for i in range(m):
-            if i != leave_row and tab[i][j]:
+            if tab[i][j]:
                 xb[i] -= tab[i][j] * direction * step
-        enter_value = lo[j] + t if direction == 1 else hi[j] - t
-        leaving = basis[leave_row]
-        status[leaving] = leave_to
-        _pivot(state, d, leave_row, j)
-        xb[leave_row] = enter_value
+        if flip:
+            status[j] = _UPPER if status[j] == _LOWER else _LOWER
+        else:
+            status[basis[leave_row]] = leave_to
+            _pivot(state, d, leave_row, j)
+            xb[leave_row] = lo[j] + t if direction == 1 else hi[j] - t
+        # A flip moves t = hi - lo > 0: only a pivot can be degenerate.
         degenerate_streak = degenerate_streak + 1 if t == 0 else 0
 
 

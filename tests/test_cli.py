@@ -306,6 +306,80 @@ def test_parliament_workers_do_not_change_output(
     assert serial == parallel
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self) -> _SerialPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_is_never_larger_than_the_manifest(
+    manifest: Path, tmp_path: Path, capsys: pytest.CaptureFixture,
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    for seats, sizes in ((2, [2]), (1, [])):
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        path = _write_manifest(tmp_path, {"seats": doc["seats"][:seats]})
+        argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"]
+        assert main(argv + ["--workers", "8"]) == 0
+        pooled = capsys.readouterr().out
+        assert _SerialPool.sizes == sizes
+        assert main(argv) == 0
+        assert capsys.readouterr().out == pooled
+
+
+def test_tabulate_rejects_stats(seat_file: Path, capsys: pytest.CaptureFixture) -> None:
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tabulate", str(seat_file), "--stats"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: irvmargin")
+    assert "unrecognized arguments: --stats" in captured.err
+
+
+BOM = "\N{BYTE ORDER MARK}"
+
+
+def test_input_files_may_start_with_a_byte_order_mark(
+    seat_file: Path, manifest: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    for path in [seat_file, manifest, *manifest.parent.glob("seat*.ballots")]:
+        (bom_dir / path.name).write_text(BOM + path.read_text(encoding="utf-8"),
+                                         encoding="utf-8")
+    nsw = FIXTURES / "nsw2015.csv"
+    (bom_dir / nsw.name).write_text(BOM + nsw.read_text(encoding="utf-8"), encoding="utf-8")
+    for argv, path in (
+        (["margin", "{}"], seat_file),
+        (["parliament", "{}", "--coalition", "LIB+NAT", "--mode", "lose"], nsw),
+        (["parliament", "{}", "--coalition", "LIB", "--mode", "win", "--stats"], manifest),
+    ):
+        reports = []
+        for source in (path, bom_dir / path.name):
+            assert main([str(source) if a == "{}" else a for a in argv]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "mode, coalition", [("win", "LIB"), ("lose", "ALP")]
 )

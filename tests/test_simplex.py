@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from irvmargin import simplex
 from irvmargin.simplex import (
     CUTOFF,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LPResult,
+    SolverError,
     _satisfies,
     certify,
     lagrangian_bound,
@@ -436,3 +438,35 @@ def test_lp_result_carries_solution_vector() -> None:
     assert isinstance(res, LPResult)
     assert len(res.x) == 2
     assert res.value == 0
+
+
+def _outcome(solve, problem: Problem) -> tuple:
+    res = solve(*problem)
+    return res.status, res.value
+
+
+def test_blands_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch) -> None:
+    # Bland's rule only takes over after a long degenerate streak, which the
+    # small programs never reach; from the first pivot on it must still end
+    # at the same status and optimal value as Dantzig pricing.
+    rng = random.Random(2024)
+    lps = [_random_problem(rng) for _ in range(120)]
+    rng = random.Random(31)
+    lps += [_random_fractional_problem(rng) for _ in range(300)]
+    rng = random.Random(99)
+    ips = [_random_problem(rng) for _ in range(150)]
+    dantzig = [_outcome(solve_lp, p) for p in lps], [_outcome(solve_ip, p) for p in ips]
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+    bland = [_outcome(solve_lp, p) for p in lps], [_outcome(solve_ip, p) for p in ips]
+    assert bland == dantzig
+    assert sum(status == OPTIMAL for status, _ in dantzig[0]) > 150
+
+
+def test_ip_node_limit_raises(monkeypatch) -> None:
+    # The root relaxation sits at x = 3/2, so the search has to branch.
+    problem: Problem = ([-1], [[2]], ["<="], [3], [(0, 5)])
+    monkeypatch.setattr(simplex, "_NODE_LIMIT", 2)
+    with pytest.raises(SolverError, match="exceeded 2 nodes"):
+        solve_ip(*problem)
+    monkeypatch.setattr(simplex, "_NODE_LIMIT", 5)
+    assert _outcome(solve_ip, problem) == (OPTIMAL, -1)
