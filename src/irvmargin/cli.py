@@ -71,6 +71,8 @@ def _emit(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _load_profile(args: argparse.Namespace) -> Profile:
+    if args.ballots is not None and args.seed is not None:
+        raise CliError("give a ballot file or --seed, not both")
     if args.ballots is not None:
         try:
             with open(args.ballots, encoding="utf-8-sig") as fh:

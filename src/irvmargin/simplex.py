@@ -19,13 +19,17 @@ mixed-integer programming" (2004), and Applegate, Cook, Dash & Espinoza,
 
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
-and may flip without a basis change).  The exact run pivots in integers: the
-tableau is an integer matrix over one common denominator, the reduced costs
-an integer row over it times the costs' own, and both are updated by
-integer-preserving elimination whose divisions are exact (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian elimination",
-1968); only the basic values are Fractions.  Dantzig pricing is used until a
-long degenerate streak, then Bland's rule, which guarantees termination.
+and may flip without a basis change).  The exact run starts every column at
+its lower bound; the float run starts each at the bound its cost prefers,
+which on the distance models leaves about one pivot per program, and certify
+checks whichever optimal vertex it reaches.  The exact run pivots in
+integers: the tableau is an integer matrix over one common denominator, the
+reduced costs an integer row over it times the costs' own, and both are
+updated by integer-preserving elimination whose divisions are exact
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968); only the basic values are Fractions.  Dantzig pricing
+is used until a long degenerate streak, then Bland's rule, which guarantees
+termination.
 
 The columns of a program with n columns and m rows are its own at [0, n),
 then row i's slack at n + i, then, from n + m on and in row order, an
@@ -57,8 +61,8 @@ _BLAND_AFTER = 40
 # Branch-and-bound nodes solve_ip explores before giving up.
 _NODE_LIMIT = 200_000
 # The float run's zero tolerance, and the iterations it may take per row and
-# column of the program before it gives up (runs on the distance models
-# take at most about one).
+# column of the program before it gives up (from its start at the bounds the
+# costs prefer, a run on a distance model usually takes one iteration).
 _GUIDE_TOL = 1e-9
 _GUIDE_PIVOTS = 4
 # Largest denominator certify snaps a float dual or coordinate to.
@@ -130,11 +134,17 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {sense!r}")
     sign = [-one if sense == ">=" else one for sense in senses]
-    # Start every variable at its lower bound.  A row starts on its slack
-    # when that can carry the residual, else, as an "=" row always does, on
-    # an artificial of the residual's sign.
+    # The float run starts each column at the bound its cost prefers, its
+    # upper bound when the cost is negative and it has one (Bixby,
+    # "Implementing the simplex method: the initial basis", 1992).  The exact
+    # run starts every column at its lower bound: its vertex picks solve_ip's
+    # branching variable and so the witness.  A row starts on its slack when
+    # that can carry the residual, else, as an "=" row always does, on an
+    # artificial of the residual's sign.
+    at_upper = [num is float and cj < 0 and u is not None for cj, u in zip(c, hi)]
+    start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
     residual = [
-        b[i] - sum(tab[i][j] * lo[j] for j in range(n) if lo[j])
+        b[i] - sum(tab[i][j] * start[j] for j in range(n) if start[j])
         for i in range(m)
     ]
     art_rows = [i for i in range(m) if senses[i] == "=" or residual[i] * sign[i] < 0]
@@ -150,7 +160,8 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     lo += [zero] * (m + len(art_rows))
     hi += [zero if sense == "=" else None for sense in senses] + [None] * len(art_rows)
     c_full = c + [zero] * (m + len(art_rows))
-    status = [_LOWER] * len(lo)
+    status = [_UPPER if up else _LOWER for up in at_upper]
+    status += [_LOWER] * (m + len(art_rows))
     for col in basis:
         status[col] = _BASIC
     # Negate each row whose basic column starts at -1 (the slack of a ">="

@@ -212,6 +212,18 @@ def test_seeded_tabulate_needs_no_file(capsys: pytest.CaptureFixture) -> None:
     assert sum(opening["tallies"].values()) + opening["exhausted"] == 50_000
 
 
+@pytest.mark.parametrize(
+    "command", [["tabulate"], ["margin"], ["movc", "--alternates", "c"]]
+)
+def test_ballot_file_and_seed_are_exclusive(
+    seat_file: Path, capsys: pytest.CaptureFixture, command: list[str]
+) -> None:
+    assert main([*command, str(seat_file), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give a ballot file or --seed, not both\n"
+
+
 def test_dump_lp_writes_model_to_stderr(
     seat_file: Path, capsys: pytest.CaptureFixture
 ) -> None:

@@ -22,8 +22,9 @@ from irvmargin import (
     run_election,
 )
 from irvmargin.distance import swap_final_witness
+from irvmargin import simplex
 from irvmargin.oracle import OracleCapExceeded, order_attainable
-from irvmargin.synth import random_profile
+from irvmargin.synth import random_profile, synthetic_seat
 
 
 def test_mov_golden(example1: Profile) -> None:
@@ -186,3 +187,43 @@ def test_search_is_deterministic(example1: Profile) -> None:
     second = compute_mov(example1)
     assert first == second
     assert compute_movc(example1, {"b"}) == compute_movc(example1, {"b"})
+
+
+def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Started at the bound each column's cost prefers, the float run keeps
+    # every ballot from the start and needs one pivot per suffix LP.
+    pivots = {float: 0, int: 0}
+    pivot = simplex._pivot
+
+    def counting(state, d, row, col):
+        pivots[type(state.tab[row][col])] += 1
+        pivot(state, d, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    result = compute_mov(synthetic_seat(1, num_candidates=7))
+    assert result.value == 58
+    assert result.stats.lps_solved == 57
+    assert pivots == {float: 57, int: 0}
+
+
+@pytest.mark.parametrize(
+    "seed, tie_rule, value, order, removals, additions",
+    [
+        (10, TieRule.LEXICOGRAPHIC, 4, ("c", "b", "a"),
+         ((("c", "a"), 4),), ((("a",), 2), (("b", "a"), 2))),
+        (19, TieRule.FAIL, 6, ("c", "b", "a"),
+         ((("c",), 4), (("c", "a"), 2)), ((("a",), 4), (("b", "a"), 2))),
+    ],
+)
+def test_exact_start_keeps_the_witness(
+    seed: int, tie_rule: TieRule, value: int, order: tuple,
+    removals: tuple, additions: tuple,
+) -> None:
+    # The exact run's vertex picks solve_ip's branching variable, so moving
+    # its start off the lower bounds changes which optimal rewrite is found.
+    result = compute_mov(random_profile(seed), tie_rule)
+    witness = result.witness_manipulation
+    assert result.value == value
+    assert witness.sequence.order == order
+    assert witness.removals == removals
+    assert witness.additions == additions

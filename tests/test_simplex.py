@@ -171,9 +171,21 @@ def _linprog(problem: Problem):
     )
 
 
+def _float_run_agrees(problem: Problem, value: Fraction) -> bool:
+    """Whether the float run, which starts each column at the bound its cost
+    prefers, reached the exact optimum value; certify's bounds must bracket
+    it either way."""
+    guess = simplex._guide(*problem)
+    assert guess is None or abs(guess.value - value) < 1e-7
+    lower, upper = certify(*problem)
+    assert lower is None or lower <= value
+    assert upper is None or upper >= value
+    return guess is not None
+
+
 def test_lp_agrees_with_scipy_on_random_instances() -> None:
     rng = random.Random(2024)
-    checked = 0
+    checked = guided = 0
     for _ in range(120):
         problem = _random_problem(rng)
         ours = solve_lp(*problem)
@@ -184,8 +196,10 @@ def test_lp_agrees_with_scipy_on_random_instances() -> None:
             assert theirs.status == 0
             assert ours.status == OPTIMAL
             assert abs(float(ours.value) - theirs.fun) < 1e-7
+            guided += _float_run_agrees(problem, ours.value)
         checked += 1
     assert checked == 120
+    assert guided > 50
 
 
 def _random_fractional_problem(rng: random.Random) -> Problem:
@@ -222,6 +236,7 @@ def _random_fractional_problem(rng: random.Random) -> Problem:
 def test_lp_is_exact_on_random_fractional_programs() -> None:
     rng = random.Random(31)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    guided = 0
     for _ in range(300):
         problem = _random_fractional_problem(rng)
         res = solve_lp(*problem)
@@ -234,7 +249,9 @@ def test_lp_is_exact_on_random_fractional_programs() -> None:
         assert _satisfies(res.x, *problem[1:])
         assert lagrangian_bound(*problem, res.duals) == res.value
         assert abs(float(res.value) - theirs.fun) < 1e-7 * (1 + abs(theirs.fun))
+        guided += _float_run_agrees(problem, res.value)
     assert min(seen.values()) > 10
+    assert guided > 50
 
 
 def test_lp_duals_prove_the_optimum_exactly() -> None:
