@@ -20,12 +20,8 @@ equivalent substitution y_t = u_t + e_t with u_t <= n_t the ballots kept and
 e_t the additions; integral (u, e) and integral y are cost-preserving images
 of each other, so values and witnesses match the y/d formulation exactly.
 
-The tally bound (tally_bound) needs no solver: the largest lead, over
-rounds r and later positions j, of order[r]'s round-r tally over
-order[j]'s, halved and rounded up.  One rewritten ballot leaves one type
-and joins another, so it moves each such difference by at most 2: the
-bound is sound, and no LP optimum lies below it.  Every function here is a
-pure function of a DistanceModel; the search decides which of them to run.
+Every function here is a pure function of a DistanceModel; the search
+decides which of them to run.
 
 Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
 a float run of the simplex whose duals give a Lagrangian bound and whose
@@ -131,23 +127,6 @@ def _credit(mask: int, r: int) -> int:
     at or above r, or -1 when it has none (the type is exhausted)."""
     rest = mask >> r
     return r + (rest & -rest).bit_length() - 1 if rest else -1
-
-
-def tally_bound(model: DistanceModel) -> int:
-    """Half the largest round-r lead of order[r]'s tally over a later
-    position's, rounded up, and 0 when order[r] never leads: the tally
-    bound of the module docstring."""
-    k = len(model.sequence.order)
-    typed = [(m, n) for m, n in enumerate(model.counts) if n]
-    gap = 0
-    for r in range(k - 1):
-        votes = [0] * k
-        for mask, n in typed:
-            c = _credit(mask, r)
-            if c >= 0:
-                votes[c] += n
-        gap = max(gap, votes[r] - min(votes[r + 1:]))
-    return (gap + 1) // 2
 
 
 def _assemble(model: DistanceModel):

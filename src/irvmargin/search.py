@@ -10,14 +10,37 @@ the incumbent upper bound, and improvements become the new incumbent.  Nodes
 whose bound reaches the upper bound are pruned, and the incumbent value is
 the margin once the frontier empties.
 
-The search makes every prune decision.  It builds each child's distance
-model once and first checks its tally bound (distance.tally_bound), which
-needs no solver, against the upper bound: a child it reaches is dropped
-before its LP or IP is assembled, exactly as the LP or IP would have
-dropped it, so the frontier, values and witnesses do not depend on the
-check.  compute_movc alone writes SearchStats: nodes_expanded counts
-expanded suffixes, tally_prunes the children the tally bound dropped, and
-lps_solved and ips_solved the LPs and IPs actually solved.
+The search makes every prune decision, and it makes the cheap ones from
+first-preference tallies before any distance model is built.  Each standing
+set's tally is memoised for the length of one search.
+
+The tally gap of a suffix is the largest lead, over its rounds r, of
+order[r]'s round-r tally over a later entry's, and 0 when order[r] never
+leads.  One rewritten ballot leaves one type and joins another, so it moves
+each such lead by at most 2: every completion costs at least half the gap,
+rounded up, and no LP optimum lies below it.  A child (c,) + S has the
+rounds of S plus a new round 0 with set(S) | {c} standing, so its gap is
+the larger of S's gap and c's lead there over the weakest member of S
+(_child_gap); the frontier carries each node's gap.
+
+The outside look-ahead (_lookahead) bounds what the LP cannot see, since it
+treats the candidates outside S as gone.  Every x outside S is eliminated
+in some round whose standing set R contains S | {x}.  Tallies only grow as
+the standing set shrinks, so in R x holds at least its tally with everyone
+standing, and each s in S at most its tally over S | {x}.  x needs the
+minimal tally, and one rewritten ballot moves each side by at most 1, so
+every completion of S costs at least the largest such lead over the outside
+candidates, halved and rounded up.
+
+A child that either bound puts at or above the upper bound is dropped
+before its model, LP or IP exists.  Both bounds hold for every completion,
+so a dropped child could never have given a strictly cheaper incumbent, and
+neither is ever a frontier key: the surviving nodes pop in the same order,
+and values and witnesses do not depend on the checks.
+compute_movc alone writes SearchStats: nodes_expanded counts expanded
+suffixes, tally_prunes the children the tally gap dropped,
+lookahead_prunes those the look-ahead then dropped, and lps_solved and
+ips_solved the LPs and IPs actually solved.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -36,7 +59,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cache
+from typing import Callable, Iterable
 
 from .ballots import Profile
 from .distance import (
@@ -46,9 +70,11 @@ from .distance import (
     exact_distance,
     lower_bound,
     swap_final_witness,
-    tally_bound,
 )
-from .tabulate import TieRule, run_election
+from .tabulate import TieRule, run_election, tally
+
+# First-preference votes of each candidate in a standing set.
+Votes = Callable[[frozenset[str]], dict[str, int]]
 
 
 class EmptyAlternates(ValueError):
@@ -65,6 +91,7 @@ class SearchStats:
     lps_solved: int = 0
     ips_solved: int = 0
     tally_prunes: int = 0
+    lookahead_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -88,6 +115,24 @@ class MarginResult:
         return self.witness_manipulation.sequence
 
 
+def _child_gap(votes: Votes, child: tuple[str, ...], gap: int) -> int:
+    """The tally gap of child = (c,) + S, given S's gap."""
+    v = votes(frozenset(child))
+    return max(gap, v[child[0]] - min(v[s] for s in child[1:]))
+
+
+def _lookahead(votes: Votes, ids: frozenset[str], suffix: tuple[str, ...]) -> int:
+    """The outside look-ahead bound of the suffix; 0 when it names every
+    candidate."""
+    everyone = votes(ids)
+    standing = frozenset(suffix)
+    return max(
+        ((everyone[x] - min(votes(standing | {x})[s] for s in suffix) + 1) // 2
+         for x in ids - standing),
+        default=0,
+    )
+
+
 def compute_movc(
     profile: Profile,
     alternates: Iterable[str],
@@ -109,22 +154,34 @@ def compute_movc(
         upper, witness = swap_final_witness(profile, count)
 
     stats = SearchStats()
-    ids = set(profile.candidate_ids)
-    frontier: list[tuple[int, int, tuple[str, ...]]] = []
+    ids = frozenset(profile.candidate_ids)
+
+    @cache
+    def votes(standing: frozenset[str]) -> dict[str, int]:
+        return tally(profile, standing).votes
+
+    # (bound, -length, order, tally gap): order is unique, so the gap never
+    # decides the pop order.
+    frontier: list[tuple[int, int, tuple[str, ...], int]] = []
     for a in sorted(alts):
-        heapq.heappush(frontier, (0, -1, (a,)))
+        heapq.heappush(frontier, (0, -1, (a,), 0))
 
     while frontier:
-        bound, _, order = heapq.heappop(frontier)
+        bound, _, order, gap = heapq.heappop(frontier)
         if upper is not None and bound >= upper:
             continue
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            model = build_model(profile, child)
-            if upper is not None and tally_bound(model) >= upper:
+            child_gap = _child_gap(votes, child, gap)
+            if upper is not None and (child_gap + 1) // 2 >= upper:
                 stats.tally_prunes += 1
-            elif model.complete:
+                continue
+            if upper is not None and _lookahead(votes, ids, child) >= upper:
+                stats.lookahead_prunes += 1
+                continue
+            model = build_model(profile, child)
+            if model.complete:
                 stats.ips_solved += 1
                 outcome = exact_distance(model, cutoff=upper)
                 if outcome is not None:
@@ -133,7 +190,9 @@ def compute_movc(
                 stats.lps_solved += 1
                 child_bound = lower_bound(model)
                 if upper is None or child_bound < upper:
-                    heapq.heappush(frontier, (child_bound, -len(child), child))
+                    heapq.heappush(
+                        frontier, (child_bound, -len(child), child, child_gap)
+                    )
 
     return MarginResult(
         value=upper,

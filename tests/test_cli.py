@@ -119,6 +119,7 @@ def test_margin_json_report(seat_file: Path, capsys: pytest.CaptureFixture) -> N
         "lps_solved": 3,
         "ips_solved": 2,
         "tally_prunes": 1,
+        "lookahead_prunes": 0,
     }
 
 
@@ -484,10 +485,10 @@ def test_lose_mode_without_an_outside_candidate_is_an_error(
         # LIB holds Second, so it runs no search; First and Third search
         # toward their LIB candidate.
         ("LIB", "win",
-         {"First": [2, 1, 1, 1], "Second": [0, 0, 0, 0], "Third": [1, 0, 0, 1]}),
+         {"First": [2, 1, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [1, 0, 0, 1, 0]}),
         # LIB's Second is not ALP's to lose; First searches toward b and c.
         ("ALP", "lose",
-         {"First": [4, 3, 2, 1], "Second": [0, 0, 0, 0], "Third": [1, 0, 0, 1]}),
+         {"First": [4, 3, 2, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [1, 0, 0, 1, 0]}),
     ],
     ids=["win-LIB", "lose-ALP"],
 )
@@ -498,7 +499,7 @@ def test_parliament_stats_count_one_search_per_contested_seat(
     argv = ["parliament", str(manifest), "--coalition", coalition, "--mode", mode]
     assert main(argv + ["--format", "json", "--stats"]) == 0
     report = json.loads(capsys.readouterr().out)
-    keys = ("nodes_expanded", "lps_solved", "ips_solved", "tally_prunes")
+    keys = ("nodes_expanded", "lps_solved", "ips_solved", "tally_prunes", "lookahead_prunes")
     expected = {seat: dict(zip(keys, counts)) for seat, counts in stats.items()}
     assert report["stats"] == expected
     # Table and CSV append the counters, in seat order and then key order.
@@ -551,6 +552,7 @@ witness order: b -> a -> c
   remove 1 x b>c
   add 1 x c
 stat ips_solved: 2
+stat lookahead_prunes: 0
 stat lps_solved: 3
 stat nodes_expanded: 4
 stat tally_prunes: 1
@@ -564,6 +566,7 @@ witness_order,b>a>c
 removal,1 x b>c
 addition,1 x c
 stat:ips_solved,2
+stat:lookahead_prunes,0
 stat:lps_solved,3
 stat:nodes_expanded,4
 stat:tally_prunes,1
@@ -622,14 +625,17 @@ seats needed: 1
   Third  1
 total changes: 1
 stat First ips_solved: 1
+stat First lookahead_prunes: 0
 stat First lps_solved: 1
 stat First nodes_expanded: 2
 stat First tally_prunes: 1
 stat Second ips_solved: 0
+stat Second lookahead_prunes: 0
 stat Second lps_solved: 0
 stat Second nodes_expanded: 0
 stat Second tally_prunes: 0
 stat Third ips_solved: 0
+stat Third lookahead_prunes: 0
 stat Third lps_solved: 0
 stat Third nodes_expanded: 1
 stat Third tally_prunes: 1
@@ -639,14 +645,17 @@ seat,changes
 Third,1
 TOTAL,1
 stat:First:ips_solved,1
+stat:First:lookahead_prunes,0
 stat:First:lps_solved,1
 stat:First:nodes_expanded,2
 stat:First:tally_prunes,1
 stat:Second:ips_solved,0
+stat:Second:lookahead_prunes,0
 stat:Second:lps_solved,0
 stat:Second:nodes_expanded,0
 stat:Second:tally_prunes,0
 stat:Third:ips_solved,0
+stat:Third:lookahead_prunes,0
 stat:Third:lps_solved,0
 stat:Third:nodes_expanded,1
 stat:Third:tally_prunes,1

@@ -25,8 +25,15 @@ from irvmargin import (
     run_election,
 )
 from irvmargin import simplex
-from irvmargin.distance import _assemble, project_type, swap_final_witness, tally_bound
+from irvmargin.distance import (
+    DistanceModel,
+    _assemble,
+    _credit,
+    project_type,
+    swap_final_witness,
+)
 from irvmargin.oracle import order_attainable
+from irvmargin.search import _child_gap
 from irvmargin.synth import random_profile
 from irvmargin.tabulate import TieRule, last_round_margin, tally
 
@@ -241,19 +248,40 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
     assert checked > 2000
 
 
+def tally_bound(model: DistanceModel) -> int:
+    """The slow reference for the search's tally gap: half the largest
+    round-r lead of order[r]'s tally over a later position's, read off the
+    model's type counts, rounded up, and 0 when order[r] never leads."""
+    k = len(model.sequence.order)
+    typed = [(m, n) for m, n in enumerate(model.counts) if n]
+    gap = 0
+    for r in range(k - 1):
+        votes = [0] * k
+        for mask, n in typed:
+            c = _credit(mask, r)
+            if c >= 0:
+                votes[c] += n
+        gap = max(gap, votes[r] - min(votes[r + 1:]))
+    return (gap + 1) // 2
+
+
 def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     # The bound is half the largest suffix-tally lead, rounded up, and never
     # above the LP ceiling or the exact distance, so a cutoff it reaches is
-    # reached by the solvers too.
+    # reached by the solvers too.  The search's gap, carried from each
+    # suffix to its children, is the same bound.
     settled = 0
     for profile, order in _corpus_sequences():
         lead = 0
         for r in range(len(order) - 1):
             votes = tally(profile, order[r:])
             lead = max(lead, votes[order[r]] - min(votes[c] for c in order[r + 1:]))
+        gap = 0
+        for r in reversed(range(len(order) - 1)):
+            gap = _child_gap(lambda s: tally(profile, s).votes, order[r:], gap)
         model = build_model(profile, order)
         bound = tally_bound(model)
-        assert bound == math.ceil(lead / 2)
+        assert bound == math.ceil(lead / 2) == (gap + 1) // 2
         assert bound <= lower_bound(model)
         if model.complete:
             value, witness = exact_distance(model)

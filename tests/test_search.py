@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,13 +19,17 @@ from irvmargin import (
     compute_movc,
     exact_distance,
     last_round_margin,
+    lower_bound,
     oracle_movc,
     run_election,
 )
 from irvmargin.distance import swap_final_witness
 from irvmargin import simplex
-from irvmargin.oracle import OracleCapExceeded, order_attainable
+from irvmargin.oracle import OracleCapExceeded, _OrderPlan, order_attainable
+from irvmargin.search import _lookahead
 from irvmargin.synth import random_profile, synthetic_seat
+from irvmargin.tabulate import tally
+from test_acceptance import _random_corpus
 
 
 def test_mov_golden(example1: Profile) -> None:
@@ -43,6 +48,7 @@ def test_mov_search_stats_are_reproducible(example1: Profile) -> None:
     assert result.stats.lps_solved == 3
     assert result.stats.ips_solved == 2
     assert result.stats.tally_prunes == 1
+    assert result.stats.lookahead_prunes == 0
 
 
 def test_movc_goldens(example1: Profile) -> None:
@@ -189,9 +195,28 @@ def test_search_is_deterministic(example1: Profile) -> None:
     assert compute_movc(example1, {"b"}) == compute_movc(example1, {"b"})
 
 
+@pytest.mark.parametrize(
+    "num_candidates, tally_prunes, lookahead_prunes", [(7, 21, 15), (12, 66, 55)]
+)
+def test_synthetic_mov_is_settled_by_tallies(
+    num_candidates: int, tally_prunes: int, lookahead_prunes: int
+) -> None:
+    # As criterion 8 at 10 candidates: only the one-candidate suffixes, one
+    # per alternate, are expanded, and tallies drop all of their children.
+    result = compute_mov(synthetic_seat(1, num_candidates=num_candidates))
+    assert result.value == 58
+    stats = result.stats
+    assert (stats.nodes_expanded, stats.lps_solved, stats.ips_solved) == (
+        num_candidates - 1, 0, 0
+    )
+    assert (stats.tally_prunes, stats.lookahead_prunes) == (tally_prunes, lookahead_prunes)
+
+
 def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch) -> None:
     # Started at the bound each column's cost prefers, the float run keeps
-    # every ballot from the start and needs one pivot per suffix LP.
+    # every ballot from the start and needs one pivot per suffix LP.  A fixed
+    # set of suffixes, solved directly: each increasing run of minor
+    # candidates, alone or followed by the runner-up c1.
     pivots = {float: 0, int: 0}
     pivot = simplex._pivot
 
@@ -200,10 +225,37 @@ def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch
         pivot(state, d, row, col)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
-    result = compute_mov(synthetic_seat(1, num_candidates=7))
-    assert result.value == 58
-    assert result.stats.lps_solved == 57
+    profile = synthetic_seat(1, num_candidates=7)
+    minors = ("c2", "c3", "c4", "c5", "c6")
+    orders = [
+        run + tail
+        for n in range(1, len(minors) + 1)
+        for run in itertools.combinations(minors, n)
+        for tail in (("c1",), ())
+        if len(run + tail) > 1
+    ]
+    assert len(orders) == 57
+    for order in orders:
+        lower_bound(build_model(profile, order))
     assert pivots == {float: 57, int: 0}
+
+
+def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
+    # The look-ahead of a suffix claims that no completion of it is
+    # attainable with fewer rewrites; the oracle's per-order enumeration
+    # checks that claim on every complete order of the acceptance corpus.
+    checked = 0
+    for profile in _random_corpus():
+        ids = frozenset(profile.candidate_ids)
+        for perm in itertools.permutations(sorted(ids)):
+            bound = max(
+                _lookahead(lambda s: tally(profile, s).votes, ids, perm[cut:])
+                for cut in range(len(perm))
+            )
+            plan = _OrderPlan(profile, perm)
+            assert not any(plan.reachable(k) for k in range(bound))
+            checked += bound > 0
+    assert checked > 1000
 
 
 @pytest.mark.parametrize(
