@@ -19,6 +19,10 @@ _FORBIDDEN_IN_ID = re.compile(r"[,>:\s]")
 
 HEADER_PREFIX = "# candidates:"
 
+# A count in a ballot or seat file: an optional "-" and ASCII digits.  int()
+# alone also takes "1_0", "+3" and non-ASCII digits.
+DECIMAL = re.compile(r"-?[0-9]+")
+
 
 class ProfileError(ValueError):
     """A profile violates a structural invariant."""
@@ -160,6 +164,7 @@ def parse_profile(text: str) -> Profile:
                 if candidates is not None:
                     raise ParseError("duplicate candidate roster line", lineno)
                 candidates = _parse_roster(line[len(HEADER_PREFIX):], lineno)
+                roster_line = lineno
                 known = {c.id for c in candidates}
             continue
         if candidates is None:
@@ -167,10 +172,11 @@ def parse_profile(text: str) -> Profile:
         ballots.append(_parse_record(line, known, lineno))
     if candidates is None:
         raise ParseError("no candidate roster line found")
+    # Every record was checked, so only the roster can fail here.
     try:
         return Profile(tuple(candidates), tuple(ballots))
     except ProfileError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), roster_line) from exc
 
 
 def _parse_roster(body: str, lineno: int) -> list[Candidate]:
@@ -196,10 +202,9 @@ def _parse_record(line: str, known: set[str], lineno: int) -> Ballot:
     head, sep, tail = line.partition(",")
     if not sep:
         raise ParseError("record is not count,ranking", lineno)
-    try:
-        count = int(head.strip())
-    except ValueError:
-        raise ParseError(f"bad ballot count {head.strip()!r}", lineno) from None
+    count = head.strip()
+    if not DECIMAL.fullmatch(count):
+        raise ParseError(f"bad ballot count {count!r}", lineno)
     tokens = [t.strip() for t in tail.split(">")]
     if any(not t for t in tokens):
         raise ParseError("empty candidate id in ranking", lineno)
@@ -207,7 +212,7 @@ def _parse_record(line: str, known: set[str], lineno: int) -> Ballot:
         if tok not in known:
             raise ParseError(f"unknown candidate {tok!r} in ranking", lineno)
     try:
-        return Ballot(tuple(tokens), count)
+        return Ballot(tuple(tokens), int(count))
     except ProfileError as exc:
         raise ParseError(str(exc), lineno) from exc
 

@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .ballots import Profile
+from .ballots import DECIMAL, Profile
 from .search import SearchStats, compute_movc
 from .tabulate import TieRule, last_round_margin, run_election
 
@@ -275,6 +275,8 @@ _BASE_COLUMNS = ["seat", "num_candidates", "lrm", "mov", "winner", "winner_party
 
 
 def _count(cell: str) -> int:
+    if not DECIMAL.fullmatch(cell.strip()):
+        raise ValueError(f"bad count {cell!r}")
     value = int(cell)
     if value < 0:
         raise ValueError(f"negative count {value}")

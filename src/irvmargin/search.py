@@ -19,9 +19,13 @@ order[r]'s round-r tally over a later entry's, and 0 when order[r] never
 leads.  One rewritten ballot leaves one type and joins another, so it moves
 each such lead by at most 2: every completion costs at least half the gap,
 rounded up, and no LP optimum lies below it.  A child (c,) + S has the
-rounds of S plus a new round 0 with set(S) | {c} standing, so its gap is
-the larger of S's gap and c's lead there over the weakest member of S
-(_child_gap); the frontier carries each node's gap.
+rounds of S plus a new round 0 with set(S) | {c} standing, where _lead is
+c's lead over the weakest member of S.  The child's rounds from S
+never settle it: S is expanded only while its LP bound, which is at least
+half S's gap rounded up, is below the upper bound, and the upper bound moves
+only when a complete child is scored, which is the only child of its
+parent.  So a child is a tally prune exactly when half its new lead,
+rounded up, reaches the upper bound, and the frontier carries no gap.
 
 The outside look-ahead (_lookahead) bounds what the LP cannot see, since it
 treats the candidates outside S as gone.  Every x outside S is eliminated
@@ -33,14 +37,16 @@ every completion of S costs at least the largest such lead over the outside
 candidates, halved and rounded up.
 
 A child that either bound puts at or above the upper bound is dropped
-before its model, LP or IP exists.  Both bounds hold for every completion,
-so a dropped child could never have given a strictly cheaper incumbent, and
-neither is ever a frontier key: the surviving nodes pop in the same order,
-and values and witnesses do not depend on the checks.
+before its model, LP or IP exists, and so is a one-candidate root whose
+look-ahead reaches a known upper bound (a root has no round to lead in).
+Both bounds hold for every completion, so a dropped suffix could never have
+given a strictly cheaper incumbent, and neither is ever a frontier key: the
+surviving nodes pop in the same order, and values and witnesses do not
+depend on the checks.
 compute_movc alone writes SearchStats: nodes_expanded counts expanded
-suffixes, tally_prunes the children the tally gap dropped,
-lookahead_prunes those the look-ahead then dropped, and lps_solved and
-ips_solved the LPs and IPs actually solved.
+suffixes, tally_prunes the children a new-round lead dropped,
+lookahead_prunes the roots and children the look-ahead then dropped, and
+lps_solved and ips_solved the LPs and IPs actually solved.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -115,10 +121,11 @@ class MarginResult:
         return self.witness_manipulation.sequence
 
 
-def _child_gap(votes: Votes, child: tuple[str, ...], gap: int) -> int:
-    """The tally gap of child = (c,) + S, given S's gap."""
+def _lead(votes: Votes, child: tuple[str, ...]) -> int:
+    """The lead of c over the weakest member of S in the new first round of
+    child = (c,) + S."""
     v = votes(frozenset(child))
-    return max(gap, v[child[0]] - min(v[s] for s in child[1:]))
+    return v[child[0]] - min(v[s] for s in child[1:])
 
 
 def _lookahead(votes: Votes, ids: frozenset[str], suffix: tuple[str, ...]) -> int:
@@ -160,21 +167,21 @@ def compute_movc(
     def votes(standing: frozenset[str]) -> dict[str, int]:
         return tally(profile, standing).votes
 
-    # (bound, -length, order, tally gap): order is unique, so the gap never
-    # decides the pop order.
-    frontier: list[tuple[int, int, tuple[str, ...], int]] = []
+    frontier: list[tuple[int, int, tuple[str, ...]]] = []
     for a in sorted(alts):
-        heapq.heappush(frontier, (0, -1, (a,), 0))
+        if upper is not None and _lookahead(votes, ids, (a,)) >= upper:
+            stats.lookahead_prunes += 1
+            continue
+        heapq.heappush(frontier, (0, -1, (a,)))
 
     while frontier:
-        bound, _, order, gap = heapq.heappop(frontier)
+        bound, _, order = heapq.heappop(frontier)
         if upper is not None and bound >= upper:
             continue
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            child_gap = _child_gap(votes, child, gap)
-            if upper is not None and (child_gap + 1) // 2 >= upper:
+            if upper is not None and (_lead(votes, child) + 1) // 2 >= upper:
                 stats.tally_prunes += 1
                 continue
             if upper is not None and _lookahead(votes, ids, child) >= upper:
@@ -190,9 +197,7 @@ def compute_movc(
                 stats.lps_solved += 1
                 child_bound = lower_bound(model)
                 if upper is None or child_bound < upper:
-                    heapq.heappush(
-                        frontier, (child_bound, -len(child), child, child_gap)
-                    )
+                    heapq.heappush(frontier, (child_bound, -len(child), child))
 
     return MarginResult(
         value=upper,

@@ -256,12 +256,12 @@ def test_criterion_8_ten_candidate_smoke() -> None:
     result = compute_mov(profile)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    # Tallies settle this seat at its last-round margin: the nine expanded
-    # nodes are the one-candidate suffixes, one per alternate, the tally
-    # gap or the outside look-ahead drops each of their children, and no
-    # LP or IP is solved.
+    # Tallies settle this seat at its last-round margin: the outside
+    # look-ahead drops every one-candidate suffix but the runner-up's, the
+    # one node expanded; its new-round lead or the look-ahead drops each of
+    # its children, and no LP or IP is solved.
     assert result.value == 58
-    assert result.stats.nodes_expanded == 9
+    assert result.stats.nodes_expanded == 1
     assert result.stats.lps_solved == 0
     stats = result.stats
     print(

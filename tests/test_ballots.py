@@ -49,12 +49,17 @@ def test_parse_roster_carries_parties() -> None:
         ("# candidates: a:none,b:none\n0,a\n", 2, "nonpositive"),
         ("# candidates: a:none,b:none\n-2,a\n", 2, "nonpositive"),
         ("# candidates: a:none,b:none\nx,a\n", 2, "bad ballot count"),
+        ("# candidates: a:none,b:none\n1_0,a\n", 2, "bad ballot count '1_0'"),
+        ("# candidates: a:none,b:none\n\u0663,b\n", 2, "bad ballot count '\u0663'"),
+        ("# candidates: a:none,b:none\n+3,a\n", 2, "bad ballot count '+3'"),
         ("# candidates: a:none,b:none\n5\n", 2, "not count,ranking"),
         ("# candidates: a:none,b:none\n1,a>\n", 2, "empty candidate id"),
         ("1,a\n# candidates: a:none,b:none\n", 1, "before candidate roster"),
         ("# candidates: a:none\n# candidates: b:none\n", 2, "duplicate candidate roster"),
         ("# candidates: a\n", 1, "is not id:party"),
         ("# candidates:\n", 1, "empty candidate roster"),
+        ("# candidates: a:X,a:Y\n1,a\n", 1, "duplicate candidate id in roster"),
+        ("# x\n# candidates: a:X\n1,a\n", 2, "at least two candidates"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text: str, line: int, needle: str) -> None:

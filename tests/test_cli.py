@@ -483,12 +483,12 @@ def test_lose_mode_without_an_outside_candidate_is_an_error(
     "coalition, mode, stats",
     [
         # LIB holds Second, so it runs no search; First and Third search
-        # toward their LIB candidate.
+        # toward their LIB candidate.  Third's look-ahead drops its one root.
         ("LIB", "win",
-         {"First": [2, 1, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [1, 0, 0, 1, 0]}),
+         {"First": [2, 1, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
         # LIB's Second is not ALP's to lose; First searches toward b and c.
         ("ALP", "lose",
-         {"First": [4, 3, 2, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [1, 0, 0, 1, 0]}),
+         {"First": [4, 3, 2, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
     ],
     ids=["win-LIB", "lose-ALP"],
 )
@@ -635,10 +635,10 @@ stat Second lps_solved: 0
 stat Second nodes_expanded: 0
 stat Second tally_prunes: 0
 stat Third ips_solved: 0
-stat Third lookahead_prunes: 0
+stat Third lookahead_prunes: 1
 stat Third lps_solved: 0
-stat Third nodes_expanded: 1
-stat Third tally_prunes: 1
+stat Third nodes_expanded: 0
+stat Third tally_prunes: 0
 """,
     ("manifest", "csv"): """\
 seat,changes
@@ -655,10 +655,10 @@ stat:Second:lps_solved,0
 stat:Second:nodes_expanded,0
 stat:Second:tally_prunes,0
 stat:Third:ips_solved,0
-stat:Third:lookahead_prunes,0
+stat:Third:lookahead_prunes,1
 stat:Third:lps_solved,0
-stat:Third:nodes_expanded,1
-stat:Third:tally_prunes,1
+stat:Third:nodes_expanded,0
+stat:Third:tally_prunes,0
 """,
 }
 

@@ -24,7 +24,7 @@ from irvmargin import (
     model_lp_text,
     run_election,
 )
-from irvmargin import simplex
+from irvmargin import search, simplex
 from irvmargin.distance import (
     DistanceModel,
     _assemble,
@@ -33,7 +33,7 @@ from irvmargin.distance import (
     swap_final_witness,
 )
 from irvmargin.oracle import order_attainable
-from irvmargin.search import _child_gap
+from irvmargin.search import _lead
 from irvmargin.synth import random_profile
 from irvmargin.tabulate import TieRule, last_round_margin, tally
 
@@ -249,7 +249,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
 
 
 def tally_bound(model: DistanceModel) -> int:
-    """The slow reference for the search's tally gap: half the largest
+    """The slow reference for the search's tally prunes: half the largest
     round-r lead of order[r]'s tally over a later position's, read off the
     model's type counts, rounded up, and 0 when order[r] never leads."""
     k = len(model.sequence.order)
@@ -268,20 +268,17 @@ def tally_bound(model: DistanceModel) -> int:
 def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     # The bound is half the largest suffix-tally lead, rounded up, and never
     # above the LP ceiling or the exact distance, so a cutoff it reaches is
-    # reached by the solvers too.  The search's gap, carried from each
-    # suffix to its children, is the same bound.
+    # reached by the solvers too.  The largest of the search's new-round
+    # leads along the order is the same bound.
     settled = 0
     for profile, order in _corpus_sequences():
-        lead = 0
-        for r in range(len(order) - 1):
-            votes = tally(profile, order[r:])
-            lead = max(lead, votes[order[r]] - min(votes[c] for c in order[r + 1:]))
-        gap = 0
-        for r in reversed(range(len(order) - 1)):
-            gap = _child_gap(lambda s: tally(profile, s).votes, order[r:], gap)
+        lead = max(0, *(
+            _lead(lambda s: tally(profile, s).votes, order[r:])
+            for r in range(len(order) - 1)
+        ))
         model = build_model(profile, order)
         bound = tally_bound(model)
-        assert bound == math.ceil(lead / 2) == (gap + 1) // 2
+        assert bound == (lead + 1) // 2
         assert bound <= lower_bound(model)
         if model.complete:
             value, witness = exact_distance(model)
@@ -291,6 +288,31 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
                 assert cut == (None if value >= cutoff else (value, witness))
         settled += bound > 0
     assert settled > 1000
+
+
+def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A suffix is expanded only while its LP bound is below the upper bound,
+    # so its own rounds never settle a child: each child needs only the lead
+    # of its new first round.  Checked on every suffix that the MOV search,
+    # and the MOVC search toward each loser alone, bounds.
+    checked = 0
+
+    def checked_bound(model: DistanceModel) -> int:
+        nonlocal checked
+        bound = lower_bound(model)
+        assert tally_bound(model) <= bound
+        checked += 1
+        return bound
+
+    monkeypatch.setattr(search, "lower_bound", checked_bound)
+    for profile in _random_corpus():
+        compute_mov(profile, TieRule.LEXICOGRAPHIC)
+        winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
+        for loser in set(profile.candidate_ids) - {winner}:
+            search.compute_movc(profile, {loser}, TieRule.LEXICOGRAPHIC)
+    assert checked > 500
 
 
 def _corpus_answers() -> list:

@@ -284,8 +284,12 @@ def test_malformed_records_carry_line_numbers() -> None:
     # Blank lines count toward the line number.
     with pytest.raises(ValueError, match="line 4"):
         load_seat_records(header + "X,4,5,5,w,LIB,9\n\nY,x,5,5,w,LIB,9\n")
-    # Only mov may be blank; a mov that is there must be a number.
-    for row in "X,,5,5,w,LIB,9", "X,4,,5,w,LIB,9", "X,4,5,five,w,LIB,9":
+    # Only mov may be blank; a mov that is there must be a number, and every
+    # count is written in ASCII decimal digits.
+    for row in (
+        "X,,5,5,w,LIB,9", "X,4,,5,w,LIB,9", "X,4,5,five,w,LIB,9",
+        "X,1_0,5,5,w,LIB,9", "X,4,\u0663,5,w,LIB,9", "X,4,5,+5,w,LIB,9", "X,4,5,5,w,LIB,1_0",
+    ):
         with pytest.raises(ValueError, match="line 2: bad seat record"):
             load_seat_records(header + row + "\n")
     # No count may be negative.
