@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -487,3 +488,30 @@ def test_ip_node_limit_raises(monkeypatch) -> None:
         solve_ip(*problem)
     monkeypatch.setattr(simplex, "_NODE_LIMIT", 5)
     assert _outcome(solve_ip, problem) == (OPTIMAL, -1)
+
+
+def _canonical(res: LPResult) -> str:
+    """status, value, vertex and duals as text, the same on every Python."""
+    parts = [res.status, str(res.value)]
+    for vector in (res.x, res.duals):
+        parts.append("-" if vector is None else ",".join(map(str, vector)))
+    return " ".join(parts)
+
+
+def test_exact_answers_are_pinned() -> None:
+    # A faster exact simplex must reach the very same optima, vertices and
+    # duals on the random sets above (solve_ip only on the boxed ones).
+    lines = []
+    for seed, count, make, ip in (
+        (2024, 120, _random_problem, True),
+        (99, 150, _random_problem, True),
+        (31, 300, _random_fractional_problem, False),
+    ):
+        rng = random.Random(seed)
+        for _ in range(count):
+            problem = make(rng)
+            lines.append(_canonical(solve_lp(*problem)))
+            if ip:
+                lines.append(_canonical(solve_ip(*problem)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "32d22cd70b8a128d77ddde9aa04298ce67337b3f5952c28ee64cbcd13743fae3"
