@@ -22,31 +22,38 @@ variable bounds handled implicitly (nonbasic variables rest at either bound
 and may flip without a basis change).  The exact run starts every column at
 its lower bound; the float run starts each at the bound its cost prefers,
 which on the distance models leaves about one pivot per program, and certify
-checks whichever optimal vertex it reaches.  The exact run pivots in
-integers: the tableau is an integer matrix over one common denominator, the
-reduced costs an integer row over it times the costs' own, and both are
-updated by integer-preserving elimination whose divisions are exact
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968); only the basic values are Fractions.  Dantzig pricing
-is used until a long degenerate streak, then Bland's rule, which guarantees
-termination.
+checks whichever optimal vertex it reaches.  The exact run is wholly in
+integers.  It solves for y = scale * x, scale being the lcm of the
+denominators of the rhs and the bounds, so y's bounds are integers.  The
+tableau is an integer matrix over one common denominator den, the reduced
+costs an integer row over den times the costs' own, and both are updated by
+integer-preserving elimination whose divisions are exact (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968).  The tableau's last column holds den * y on the basis,
+an integer, and a pivot updates it by the same elimination as every other
+column (Azulay & Pique, "A revised simplex method with integer Q-matrices",
+2001).  The ratio test compares its caps by cross-multiplication, so
+Fractions are built only for the result.  Dantzig pricing is used until a
+long degenerate streak, then Bland's rule, which guarantees termination.
 
 The columns of a program with n columns and m rows are its own at [0, n),
 then row i's slack at n + i, then, from n + m on and in row order, an
 artificial for each row that starts on one.  The slack's coefficient,
 sign[i], is -1 on a ">=" row and +1 otherwise; on an "=" row the slack is
-held at [0, 0] and the row starts on an artificial.  The tableau is always
-B^-1 [A | S | Art] (over den in the exact run), so its slack block times
-the signs is B^-1, whatever rows were negated to put the identity on the
-starting basis, and row i's dual is read off its slack's reduced cost.  An
-artificial still basic after phase one (a redundant equality row) stays
-basic: phase two bounds every artificial to [0, 0] and never lets one
-enter, so the ratio test holds a basic one at zero until it leaves.
+held at [0, 0] and the row starts on an artificial.  Left of its last
+column the tableau is always B^-1 [A | S | Art] (over den in the exact run),
+so its slack block times the signs is B^-1, whatever rows were negated to
+put the identity on the starting basis, and row i's dual is read off its
+slack's reduced cost.  An artificial still basic after phase one (a
+redundant equality row) stays basic: phase two bounds every artificial to
+[0, 0] and never lets one enter, so the ratio test holds a basic one at
+zero until it leaves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -116,6 +123,9 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         raise ValueError("senses and rhs need one entry per row")
     if len(bounds) != n:
         raise ValueError("bounds need one entry per column")
+    exact = num is Fraction
+    if exact:
+        num = _rational
     zero, one = num(0), num(1)
     c = [num(v) for v in objective]
     lo = [num(b[0]) for b in bounds]
@@ -129,6 +139,16 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if len(row) != n:
             raise ValueError("row length does not match objective")
     b = [num(v) for v in rhs]
+    # The exact run solves for y = scale * x, with scale the lcm of the
+    # denominators of the rhs and the bounds, so that y's rhs and bounds are
+    # integers.  The float run keeps scale 1.
+    scale = 1
+    if exact:
+        finite = [u for u in hi if u is not None]
+        scale = math.lcm(*(v.denominator for v in b + lo + finite))
+        b = [_scaled(v, scale) for v in b]
+        lo = [_scaled(v, scale) for v in lo]
+        hi = [None if u is None else _scaled(u, scale) for u in hi]
 
     for sense in senses:
         if sense not in ("<=", ">=", "="):
@@ -141,7 +161,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     # branching variable and so the witness.  A row starts on its slack when
     # that can carry the residual, else, as an "=" row always does, on an
     # artificial of the residual's sign.
-    at_upper = [num is float and cj < 0 and u is not None for cj, u in zip(c, hi)]
+    at_upper = [not exact and cj < 0 and u is not None for cj, u in zip(c, hi)]
     start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
     residual = [
         b[i] - sum(tab[i][j] * start[j] for j in range(n) if start[j])
@@ -149,13 +169,11 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     ]
     art_rows = [i for i in range(m) if senses[i] == "=" or residual[i] * sign[i] < 0]
     for i, row in enumerate(tab):
-        row += [zero] * (m + len(art_rows))
+        row += [zero] * (m + len(art_rows)) + [residual[i]]
         row[n + i] = sign[i]
     basis = [n + i for i in range(m)]
-    xb = [r * s for r, s in zip(residual, sign)]
     for k, i in enumerate(art_rows):
         basis[i] = n + m + k
-        xb[i] = abs(residual[i])
         tab[i][n + m + k] = one if residual[i] >= 0 else -one
     lo += [zero] * (m + len(art_rows))
     hi += [zero if sense == "=" else None for sense in senses] + [None] * len(art_rows)
@@ -166,7 +184,8 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         status[col] = _BASIC
     # Negate each row whose basic column starts at -1 (the slack of a ">="
     # row, or the artificial of a negative residual) so that the tableau
-    # carries the identity on the basis.
+    # carries the identity on the basis, and its last column, the residuals,
+    # the basic values.
     for i, col in enumerate(basis):
         if tab[i][col] != one:
             tab[i] = [-v for v in tab[i]]
@@ -176,22 +195,21 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     # keeps every later division in _pivot exact; one lcm over the whole
     # tableau would not.
     den = cscale = 1
-    if num is Fraction:
+    if exact:
         for row in tab:
             den *= math.lcm(*(v.denominator for v in row))
-        tab = [[v.numerator * (den // v.denominator) for v in row] for row in tab]
+        tab = [[_scaled(v, den) for v in row] for row in tab]
         cscale = math.lcm(*(v.denominator for v in c_full))
-        c_full = [v.numerator * (cscale // v.denominator) for v in c_full]
-        zero, one = 0, 1
+        c_full = [_scaled(v, cscale) for v in c_full]
 
-    state = _State(tab, den, basis, xb, status, lo, hi, tol, limit)
+    state = _State(tab, den, scale, basis, status, lo, hi, tol, limit)
 
     if art_rows:
         c1 = [zero] * (n + m) + [one] * len(art_rows)
         if _iterate(state, _reduced_costs(state, c1)) == UNBOUNDED:
             raise SolverError("phase one claims an unbounded artificial objective")
         # A nonbasic artificial rests at 0: it has no upper bound to flip to.
-        if sum(state.xb[i] for i in range(m) if state.basis[i] >= n + m) > tol:
+        if sum(state.tab[i][-1] for i in range(m) if state.basis[i] >= n + m) > tol:
             return LPResult(INFEASIBLE)
         for j in range(n + m, len(lo)):
             state.hi[j] = zero
@@ -199,20 +217,32 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     d = _reduced_costs(state, c_full)
     if _iterate(state, d) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    x = [_variable_value(state, j) for j in range(n)]
+    ratio = Fraction if exact else operator.truediv
+    x = [ratio(*_variable_value(state, j)) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    scale = state.den * cscale
-    duals = [d[n + i] * sign[i] / scale for i in range(m)]
+    duals = [ratio(d[n + i] * sign[i], state.den * cscale) for i in range(m)]
     return LPResult(OPTIMAL, value, x, duals)
+
+
+def _rational(v):
+    """v as an exact number: an int stays an int, anything else a Fraction."""
+    return v if isinstance(v, int) else Fraction(v)
+
+
+def _scaled(v, q: int) -> int:
+    """v * q as an int, for q a multiple of v's denominator."""
+    return v.numerator * (q // v.denominator)
 
 
 @dataclass(slots=True)
 class _State:
-    # The tableau is tab / den: den stays 1 in the float run.
+    # The run solves for y = scale * x, with y bounded by lo and hi.  The
+    # tableau is tab / den, and its last column holds den * y on the basis:
+    # den and scale stay 1 in the float run.
     tab: list
     den: int
+    scale: int
     basis: list[int]
-    xb: list
     status: list[int]
     lo: list
     hi: list
@@ -220,10 +250,11 @@ class _State:
     limit: int | None
 
 
-def _variable_value(state: _State, j: int):
+def _variable_value(state: _State, j: int) -> tuple:
+    """x_j as a numerator and a denominator."""
     if state.status[j] == _BASIC:
-        return state.xb[state.basis.index(j)]
-    return state.lo[j] if state.status[j] == _LOWER else state.hi[j]
+        return state.tab[state.basis.index(j)][-1], state.den * state.scale
+    return state.lo[j] if state.status[j] == _LOWER else state.hi[j], state.scale
 
 
 def _reduced_costs(state: _State, cost: list) -> list:
@@ -240,7 +271,7 @@ def _reduced_costs(state: _State, cost: list) -> list:
 
 
 def _iterate(state: _State, d: list) -> str:
-    tab, basis, xb = state.tab, state.basis, state.xb
+    tab, basis = state.tab, state.basis
     status, lo, hi = state.status, state.lo, state.hi
     tol = state.tol
     m = len(basis)
@@ -278,43 +309,53 @@ def _iterate(state: _State, d: list) -> str:
         j = enter
         den = state.den
 
-        flip_limit = None if hi[j] is None else hi[j] - lo[j]
-        row_cap = None
+        # Row i lets y_j move gap / rate before its basic value reaches a
+        # bound: gap is den times the basic value's distance to that bound,
+        # rate den times how fast the value moves.  Caps are compared by
+        # cross-multiplication, so the exact run stays in integers.
         leave_row = -1
-        leave_to = _LOWER
+        gap = rate = leave_to = None
         for i in range(m):
-            a = tab[i][j] * direction
+            row = tab[i]
+            a = row[j] * direction
             if a > tol:
-                cap = (xb[i] - lo[basis[i]]) * den / a
+                g = row[-1] - den * lo[basis[i]]
                 to = _LOWER
             elif a < -tol and hi[basis[i]] is not None:
-                cap = (hi[basis[i]] - xb[i]) * den / (-a)
+                a = -a
+                g = den * hi[basis[i]] - row[-1]
                 to = _UPPER
             else:
                 continue
             if (
-                row_cap is None
-                or cap < row_cap
-                or (cap == row_cap and basis[i] < basis[leave_row])
+                leave_row == -1
+                or g * rate < gap * a
+                or (g * rate == gap * a and basis[i] < basis[leave_row])
             ):
-                row_cap, leave_row, leave_to = cap, i, to
-        if row_cap is None and flip_limit is None:
+                gap, rate, leave_row, leave_to = g, a, i, to
+        width = None if hi[j] is None else hi[j] - lo[j]
+        if leave_row == -1 and width is None:
             return UNBOUNDED
 
-        flip = row_cap is None or (flip_limit is not None and flip_limit <= row_cap)
-        t = flip_limit if flip else row_cap
-        step = t / den
-        for i in range(m):
-            if tab[i][j]:
-                xb[i] -= tab[i][j] * direction * step
-        if flip:
+        if leave_row == -1 or (width is not None and width * rate <= gap):
+            # y_j flips to its other bound, and every basic value follows.
+            for row in tab:
+                if row[j]:
+                    row[-1] -= row[j] * direction * width
             status[j] = _UPPER if status[j] == _LOWER else _LOWER
-        else:
-            status[basis[leave_row]] = leave_to
-            _pivot(state, d, leave_row, j)
-            xb[leave_row] = lo[j] + t if direction == 1 else hi[j] - t
-        # A flip moves t = hi - lo > 0: only a pivot can be degenerate.
-        degenerate_streak = degenerate_streak + 1 if t == 0 else 0
+            degenerate_streak = 0
+            continue
+        # Eliminate with the leaving value already at its bound and y_j still
+        # at its own: the last column is then den * B^-1 times an integer
+        # combination of the program's columns, so by Sylvester's identity
+        # every division stays exact, and the leave row is left holding den
+        # times y_j's step, to which its bound is added back.
+        leaving = basis[leave_row]
+        tab[leave_row][-1] -= den * (lo[leaving] if leave_to == _LOWER else hi[leaving])
+        status[leaving] = leave_to
+        _pivot(state, d, leave_row, j)
+        tab[leave_row][-1] += state.den * (lo[j] if direction == 1 else hi[j])
+        degenerate_streak = degenerate_streak + 1 if gap == 0 else 0
 
 
 def _pivot(state: _State, d: list, row: int, col: int) -> None:
@@ -559,9 +600,9 @@ def solve_ip(
         fl = math.floor(xj)
         blo, bhi = node_bounds[frac_j]
         down = list(node_bounds)
-        down[frac_j] = (blo, Fraction(fl))
+        down[frac_j] = (blo, fl)
         up = list(node_bounds)
-        up[frac_j] = (Fraction(fl + 1), bhi)
+        up[frac_j] = (fl + 1, bhi)
         if xj - fl >= Fraction(1, 2):
             stack.append(tuple(down))
             stack.append(tuple(up))
