@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .ballots import Profile, parse_profile
+from .ballots import DECIMAL, Profile, parse_profile
 from .distance import build_model, model_lp_text
 from .parliament import (
     analyze_seat,
@@ -27,6 +27,7 @@ from .parliament import (
     threshold,
 )
 from .search import MarginResult, compute_mov, compute_movc
+from .simplex import SolverError
 from .synth import synthetic_seat
 from .tabulate import TieRule, UnresolvedTie, last_round_margin, run_election
 
@@ -57,6 +58,15 @@ class _Report:
             path = (key,) if label is None else (label, key)
             self.add(f"stat {' '.join(path)}: {counts[key]}",
                      [f"stat:{':'.join(path)}", counts[key]])
+
+
+def _decimal(text: str) -> int:
+    """The integer flags' type: an ASCII decimal, as in the input files (int
+    alone would also take "1_0" or non-ASCII digits)."""
+    text = text.strip()
+    if not DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _emit(args: argparse.Namespace, report: _Report) -> int:
@@ -179,7 +189,7 @@ def _analyze_seat(task: tuple) -> tuple:
         return analyze_seat(
             parse_profile(text), coalition, mode, parties, tie_rule, seat=name
         )
-    except (UnresolvedTie, ValueError) as exc:
+    except (UnresolvedTie, ValueError, SolverError) as exc:
         raise CliError(f"seat {name!r}: {exc}") from exc
 
 
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several subcommands, each declared once.
     seat = argparse.ArgumentParser(add_help=False)
     seat.add_argument("ballots", nargs="?", help="ballot file")
-    seat.add_argument("--seed", type=int, default=None,
+    seat.add_argument("--seed", type=_decimal, default=None,
                       help="generate a synthetic instance instead of reading a file")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -333,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_parl.add_argument("--mode", choices=("lose", "win"), required=True)
     p_parl.add_argument("--coalition", required=True,
                         help="party codes joined with +")
-    p_parl.add_argument("--threshold", type=int, default=None,
+    p_parl.add_argument("--threshold", type=_decimal, default=None,
                         help="majority threshold (default: majority of records)")
-    p_parl.add_argument("--workers", type=int, default=1,
+    p_parl.add_argument("--workers", type=_decimal, default=1,
                         help="seats analyzed concurrently (manifest input)")
     p_parl.set_defaults(func=cmd_parliament)
     return parser
@@ -353,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         # stdout's reader has gone (found by _emit's flush): silence the flush at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, UnresolvedTie, ValueError) as exc:
+    except (CliError, UnresolvedTie, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

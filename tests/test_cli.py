@@ -17,6 +17,7 @@ from irvmargin import (
     parse_profile,
     relabel_complement,
 )
+from irvmargin import simplex
 from irvmargin.cli import main
 from irvmargin.distance import _assemble
 
@@ -364,6 +365,60 @@ def test_tabulate_rejects_stats(seat_file: Path, capsys: pytest.CaptureFixture) 
     assert captured.out == ""
     assert captured.err.startswith("usage: irvmargin")
     assert "unrecognized arguments: --stats" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\N{ARABIC-INDIC DIGIT THREE}", "\N{FULLWIDTH DIGIT TWO}"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["tabulate", "--seed"],
+        ["parliament", str(FIXTURES / "nsw2015.csv"), "--coalition", "LIB+NAT",
+         "--mode", "lose", "--threshold"],
+        ["parliament", str(FIXTURES / "nsw2015.csv"), "--coalition", "LIB+NAT",
+         "--mode", "lose", "--workers"],
+    ],
+    ids=["seed", "threshold", "workers"],
+)
+def test_integer_flags_take_ascii_decimals_only(
+    command: list[str], value: str, capsys: pytest.CaptureFixture
+) -> None:
+    # int() would read these as 10, 3 and 2, which no input file accepts.
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid int value: {value!r}" in captured.err
+
+
+def test_integer_flags_still_take_decimals(capsys: pytest.CaptureFixture) -> None:
+    assert main(["tabulate", "--seed", "10", "--format", "json"]) == 0
+    report = capsys.readouterr().out
+    assert main(["tabulate", "--seed", " 10 ", "--format", "json"]) == 0
+    assert capsys.readouterr().out == report
+    assert json.loads(report)["winner"]
+
+
+def test_solver_errors_are_reported_without_a_traceback(
+    capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(simplex, "_NODE_LIMIT", 0)
+    assert main(["margin", str(FIXTURES / "example1.ballots")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: branch and bound exceeded 0 nodes\n"
+    assert "Traceback" not in err
+
+
+def test_manifest_solver_errors_name_the_seat(
+    manifest: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    path = _write_manifest(manifest.parent, {"seats": [{"name": "First", "path": "seat1.ballots"}]})
+    monkeypatch.setattr(simplex, "_NODE_LIMIT", 0)
+    argv = ["parliament", str(path), "--coalition", "GRE", "--mode", "win", "--workers", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seat 'First': branch and bound exceeded 0 nodes\n"
+    assert "Traceback" not in err
 
 
 BOM = "\N{BYTE ORDER MARK}"
