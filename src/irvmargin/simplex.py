@@ -346,10 +346,8 @@ def _iterate(state: _State, d: list) -> str:
             degenerate_streak = 0
             continue
         # Eliminate with the leaving value already at its bound and y_j still
-        # at its own: the last column is then den * B^-1 times an integer
-        # combination of the program's columns, so by Sylvester's identity
-        # every division stays exact, and the leave row is left holding den
-        # times y_j's step, to which its bound is added back.
+        # at its own: by Sylvester's identity every division stays exact, and
+        # the leave row is left with den times y_j's step from that bound.
         leaving = basis[leave_row]
         tab[leave_row][-1] -= den * (lo[leaving] if leave_to == _LOWER else hi[leaving])
         status[leaving] = leave_to
