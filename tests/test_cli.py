@@ -367,7 +367,9 @@ def test_tabulate_rejects_stats(seat_file: Path, capsys: pytest.CaptureFixture) 
     assert "unrecognized arguments: --stats" in captured.err
 
 
-@pytest.mark.parametrize("value", ["1_0", "\N{ARABIC-INDIC DIGIT THREE}", "\N{FULLWIDTH DIGIT TWO}"])
+@pytest.mark.parametrize(
+    "value", ["1_0", "\N{ARABIC-INDIC DIGIT THREE}", "\N{FULLWIDTH DIGIT TWO}"]
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -412,7 +414,8 @@ def test_solver_errors_are_reported_without_a_traceback(
 def test_manifest_solver_errors_name_the_seat(
     manifest: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    path = _write_manifest(manifest.parent, {"seats": [{"name": "First", "path": "seat1.ballots"}]})
+    seats = [{"name": "First", "path": "seat1.ballots"}]
+    path = _write_manifest(manifest.parent, {"seats": seats})
     monkeypatch.setattr(simplex, "_NODE_LIMIT", 0)
     argv = ["parliament", str(path), "--coalition", "GRE", "--mode", "win", "--workers", "1"]
     assert main(argv) == 1
