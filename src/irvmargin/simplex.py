@@ -1,10 +1,11 @@
 """Linear and integer programming with exact rational results.
 
 A bounded-variable primal simplex, generic over its number type, plus a
-small branch-and-bound layer for integer programs.  Run on fractions.Fraction
-the simplex is exact: optima, reduced costs, duals and branching bounds carry
-no rounding, so callers can take ceilings of LP values without tolerance
-guards.  Run on float it only guides.  certify snaps the float run's duals to
+small branch-and-bound layer for integer programs.  Its exact run takes the
+integer programs that every distance model and every branch produce, and
+rejects any other data.  It is exact: optima, reduced costs, duals and
+branching bounds carry no rounding, so callers can take ceilings of LP values
+without tolerance guards.  Run on float it only guides.  certify snaps the float run's duals to
 small-denominator rationals and evaluates the Lagrangian bound at them
 exactly (lagrangian_bound), which proves a lower bound on the LP minimum
 whatever the floats were; it snaps the float vertex the same way and keeps
@@ -23,13 +24,11 @@ and may flip without a basis change).  The exact run starts every column at
 its lower bound; the float run starts each at the bound its cost prefers,
 which on the distance models leaves about one pivot per program, and certify
 checks whichever optimal vertex it reaches.  The exact run is wholly in
-integers.  It solves for y = scale * x, scale being the lcm of the
-denominators of the rhs and the bounds, so y's bounds are integers.  The
-tableau is an integer matrix over one common denominator den, the reduced
-costs an integer row over den times the costs' own, and both are updated by
+integers.  The tableau is an integer matrix over one common denominator den,
+the reduced costs an integer row over den, and both are updated by
 integer-preserving elimination whose divisions are exact (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968).  The tableau's last column holds den * y on the basis,
+elimination", 1968).  The tableau's last column holds den * x on the basis,
 an integer, and a pivot updates it by the same elimination as every other
 column (Azulay & Pique, "A revised simplex method with integer Q-matrices",
 2001).  The ratio test compares its caps by cross-multiplication, so
@@ -95,23 +94,24 @@ class LPResult:
     duals: list[Fraction] | None = None
 
 
-Bound = tuple[Fraction | int, "Fraction | int | None"]
+Bound = tuple[int, "int | None"]
 
 
 def solve_lp(
-    objective: Sequence[Fraction | int],
-    rows: Sequence[Sequence[Fraction | int]],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction | int],
+    rhs: Sequence[int],
     bounds: Sequence[Bound],
 ) -> LPResult:
     """Minimize objective . x subject to rows x (senses) rhs and lo <= x <= hi.
 
     senses entries are "<=", ">=" or "=".  Upper bounds of None mean
-    unbounded above; lower bounds must be finite.  Exact: the result is in
+    unbounded above; lower bounds must be finite.  Every other entry of the
+    data must be an integer (TypeError otherwise).  Exact: the result is in
     Fractions.
     """
-    return _simplex(objective, rows, senses, rhs, bounds, Fraction, 0, None)
+    return _simplex(objective, rows, senses, rhs, bounds, int, 0, None)
 
 
 def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
@@ -123,9 +123,9 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         raise ValueError("senses and rhs need one entry per row")
     if len(bounds) != n:
         raise ValueError("bounds need one entry per column")
-    exact = num is Fraction
+    exact = num is int
     if exact:
-        num = _rational
+        num = operator.index
     zero, one = num(0), num(1)
     c = [num(v) for v in objective]
     lo = [num(b[0]) for b in bounds]
@@ -139,16 +139,6 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if len(row) != n:
             raise ValueError("row length does not match objective")
     b = [num(v) for v in rhs]
-    # The exact run solves for y = scale * x, with scale the lcm of the
-    # denominators of the rhs and the bounds, so that y's rhs and bounds are
-    # integers.  The float run keeps scale 1.
-    scale = 1
-    if exact:
-        finite = [u for u in hi if u is not None]
-        scale = math.lcm(*(v.denominator for v in b + lo + finite))
-        b = [_scaled(v, scale) for v in b]
-        lo = [_scaled(v, scale) for v in lo]
-        hi = [None if u is None else _scaled(u, scale) for u in hi]
 
     for sense in senses:
         if sense not in ("<=", ">=", "="):
@@ -189,20 +179,8 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     for i, col in enumerate(basis):
         if tab[i][col] != one:
             tab[i] = [-v for v in tab[i]]
-    # The exact run holds the tableau as integers over one denominator den,
-    # and the costs (phase one's too, from zero and one) as integers over
-    # cscale.  den starts at the product of the rows' own denominators, which
-    # keeps every later division in _pivot exact; one lcm over the whole
-    # tableau would not.
-    den = cscale = 1
-    if exact:
-        for row in tab:
-            den *= math.lcm(*(v.denominator for v in row))
-        tab = [[_scaled(v, den) for v in row] for row in tab]
-        cscale = math.lcm(*(v.denominator for v in c_full))
-        c_full = [_scaled(v, cscale) for v in c_full]
 
-    state = _State(tab, den, scale, basis, status, lo, hi, tol, limit)
+    state = _State(tab, 1, basis, status, lo, hi, tol, limit)
 
     if art_rows:
         c1 = [zero] * (n + m) + [one] * len(art_rows)
@@ -220,28 +198,16 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     ratio = Fraction if exact else operator.truediv
     x = [ratio(*_variable_value(state, j)) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    duals = [ratio(d[n + i] * sign[i], state.den * cscale) for i in range(m)]
+    duals = [ratio(d[n + i] * sign[i], state.den) for i in range(m)]
     return LPResult(OPTIMAL, value, x, duals)
-
-
-def _rational(v):
-    """v as an exact number: an int stays an int, anything else a Fraction."""
-    return v if isinstance(v, int) else Fraction(v)
-
-
-def _scaled(v, q: int) -> int:
-    """v * q as an int, for q a multiple of v's denominator."""
-    return v.numerator * (q // v.denominator)
 
 
 @dataclass(slots=True)
 class _State:
-    # The run solves for y = scale * x, with y bounded by lo and hi.  The
-    # tableau is tab / den, and its last column holds den * y on the basis:
-    # den and scale stay 1 in the float run.
+    # The tableau is tab / den, and its last column holds den * x on the
+    # basis: den stays 1 in the float run.
     tab: list
     den: int
-    scale: int
     basis: list[int]
     status: list[int]
     lo: list
@@ -253,8 +219,8 @@ class _State:
 def _variable_value(state: _State, j: int) -> tuple:
     """x_j as a numerator and a denominator."""
     if state.status[j] == _BASIC:
-        return state.tab[state.basis.index(j)][-1], state.den * state.scale
-    return state.lo[j] if state.status[j] == _LOWER else state.hi[j], state.scale
+        return state.tab[state.basis.index(j)][-1], state.den
+    return state.lo[j] if state.status[j] == _LOWER else state.hi[j], 1
 
 
 def _reduced_costs(state: _State, cost: list) -> list:
@@ -309,7 +275,7 @@ def _iterate(state: _State, d: list) -> str:
         j = enter
         den = state.den
 
-        # Row i lets y_j move gap / rate before its basic value reaches a
+        # Row i lets x_j move gap / rate before its basic value reaches a
         # bound: gap is den times the basic value's distance to that bound,
         # rate den times how fast the value moves.  Caps are compared by
         # cross-multiplication, so the exact run stays in integers.
@@ -338,16 +304,16 @@ def _iterate(state: _State, d: list) -> str:
             return UNBOUNDED
 
         if leave_row == -1 or (width is not None and width * rate <= gap):
-            # y_j flips to its other bound, and every basic value follows.
+            # x_j flips to its other bound, and every basic value follows.
             for row in tab:
                 if row[j]:
                     row[-1] -= row[j] * direction * width
             status[j] = _UPPER if status[j] == _LOWER else _LOWER
             degenerate_streak = 0
             continue
-        # Eliminate with the leaving value already at its bound and y_j still
+        # Eliminate with the leaving value already at its bound and x_j still
         # at its own: by Sylvester's identity every division stays exact, and
-        # the leave row is left with den times y_j's step from that bound.
+        # the leave row is left with den times x_j's step from that bound.
         leaving = basis[leave_row]
         tab[leave_row][-1] -= den * (lo[leaving] if leave_to == _LOWER else hi[leaving])
         status[leaving] = leave_to
@@ -393,9 +359,9 @@ def _pivot(state: _State, d: list, row: int, col: int) -> None:
 
 def _satisfies(
     x: list[Fraction | int],
-    rows: Sequence[Sequence[Fraction | int]],
+    rows: Sequence[Sequence[int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction | int],
+    rhs: Sequence[int],
     bounds: Sequence[Bound],
 ) -> bool:
     for (l, u), xj in zip(bounds, x):
@@ -418,10 +384,10 @@ def _satisfies(
 
 
 def lagrangian_bound(
-    objective: Sequence[Fraction | int],
-    rows: Sequence[Sequence[Fraction | int]],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction | int],
+    rhs: Sequence[int],
     bounds: Sequence[Bound],
     duals: Sequence[Fraction | int | float],
 ) -> Fraction | None:
@@ -489,10 +455,10 @@ def _snap(v: float) -> Fraction | int:
 
 
 def certify(
-    objective: Sequence[Fraction | int],
-    rows: Sequence[Sequence[Fraction | int]],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction | int],
+    rhs: Sequence[int],
     bounds: Sequence[Bound],
 ) -> tuple[Fraction | None, Fraction | None]:
     """Proven bounds (lower, upper) on the LP minimum from the float run.
@@ -516,22 +482,22 @@ def certify(
 
 
 def solve_ip(
-    objective: Sequence[Fraction | int],
-    rows: Sequence[Sequence[Fraction | int]],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction | int],
+    rhs: Sequence[int],
     bounds: Sequence[Bound],
     cutoff: Fraction | int | None = None,
     hint=None,
 ) -> LPResult:
     """Minimize over integer points by branch and bound on the LP relaxation.
 
-    Branches on the first fractional variable with floor/ceiling bound splits;
-    never assumes the relaxation is integral.  When every objective coefficient
-    is an integer, so is the objective at every integer point, and the
-    relaxation value is rounded up before bound pruning.  Once there is an
-    incumbent or a cutoff, a node whose certified lower bound (certify)
-    already reaches it is pruned without an exact solve.  Its exact
+    The data must be integers, as for solve_lp.  Branches on the first
+    fractional variable with floor/ceiling bound splits; never assumes the
+    relaxation is integral.  The objective is an integer at every integer
+    point, so the relaxation value is rounded up before bound pruning.  Once
+    there is an incumbent or a cutoff, a node whose certified lower bound
+    (certify) already reaches it is pruned without an exact solve.  Its exact
     relaxation would have been pruned too, or found infeasible, so the tree
     and the result are those of exact solves at every node.
 
@@ -550,8 +516,7 @@ def solve_ip(
             best = LPResult(OPTIMAL, value, x)
             best_value = value
 
-    c = [Fraction(v) for v in objective]
-    integral_objective = all(cj.denominator == 1 for cj in c)
+    c = [operator.index(v) for v in objective]
     stack: list[tuple[Bound, ...]] = [tuple(bounds)]
     nodes = 0
     while stack:
@@ -561,19 +526,14 @@ def solve_ip(
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
         if best_value is not None:
             lower, _ = certify(objective, rows, senses, rhs, node_bounds)
-            if lower is not None:
-                if integral_objective:
-                    lower = math.ceil(lower)
-                if lower >= best_value:
-                    continue
+            if lower is not None and math.ceil(lower) >= best_value:
+                continue
         res = solve_lp(objective, rows, senses, rhs, node_bounds)
         if res.status == UNBOUNDED:
             raise SolverError("integer program has an unbounded relaxation")
         if res.status != OPTIMAL:
             continue
-        bound_value = res.value
-        if integral_objective:
-            bound_value = Fraction(math.ceil(bound_value))
+        bound_value = math.ceil(res.value)
         if best_value is not None and bound_value >= best_value:
             continue
         frac_j = -1

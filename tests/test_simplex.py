@@ -408,6 +408,29 @@ def test_ip_cutoff_with_integral_objective_rounds_bounds() -> None:
     assert res.status == CUTOFF
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5])
+def test_solvers_reject_non_integer_data(value) -> None:
+    # Every distance model and every branch is an integer program, and the
+    # exact run relies on it: a Fraction or a float anywhere in the data is
+    # an error, not a program to solve.
+    box = [(0, 5), (0, 5)]
+    problems = [
+        ([value, 1], [[1, 1]], [">="], [3], box),
+        ([1, 1], [[value, 1]], [">="], [3], box),
+        ([1, 1], [[1, 1]], [">="], [value], box),
+        ([1, 1], [[1, 1]], [">="], [3], [(value, 5), (0, 5)]),
+        ([1, 1], [[1, 1]], [">="], [3], [(0, value), (0, 5)]),
+    ]
+    for problem in problems:
+        for solve in (solve_lp, solve_ip):
+            with pytest.raises(TypeError):
+                solve(*problem)
+    # Rounding the certified bound up would prune this root, whose integer
+    # optimum 3/2 lies below the cutoff, if the objective were let through.
+    with pytest.raises(TypeError):
+        solve_ip([Fraction(3, 4)], [[2]], [">="], [3], [(0, 5)], cutoff=2)
+
+
 def test_ip_accepts_valid_hint_at_fractional_vertices() -> None:
     calls: list[list[Fraction]] = []
 
