@@ -5,11 +5,11 @@ small branch-and-bound layer for integer programs.  Its exact run takes the
 integer programs that every distance model and every branch produce, and
 rejects any other data.  It is exact: optima, reduced costs, duals and
 branching bounds carry no rounding, so callers can take ceilings of LP values
-without tolerance guards.  Run on float it only guides.  certify snaps the float run's duals to
-small-denominator rationals and evaluates the Lagrangian bound at them
-exactly (lagrangian_bound), which proves a lower bound on the LP minimum
-whatever the floats were; it snaps the float vertex the same way and keeps
-it as an upper bound only if it passes an exact feasibility check.
+without tolerance guards.  Run on float it only guides.  certify snaps the
+float run's duals to small-denominator rationals and evaluates the Lagrangian
+bound at them exactly (lagrangian_bound), which proves a lower bound on the
+LP minimum whatever the floats were; it snaps the float vertex the same way
+and keeps it as an upper bound only if it passes an exact feasibility check.
 Tolerances exist only inside the float run, no float value reaches a result
 without such a check, and any failure of the float run (a pivot cap, a
 non-finite value, a claim of infeasibility or unboundedness, or duals that
@@ -130,15 +130,14 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     c = [num(v) for v in objective]
     lo = [num(b[0]) for b in bounds]
     hi: list = [None if b[1] is None else num(b[1]) for b in bounds]
-    for l, u in zip(lo, hi):
-        if u is not None and u < l:
-            return LPResult(INFEASIBLE)
-
     tab = [[num(v) for v in row] for row in rows]
     for row in tab:
         if len(row) != n:
             raise ValueError("row length does not match objective")
     b = [num(v) for v in rhs]
+    for l, u in zip(lo, hi):
+        if u is not None and u < l:
+            return LPResult(INFEASIBLE)
 
     for sense in senses:
         if sense not in ("<=", ">=", "="):

@@ -420,6 +420,8 @@ def test_solvers_reject_non_integer_data(value) -> None:
         ([1, 1], [[1, 1]], [">="], [value], box),
         ([1, 1], [[1, 1]], [">="], [3], [(value, 5), (0, 5)]),
         ([1, 1], [[1, 1]], [">="], [3], [(0, value), (0, 5)]),
+        # An empty box does not let the rest of the data through.
+        ([1, 1], [[value, 1]], [">="], [3], [(2, 1), (0, 5)]),
     ]
     for problem in problems:
         for solve in (solve_lp, solve_ip):
