@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 # Separators used by the ballot file format; ":" also delimits id:party in the
 # header line, and whitespace would make diagnostics ambiguous.
@@ -26,6 +26,16 @@ DECIMAL = re.compile(r"-?[0-9]+")
 
 class ProfileError(ValueError):
     """A profile violates a structural invariant."""
+
+
+def check_party(code: str) -> str:
+    """code, unless it holds "+": that joins the parties of a coalition, so a
+    party named with one could never be matched by a coalition."""
+    if "+" in code:
+        raise ProfileError(
+            f"party code {code!r} contains '+', which joins coalition parties"
+        )
+    return code
 
 
 class ParseError(ProfileError):
@@ -49,6 +59,7 @@ class Candidate:
     def __post_init__(self):
         if not self.id or _FORBIDDEN_IN_ID.search(self.id):
             raise ProfileError(f"invalid candidate id {self.id!r}")
+        check_party(self.party)
         if not self.name:
             object.__setattr__(self, "name", self.id)
 
@@ -133,11 +144,10 @@ class Profile:
         return Profile(roster, tuple(ballots))
 
 
-def first_preference(ballot: Ballot, standing: Iterable[str]) -> str | None:
+def first_preference(ballot: Ballot, standing: Container[str]) -> str | None:
     """The ballot's most-preferred standing candidate, or None if exhausted."""
-    keep = set(standing)
     for c in ballot.ranking:
-        if c in keep:
+        if c in standing:
             return c
     return None
 

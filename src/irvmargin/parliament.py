@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .ballots import DECIMAL, Profile
+from .ballots import DECIMAL, Profile, check_party
 from .search import SearchStats, compute_movc
 from .tabulate import TieRule, last_round_margin, run_election
 
@@ -105,7 +105,8 @@ def analyze_seat(
     with the counters of the one search it runs.
 
     parties maps candidate ids to party codes and overrides the profile's
-    roster; an id that does not stand here raises ValueError.  In lose mode
+    roster; an id that does not stand here raises ValueError, and so does a
+    code containing "+", which joins coalition parties.  In lose mode
     a held seat gets its margin toward the candidates outside the
     coalition, keyed by their parties (see relabel_complement); in win mode
     a seat the coalition does not hold gets its margin toward the
@@ -122,7 +123,7 @@ def analyze_seat(
     if unknown:
         raise ValueError(f"unknown candidates in parties: {sorted(unknown)}")
     party = {c.id: c.party.upper() for c in profile.candidates}
-    party.update((cid, p.upper()) for cid, p in parties.items())
+    party.update((cid, check_party(p).upper()) for cid, p in parties.items())
     count = run_election(profile, tie_rule=tie_rule)
     movc: dict[str, int | None] = {}
     stats = SearchStats()
@@ -291,7 +292,8 @@ def load_seat_records(text: str) -> list[SeatRecord]:
     mov cell was not computed either and becomes None.  No column may repeat
     and no two movc columns may name the same coalition.  Every row has as
     many cells as the header, counts must not be negative, and seat names
-    must be non-blank and unique.  An error in a row names its line.
+    must be non-blank and unique, and no winner_party may contain "+".  An
+    error in a row names its line.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
@@ -335,7 +337,7 @@ def load_seat_records(text: str) -> list[SeatRecord]:
                     lrm=_count(row["lrm"]),
                     mov=_count(row["mov"]) if row["mov"] else None,
                     winner=row["winner"],
-                    winner_party=row["winner_party"],
+                    winner_party=check_party(row["winner_party"]),
                     movc_by_target=movc,
                 )
             )

@@ -60,6 +60,8 @@ def test_parse_roster_carries_parties() -> None:
         ("# candidates:\n", 1, "empty candidate roster"),
         ("# candidates: a:X,a:Y\n1,a\n", 1, "duplicate candidate id in roster"),
         ("# x\n# candidates: a:X\n1,a\n", 2, "at least two candidates"),
+        # "+" joins the parties of a coalition, which could never match this one.
+        ("# candidates: a:LIB+NAT,b:ALP\n1,a\n", 1, "party code 'LIB+NAT' contains '+'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text: str, line: int, needle: str) -> None:

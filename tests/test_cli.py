@@ -765,6 +765,8 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          "each manifest seat needs a name and a path"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"zz": "LIB"}}]},
          [], "seat 'S': unknown candidates in parties: ['zz']"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": "LIB+NAT"}}]},
+         [], "seat 'S': party code 'LIB+NAT' contains '+', which joins coalition parties"),
         # A falsy parties value is not an absent one.
         *[({"seats": [{"name": "S", "path": "seat1.ballots", "parties": falsy}]},
            [], "seat 'S': parties must be an object")
@@ -772,7 +774,8 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
     ],
     ids=["options", "seat-not-object", "parties-not-object", "party-null",
          "workers-flag", "threshold-flag",
-         "name-not-string", "party-of-absent-candidate", "parties-empty-list",
+         "name-not-string", "party-of-absent-candidate", "party-with-plus",
+         "parties-empty-list",
          "parties-zero", "parties-empty-string", "parties-false", "parties-null"],
 )
 def test_bad_manifest_input_is_an_error(

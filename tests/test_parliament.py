@@ -297,6 +297,11 @@ def test_malformed_records_carry_line_numbers() -> None:
     for row in negative:
         with pytest.raises(ValueError, match=r"line 2: bad seat record \(negative count"):
             load_seat_records(header + row + "\n")
+    # "+" joins the parties of a coalition, so no coalition could hold this seat.
+    with pytest.raises(
+        ValueError, match=r"line 2: bad seat record \(party code 'LIB\+NAT' contains '\+'"
+    ):
+        load_seat_records(header + "X,4,5,5,w,LIB+NAT,9\n")
     # A seat named twice would be counted, and could be chosen, twice.
     with pytest.raises(
         ValueError, match=r"line 4: bad seat record \(seat 'S1' is already on line 2\)"
