@@ -29,8 +29,12 @@ class ProfileError(ValueError):
 
 
 def check_party(code: str) -> str:
-    """code, unless it holds "+": that joins the parties of a coalition, so a
-    party named with one could never be matched by a coalition."""
+    """code, unless a coalition could never match it: a coalition names
+    trimmed, non-blank codes joined by "+"."""
+    if not code.strip():
+        raise ProfileError(f"party code {code!r} is blank")
+    if code != code.strip():
+        raise ProfileError(f"party code {code!r} has surrounding whitespace")
     if "+" in code:
         raise ProfileError(
             f"party code {code!r} contains '+', which joins coalition parties"

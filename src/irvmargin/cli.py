@@ -124,13 +124,13 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
     )
     for i, rnd in enumerate(result.rounds, start=1):
         standing = sorted(rnd.standing)
-        exhausted = rnd.tallies.exhausted
+        votes, exhausted = rnd.votes, rnd.exhausted
         rounds.append({"round": i, "standing": standing,
-                       "tallies": {c: rnd.tallies[c] for c in standing},
+                       "tallies": {c: votes[c] for c in standing},
                        "exhausted": exhausted, "eliminated": rnd.eliminated})
         report.add(f"round {i}:")
         for cid in standing:
-            report.add(f"  {cid:<16} {rnd.tallies[cid]}", ["tally", i, cid, rnd.tallies[cid]])
+            report.add(f"  {cid:<16} {votes[cid]}", ["tally", i, cid, votes[cid]])
         report.add(f"  {'(exhausted)':<16} {exhausted}", ["exhausted", i, "", exhausted])
         report.add(f"  eliminated: {rnd.eliminated}", ["eliminated", i, rnd.eliminated, ""])
     report.add(f"winner: {result.winner}", ["winner", "", result.winner, ""])

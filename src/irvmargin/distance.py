@@ -6,9 +6,10 @@ a ballot is its ranking restricted to set(pi) and filtered so positions in pi
 strictly increase.  Two ballots with the same chain contribute identically to
 every tally a count over set(pi) can produce, and any chain is itself a valid
 ranking, so the adversary optimizes over type counts rather than individual
-ballots.  Type t is encoded as the bitmask of pi-positions it contains, which
-makes the full type space (all strictly increasing chains, empty included)
-exactly the 2^|pi| masks.
+ballots.  Type t is encoded as the bitmask of pi-positions it contains
+(EliminationSequence.mask; .chain decodes it), which makes the full type
+space (all strictly increasing chains, empty included) exactly the 2^|pi|
+masks.
 
 The model asks for new type counts y_t minimizing the ballots removed from
 their original type, subject to conservation of the ballot total and, for
@@ -64,22 +65,24 @@ class EliminationSequence:
             raise DistanceError(f"repeated candidate in sequence {self.order!r}")
 
     @cached_property
-    def positions(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.order)}
+    def _bits(self) -> dict[str, int]:
+        return {c: 1 << i for i, c in enumerate(self.order)}
 
+    def mask(self, ranking: Iterable[str]) -> int:
+        """The type of a ranking: the bits of the positions it reaches in
+        strictly increasing order.  A candidate's bit exceeds the mask so far
+        just when its position is above every kept one."""
+        bits = self._bits
+        mask = 0
+        for c in ranking:
+            bit = bits.get(c, 0)
+            if bit > mask:
+                mask |= bit
+        return mask
 
-def project_type(ballot: Ballot, sequence: EliminationSequence) -> tuple[str, ...]:
-    """The ballot's chain: suffix candidates in order of appearance, keeping a
-    candidate only when its sequence position strictly exceeds the last kept one."""
-    pos = sequence.positions
-    chain: list[str] = []
-    last = -1
-    for c in ballot.ranking:
-        p = pos.get(c)
-        if p is not None and p > last:
-            chain.append(c)
-            last = p
-    return tuple(chain)
+    def chain(self, mask: int) -> tuple[str, ...]:
+        """The candidates of type mask, in order: a ranking of that type."""
+        return tuple(c for i, c in enumerate(self.order) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,6 @@ class DistanceModel:
     total: int
     complete: bool
 
-    def chain(self, mask: int) -> tuple[str, ...]:
-        order = self.sequence.order
-        return tuple(order[i] for i in range(len(order)) if mask >> i & 1)
-
 
 def build_model(profile: Profile, order: Iterable[str]) -> DistanceModel:
     """The type counts of the elimination sequence order over the profile's
@@ -111,13 +110,10 @@ def build_model(profile: Profile, order: Iterable[str]) -> DistanceModel:
     unknown = set(sequence.order).difference(profile.candidate_ids)
     if unknown:
         raise DistanceError(f"sequence names unknown candidates {sorted(unknown)}")
-    pos = sequence.positions
+    mask = sequence.mask
     counts = [0] * (1 << len(sequence.order))
     for ballot in profile.ballots:
-        mask = 0
-        for c in project_type(ballot, sequence):
-            mask |= 1 << pos[c]
-        counts[mask] += ballot.count
+        counts[mask(ballot.ranking)] += ballot.count
     complete = len(sequence.order) == len(profile.candidate_ids)
     return DistanceModel(sequence, tuple(counts), profile.total, complete)
 
@@ -198,6 +194,16 @@ class Manipulation:
         return sum(n for _, n in self.removals)
 
 
+def _manipulation(sequence: EliminationSequence, removals, additions) -> Manipulation:
+    """The Manipulation of (mask, ballots) removals and additions, each sorted
+    by chain."""
+
+    def chains(pairs):
+        return tuple(sorted((sequence.chain(m), n) for m, n in pairs))
+
+    return Manipulation(sequence, chains(removals), chains(additions))
+
+
 def exact_distance(
     model: DistanceModel, cutoff: int | None = None
 ) -> tuple[int, Manipulation] | None:
@@ -235,27 +241,20 @@ def exact_distance(
         raise SolverError(f"distance program reported {res.status}")
     value = model.total + res.value
     assert value.denominator == 1
-    nu = len(u_masks)
-    removals = []
-    additions = []
-    for i, mask in enumerate(u_masks):
-        kept = res.x[i]
-        if kept < model.counts[mask]:
-            removals.append((model.chain(mask), int(model.counts[mask] - kept)))
-    for i, mask in enumerate(e_masks):
-        added = res.x[nu + i]
-        if added:
-            additions.append((model.chain(mask), int(added)))
-    manip = Manipulation(sequence, tuple(sorted(removals)), tuple(sorted(additions)))
-    return int(value), manip
+    x = [int(v) for v in res.x]
+    counts = model.counts
+    removals = [(m, counts[m] - k) for m, k in zip(u_masks, x) if k < counts[m]]
+    additions = [(m, a) for m, a in zip(e_masks, x[len(u_masks):]) if a]
+    return int(value), _manipulation(sequence, removals, additions)
 
 
 def apply_manipulation(profile: Profile, manipulation: Manipulation) -> Profile:
     """Rewrite ballots per the witness and return the manipulated profile."""
-    remaining = {chain: n for chain, n in manipulation.removals}
+    sequence = manipulation.sequence
+    remaining = dict(manipulation.removals)
     new_counts: dict[tuple[str, ...], int] = {}
     for ballot in profile.ballots:
-        chain = project_type(ballot, manipulation.sequence)
+        chain = sequence.chain(sequence.mask(ballot.ranking))
         count = ballot.count
         need = remaining.get(chain, 0)
         if need:
@@ -306,22 +305,18 @@ def swap_final_witness(
         if not left:
             break
         take = min(left, model.counts[mask])
-        removals.append((model.chain(mask), take))
+        removals.append((mask, take))
         new_mask = (mask & ~winner_bit) | (1 << (k - 1))
         additions[new_mask] = additions.get(new_mask, 0) + take
         left -= take
     if left:
         raise SolverError("final-round pile smaller than the last-round margin")
-    manip = Manipulation(
-        model.sequence,
-        tuple(sorted(removals)),
-        tuple(sorted((model.chain(m), n) for m, n in additions.items())),
-    )
+    manip = _manipulation(model.sequence, removals, additions.items())
 
     rewritten = apply_manipulation(profile, manip)
     for r in range(k - 1):
         standing = order[r:]
-        votes = tally(rewritten, standing).votes
+        votes = tally(rewritten, standing)
         if votes[order[r]] != min(votes[c] for c in standing):
             raise SolverError(f"swap witness fails round {r + 1} of {order}")
     return need, manip
@@ -346,7 +341,7 @@ def model_lp_text(model: DistanceModel) -> str:
     objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
 
     def chain(mask: int) -> str:
-        return ">".join(model.chain(mask)) or "-"
+        return ">".join(model.sequence.chain(mask)) or "-"
 
     names = [f"u[{chain(m)}]" for m in u_masks] + [f"e[{chain(m)}]" for m in e_masks]
     order = model.sequence.order

@@ -59,11 +59,11 @@ def adversarial_winners(profile: Profile) -> set[str]:
             return standing
         if standing in memo:
             return memo[standing]
-        tm = tally(profile, standing)
-        low = min(tm.votes[c] for c in standing)
+        votes = tally(profile, standing)
+        low = min(votes.values())
         out: frozenset[str] = frozenset()
         for c in sorted(standing):
-            if tm.votes[c] == low:
+            if votes[c] == low:
                 out |= winners(standing - {c})
         memo[standing] = out
         return out
@@ -78,8 +78,8 @@ def order_attainable(profile: Profile, order: Iterable[str]) -> bool:
         return False
     for i in range(len(order) - 1):
         standing = order[i:]
-        tm = tally(profile, standing)
-        if tm.votes[order[i]] != min(tm.votes[c] for c in standing):
+        votes = tally(profile, standing)
+        if votes[order[i]] != min(votes.values()):
             return False
     return True
 

@@ -292,8 +292,9 @@ def load_seat_records(text: str) -> list[SeatRecord]:
     mov cell was not computed either and becomes None.  No column may repeat
     and no two movc columns may name the same coalition.  Every row has as
     many cells as the header, counts must not be negative, and seat names
-    must be non-blank and unique, and no winner_party may contain "+".  An
-    error in a row names its line.
+    must be non-blank and unique, and each winner_party must be a code a
+    coalition can name (ballots.check_party).  An error in a row names its
+    line.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from .ballots import Profile
@@ -163,9 +163,7 @@ def compute_movc(
     stats = SearchStats()
     ids = frozenset(profile.candidate_ids)
 
-    @cache
-    def votes(standing: frozenset[str]) -> dict[str, int]:
-        return tally(profile, standing).votes
+    votes = cache(partial(tally, profile))
 
     frontier: list[tuple[int, int, tuple[str, ...]]] = []
     for a in sorted(alts):

@@ -515,7 +515,12 @@ def solve_ip(
             best = LPResult(OPTIMAL, value, x)
             best_value = value
 
-    c = [operator.index(v) for v in objective]
+    # Converted here: certify's float run would take non-integer data.
+    index = operator.index
+    c = [index(v) for v in objective]
+    rows = [[index(v) for v in row] for row in rows]
+    rhs = [index(v) for v in rhs]
+    bounds = [(index(lo), None if hi is None else index(hi)) for lo, hi in bounds]
     stack: list[tuple[Bound, ...]] = [tuple(bounds)]
     nodes = 0
     while stack:
@@ -524,10 +529,10 @@ def solve_ip(
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
         if best_value is not None:
-            lower, _ = certify(objective, rows, senses, rhs, node_bounds)
+            lower, _ = certify(c, rows, senses, rhs, node_bounds)
             if lower is not None and math.ceil(lower) >= best_value:
                 continue
-        res = solve_lp(objective, rows, senses, rhs, node_bounds)
+        res = solve_lp(c, rows, senses, rhs, node_bounds)
         if res.status == UNBOUNDED:
             raise SolverError("integer program has an unbounded relaxation")
         if res.status != OPTIMAL:

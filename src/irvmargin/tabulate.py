@@ -20,20 +20,12 @@ class TieRule(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TallyMap:
-    """Votes per standing candidate for one round, plus the exhausted count."""
+class CountRound:
+    """One round: votes per standing candidate, and the exhausted ballots."""
 
+    standing: tuple[str, ...]
     votes: dict[str, int]
     exhausted: int
-
-    def __getitem__(self, candidate: str) -> int:
-        return self.votes[candidate]
-
-
-@dataclass(frozen=True)
-class CountRound:
-    standing: tuple[str, ...]
-    tallies: TallyMap
     eliminated: str
 
 
@@ -49,17 +41,15 @@ class CountResult:
         return tuple(r.eliminated for r in self.rounds) + (self.winner,)
 
 
-def tally(profile: Profile, standing: Iterable[str]) -> TallyMap:
-    """First-preference tallies over the standing set; exhausted ballots counted apart."""
+def tally(profile: Profile, standing: Iterable[str]) -> dict[str, int]:
+    """First-preference votes per standing candidate; an exhausted ballot
+    counts for no one."""
     votes = {c: 0 for c in sorted(standing)}
-    exhausted = 0
     for ballot in profile.ballots:
         top = first_preference(ballot, votes)
-        if top is None:
-            exhausted += ballot.count
-        else:
+        if top is not None:
             votes[top] += ballot.count
-    return TallyMap(votes, exhausted)
+    return votes
 
 
 def run_election(profile: Profile, tie_rule: TieRule = TieRule.FAIL) -> CountResult:
@@ -72,16 +62,17 @@ def run_election(profile: Profile, tie_rule: TieRule = TieRule.FAIL) -> CountRes
     standing = set(profile.candidate_ids)
     rounds: list[CountRound] = []
     while len(standing) > 1:
-        tm = tally(profile, standing)
-        low = min(tm.votes[c] for c in standing)
-        tied = sorted(c for c in standing if tm.votes[c] == low)
+        votes = tally(profile, standing)
+        low = min(votes.values())
+        tied = sorted(c for c in standing if votes[c] == low)
         if len(tied) > 1 and tie_rule is TieRule.FAIL:
             raise UnresolvedTie(
                 f"candidates {', '.join(tied)} tie on {low} votes; "
                 "rerun with the lexicographic rule to force a result"
             )
         out = tied[0]
-        rounds.append(CountRound(tuple(sorted(standing)), tm, out))
+        exhausted = profile.total - sum(votes.values())
+        rounds.append(CountRound(tuple(sorted(standing)), votes, exhausted, out))
         standing.remove(out)
     return CountResult(tuple(rounds), standing.pop())
 
@@ -89,5 +80,5 @@ def run_election(profile: Profile, tie_rule: TieRule = TieRule.FAIL) -> CountRes
 def last_round_margin(result: CountResult) -> int:
     """Ceil of half the final-round tally gap; an upper bound on the margin of victory."""
     final = result.rounds[-1]
-    a, b = (final.tallies[c] for c in final.standing)
+    a, b = (final.votes[c] for c in final.standing)
     return (abs(a - b) + 1) // 2

@@ -62,6 +62,7 @@ def test_parse_roster_carries_parties() -> None:
         ("# x\n# candidates: a:X\n1,a\n", 2, "at least two candidates"),
         # "+" joins the parties of a coalition, which could never match this one.
         ("# candidates: a:LIB+NAT,b:ALP\n1,a\n", 1, "party code 'LIB+NAT' contains '+'"),
+        ("# candidates: a:ALP,b: \n1,a\n", 1, "roster entry 'b:' is not id:party"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text: str, line: int, needle: str) -> None:
@@ -81,6 +82,13 @@ def test_candidate_id_rejects_separator_characters() -> None:
     for bad in ("a,b", "a>b", "a:b", "a b", ""):
         with pytest.raises(ProfileError):
             Candidate(bad)
+
+
+def test_candidate_party_rejects_codes_no_coalition_matches() -> None:
+    for bad, needle in (("", "is blank"), (" ", "is blank"),
+                        (" ALP", "surrounding whitespace"), ("ALP\t", "surrounding whitespace")):
+        with pytest.raises(ProfileError, match=needle):
+            Candidate("a", party=bad)
 
 
 def test_ballot_invariants() -> None:

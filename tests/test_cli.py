@@ -245,8 +245,8 @@ def test_dump_lp_lists_the_solved_program(
     profile = parse_profile(EXAMPLE_WITH_PARTIES)
     model = build_model(profile, order)
     _, rows, _, _, _, u_masks, e_masks = _assemble(model)
-    columns = [f"u[{'>'.join(model.chain(m)) or '-'}]" for m in u_masks]
-    columns += [f"e[{'>'.join(model.chain(m))}]" for m in e_masks]
+    columns = [f"u[{'>'.join(model.sequence.chain(m)) or '-'}]" for m in u_masks]
+    columns += [f"e[{'>'.join(model.sequence.chain(m))}]" for m in e_masks]
 
     lines = captured.err.splitlines()
     start = lines.index("subject to:") + 1
@@ -318,6 +318,19 @@ def test_parliament_workers_do_not_change_output(
     assert main(args + ["--workers", "2"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_chamber_fixture_loses_its_majority(capsys: pytest.CaptureFixture) -> None:
+    # The README's manifest example: West's x is ALP only by the manifest.
+    args = ["parliament", str(FIXTURES / "chamber" / "manifest.json"),
+            "--coalition", "ALP", "--mode", "lose", "--format", "json"]
+    assert main(args + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    report = json.loads(serial)
+    assert report["seats"] == [{"seat": "North", "changes": 1}, {"seat": "West", "changes": 13}]
+    assert report["total_changes"] == 14
 
 
 class _SerialPool:
@@ -767,6 +780,11 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          [], "seat 'S': unknown candidates in parties: ['zz']"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": "LIB+NAT"}}]},
          [], "seat 'S': party code 'LIB+NAT' contains '+', which joins coalition parties"),
+        # A coalition names trimmed codes, so neither could ever be held.
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": " ALP"}}]},
+         [], "seat 'S': party code ' ALP' has surrounding whitespace"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": " "}}]},
+         [], "seat 'S': party code ' ' is blank"),
         # A falsy parties value is not an absent one.
         *[({"seats": [{"name": "S", "path": "seat1.ballots", "parties": falsy}]},
            [], "seat 'S': parties must be an object")
@@ -775,6 +793,7 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
     ids=["options", "seat-not-object", "parties-not-object", "party-null",
          "workers-flag", "threshold-flag",
          "name-not-string", "party-of-absent-candidate", "party-with-plus",
+         "party-with-space", "party-blank",
          "parties-empty-list",
          "parties-zero", "parties-empty-string", "parties-false", "parties-null"],
 )

@@ -27,9 +27,9 @@ from irvmargin import (
 from irvmargin import search, simplex
 from irvmargin.distance import (
     DistanceModel,
+    Manipulation,
     _assemble,
     _credit,
-    project_type,
     swap_final_witness,
 )
 from irvmargin.oracle import order_attainable
@@ -59,12 +59,43 @@ def test_build_model_rejects_candidates_outside_the_profile(example1: Profile) -
             build_model(example1, order)
 
 
+def project_type(ballot: Ballot, sequence: EliminationSequence) -> tuple[str, ...]:
+    """The slow reference for a ballot's type: its chain, the sequence's
+    candidates in order of appearance, each kept only when its position
+    strictly exceeds the last kept one."""
+    pos = {c: i for i, c in enumerate(sequence.order)}
+    chain: list[str] = []
+    last = -1
+    for c in ballot.ranking:
+        p = pos.get(c)
+        if p is not None and p > last:
+            chain.append(c)
+            last = p
+    return tuple(chain)
+
+
 def test_project_type_examples(example1: Profile) -> None:
     pi = EliminationSequence(_order("b>a>c"))
     assert project_type(Ballot(("c", "a"), 1), pi) == ("c",)
     assert project_type(Ballot(("b", "c"), 1), pi) == ("b", "c")
     suffix = EliminationSequence(_order("b>c"))
     assert project_type(Ballot(("a",), 1), suffix) == ()
+    assert (pi.mask(("c", "a")), pi.chain(0b100)) == (0b100, ("c",))
+    assert (pi.mask(("b", "c")), pi.chain(0b101)) == (0b101, ("b", "c"))
+    assert (suffix.mask(("a",)), suffix.chain(0)) == (0, ())
+
+
+def test_mask_and_chain_match_the_reference_projection_on_the_corpus() -> None:
+    # Every ranking of every corpus profile, under every elimination order
+    # and every suffix of two or more candidates.
+    checked = 0
+    for profile, order in _corpus_sequences():
+        sequence = EliminationSequence(order)
+        for ballot in profile.ballots:
+            mask = sequence.mask(ballot.ranking)
+            assert sequence.chain(mask) == project_type(ballot, sequence)
+            checked += 1
+    assert checked > 10_000
 
 
 def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
@@ -72,14 +103,13 @@ def test_build_model_projects_suffix_tallies(example1: Profile) -> None:
     tallies = {"a": 0, "b": 0}
     exhausted = 0
     for mask, count in enumerate(model.counts):
-        chain = model.chain(mask)
+        chain = model.sequence.chain(mask)
         if chain:
             tallies[chain[0]] += count
         else:
             exhausted += count
-    expected = tally(example1, ("a", "b"))
-    assert tallies == expected.votes == {"a": 80, "b": 41}
-    assert exhausted == expected.exhausted == 15
+    assert tallies == tally(example1, ("a", "b")) == {"a": 80, "b": 41}
+    assert exhausted == run_election(example1).rounds[-1].exhausted == 15
     assert model.total == 136
 
 
@@ -129,11 +159,22 @@ def test_witness_balances_and_realizes_order(example1: Profile) -> None:
 
 def test_apply_manipulation_rejects_overdraw(example1: Profile) -> None:
     _, witness = exact_distance(build_model(example1, _order("b>a>c")))
-    from irvmargin.distance import Manipulation
-
     greedy = Manipulation(witness.sequence, ((("b", "c"), 99),), witness.additions)
     with pytest.raises(DistanceError, match="more ballots than exist"):
         apply_manipulation(example1, greedy)
+
+
+def test_apply_manipulation_matches_no_ballot_to_a_decreasing_chain(
+    example1: Profile,
+) -> None:
+    # Under b>a>c, the chain c>a steps back from position 2 to 1, so no ballot
+    # has that type: the 25 "c>a" ballots are of type c.  Removing one is
+    # left over.
+    sequence = EliminationSequence(_order("b>a>c"))
+    assert Ballot(("c", "a"), 25) in example1.ballots
+    manipulation = Manipulation(sequence, ((("c", "a"), 1),), ((("b",), 1),))
+    with pytest.raises(DistanceError, match=r"more ballots than exist: \{\('c', 'a'\): 1\}"):
+        apply_manipulation(example1, manipulation)
 
 
 def test_realized_order_distance_is_zero() -> None:
@@ -273,7 +314,7 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     settled = 0
     for profile, order in _corpus_sequences():
         lead = max(0, *(
-            _lead(lambda s: tally(profile, s).votes, order[r:])
+            _lead(lambda s: tally(profile, s), order[r:])
             for r in range(len(order) - 1)
         ))
         model = build_model(profile, order)

@@ -302,6 +302,13 @@ def test_malformed_records_carry_line_numbers() -> None:
         ValueError, match=r"line 2: bad seat record \(party code 'LIB\+NAT' contains '\+'"
     ):
         load_seat_records(header + "X,4,5,5,w,LIB+NAT,9\n")
+    # Nor one whose party is blank.  Cells are trimmed, so a padded one is read
+    # as the party it pads.
+    with pytest.raises(
+        ValueError, match=r"line 3: bad seat record \(party code '' is blank\)"
+    ):
+        load_seat_records(header + "S1,4,5,5,w, LIB ,9\nX,4,5,5,w, ,9\n")
+    assert load_seat_records(header + "S1,4,5,5,w, LIB ,9\n")[0].winner_party == "LIB"
     # A seat named twice would be counted, and could be chosen, twice.
     with pytest.raises(
         ValueError, match=r"line 4: bad seat record \(seat 'S1' is already on line 2\)"

@@ -246,7 +246,7 @@ def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
         ids = frozenset(profile.candidate_ids)
         for perm in itertools.permutations(sorted(ids)):
             bound = max(
-                _lookahead(lambda s: tally(profile, s).votes, ids, perm[cut:])
+                _lookahead(lambda s: tally(profile, s), ids, perm[cut:])
                 for cut in range(len(perm))
             )
             plan = _OrderPlan(profile, perm)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -422,9 +423,15 @@ def test_solvers_reject_non_integer_data(value) -> None:
         ([1, 1], [[1, 1]], [">="], [3], [(0, value), (0, 5)]),
         # An empty box does not let the rest of the data through.
         ([1, 1], [[value, 1]], [">="], [3], [(2, 1), (0, 5)]),
+        # A float bound is refused even when it holds an integer.
+        ([1, 1], [[1, 1]], [">="], [3], [(0, 5.0), (0, 5)]),
+        ([1, 1], [[value, 1]], [">="], [3], [(0, 5.0), (0, 5)]),
     ]
+    # With a cutoff, solve_ip tries the certified bound, whose float run
+    # would take the data, before any exact solve.
+    solvers = (solve_lp, solve_ip, functools.partial(solve_ip, cutoff=2))
     for problem in problems:
-        for solve in (solve_lp, solve_ip):
+        for solve in solvers:
             with pytest.raises(TypeError):
                 solve(*problem)
     # Rounding the certified bound up would prune this root, whose integer

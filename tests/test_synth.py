@@ -31,7 +31,7 @@ def test_synthetic_seat_counts_cleanly_and_stays_close() -> None:
         profile = synthetic_seat(seed)
         count = run_election(profile)  # must not hit a tie under fail-on-tie
         assert count.rounds[-1].standing == ("c0", "c1")
-        final = count.rounds[-1].tallies
+        final = count.rounds[-1].votes
         gap = abs(final["c0"] - final["c1"])
         # The two majors finish within a whisker of each other while the
         # minor pile gaps sit strictly above the whole final-round gap.
