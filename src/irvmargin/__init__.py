@@ -26,14 +26,6 @@ from .distance import (
     lower_bound,
     model_lp_text,
 )
-from .oracle import (
-    ABOVE_CAP,
-    OracleCapExceeded,
-    OracleConfig,
-    adversarial_winners,
-    oracle_movc,
-    order_attainable,
-)
 from .parliament import (
     CoalitionLacksMajority,
     MissingMovc,
@@ -56,13 +48,15 @@ from .search import (
     compute_mov,
     compute_movc,
 )
-from .synth import random_profile, synthetic_seat
+from .synth import synthetic_seat
 from .tabulate import (
     CountResult,
     CountRound,
     TieRule,
     UnresolvedTie,
+    adversarial_winners,
     last_round_margin,
+    order_attainable,
     run_election,
     tally,
 )
@@ -70,7 +64,6 @@ from .tabulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABOVE_CAP",
     "AlternateIsWinner",
     "Ballot",
     "Candidate",
@@ -83,8 +76,6 @@ __all__ = [
     "Manipulation",
     "MarginResult",
     "MissingMovc",
-    "OracleCapExceeded",
-    "OracleConfig",
     "ParliamentScenario",
     "ParseError",
     "Profile",
@@ -106,10 +97,8 @@ __all__ = [
     "load_seat_records",
     "lower_bound",
     "model_lp_text",
-    "oracle_movc",
     "order_attainable",
     "parse_profile",
-    "random_profile",
     "relabel_complement",
     "run_election",
     "seats_to_lose_majority",

@@ -8,6 +8,7 @@ bit-exactly through parse_profile.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,8 +86,15 @@ class Ballot:
             raise ProfileError("ballot ranks no candidates")
         if len(set(self.ranking)) != len(self.ranking):
             raise ProfileError(f"duplicate candidate in ranking {self.ranking!r}")
-        if self.count < 1:
-            raise ProfileError(f"nonpositive ballot count {self.count}")
+        try:
+            count = operator.index(self.count)
+        except TypeError:
+            raise ProfileError(
+                f"ballot count {self.count!r} is not an integer"
+            ) from None
+        object.__setattr__(self, "count", count)
+        if count < 1:
+            raise ProfileError(f"nonpositive ballot count {count}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from typing import Iterable
 from . import simplex
 from .ballots import Ballot, Profile
 from .simplex import SolverError
-from .tabulate import CountResult, last_round_margin, tally
+from .tabulate import CountResult, last_round_margin
 
 
 class DistanceError(ValueError):
@@ -285,7 +285,7 @@ def swap_final_witness(
     exceed its final one, and tallies only grow between rounds, which caps
     the winner's pile loss in any earlier round below its slack there.  The
     result always costs exactly the last-round margin, so the construction is
-    verified by re-tallying rather than solved for.
+    verified on its type counts rather than solved for.
     """
     realized = count.elimination_order
     if len(realized) < 2:
@@ -311,15 +311,32 @@ def swap_final_witness(
         left -= take
     if left:
         raise SolverError("final-round pile smaller than the last-round margin")
-    manip = _manipulation(model.sequence, removals, additions.items())
 
-    rewritten = apply_manipulation(profile, manip)
+    counts = {m: n for m, n in enumerate(model.counts) if n}
+    for mask, n in removals:
+        counts[mask] -= n
+    for mask, n in additions.items():
+        counts[mask] = counts.get(mask, 0) + n
+    r = _failing_round(k, counts)
+    if r is not None:
+        raise SolverError(f"swap witness fails round {r + 1} of {order}")
+    return need, _manipulation(model.sequence, removals, additions.items())
+
+
+def _failing_round(k: int, counts: dict[int, int]) -> int | None:
+    """The first round r (from 0) of a complete order of length k whose
+    eliminee, position r, lacks a minimal tally, or None when every round
+    holds.  counts maps a type mask to its ballots; in round r a type counts
+    toward its _credit."""
     for r in range(k - 1):
-        standing = order[r:]
-        votes = tally(rewritten, standing)
-        if votes[order[r]] != min(votes[c] for c in standing):
-            raise SolverError(f"swap witness fails round {r + 1} of {order}")
-    return need, manip
+        votes = [0] * k
+        for mask, n in counts.items():
+            c = _credit(mask, r)
+            if c >= 0:
+                votes[c] += n
+        if votes[r] != min(votes[r:]):
+            return r
+    return None
 
 
 def _linear(coefs, names) -> str:

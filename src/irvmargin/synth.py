@@ -1,40 +1,10 @@
-"""Deterministic random instance generators for tests and benchmarks."""
+"""Deterministic synthetic seats for the CLI's --seed option and the tests."""
 
 from __future__ import annotations
 
 import random
 
 from .ballots import Profile
-
-
-def random_profile(
-    seed: int,
-    min_candidates: int = 3,
-    max_candidates: int = 4,
-    max_lines: int = 8,
-    max_count: int = 10,
-) -> Profile:
-    """Small random profile suitable for exhaustive oracle checking.
-
-    Candidate ids are single letters.  Ballot lines are distinct rankings
-    with small counts; totals stay low so brute-force manipulation search
-    over every elimination order remains cheap.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(min_candidates, max_candidates)
-    ids = [chr(ord("a") + i) for i in range(n)]
-    counts: dict[str, int] = {}
-    for _ in range(rng.randint(2, max_lines)):
-        length = rng.randint(1, n)
-        ranking = ">".join(rng.sample(ids, length))
-        counts[ranking] = counts.get(ranking, 0) + rng.randint(1, max_count)
-    # Every candidate needs at least one first preference somewhere or ties
-    # at zero dominate; a singleton ballot per missing candidate fixes that.
-    seen = {line.split(">")[0] for line in counts}
-    for cid in ids:
-        if cid not in seen:
-            counts[cid] = counts.get(cid, 0) + 1
-    return Profile.from_rankings(counts, extra_candidates=ids)
 
 
 def synthetic_seat(

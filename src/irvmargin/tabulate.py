@@ -1,4 +1,8 @@
-"""Instant-runoff tabulation: round tallies, elimination, winner, last-round margin."""
+"""Instant-runoff tabulation: round tallies, elimination, winner, last-round margin.
+
+Also the adversarial checks on a count, where ties resolve either way: every
+candidate who can win, and whether a complete elimination order is attainable.
+"""
 
 from __future__ import annotations
 
@@ -82,3 +86,37 @@ def last_round_margin(result: CountResult) -> int:
     final = result.rounds[-1]
     a, b = (final.votes[c] for c in final.standing)
     return (abs(a - b) + 1) // 2
+
+
+def adversarial_winners(profile: Profile) -> set[str]:
+    """Candidates who can win under some resolution of elimination ties."""
+    memo: dict[frozenset[str], frozenset[str]] = {}
+
+    def winners(standing: frozenset[str]) -> frozenset[str]:
+        if len(standing) == 1:
+            return standing
+        if standing in memo:
+            return memo[standing]
+        votes = tally(profile, standing)
+        low = min(votes.values())
+        out: frozenset[str] = frozenset()
+        for c in sorted(standing):
+            if votes[c] == low:
+                out |= winners(standing - {c})
+        memo[standing] = out
+        return out
+
+    return set(winners(frozenset(profile.candidate_ids)))
+
+
+def order_attainable(profile: Profile, order: Iterable[str]) -> bool:
+    """Is the complete order a valid adversarial elimination order?"""
+    order = tuple(order)
+    if sorted(order) != sorted(profile.candidate_ids):
+        return False
+    for i in range(len(order) - 1):
+        standing = order[i:]
+        votes = tally(profile, standing)
+        if votes[order[i]] != min(votes.values()):
+            return False
+    return True

@@ -1,9 +1,11 @@
 """Brute-force ground truth for margins on small instances.
 
 Everything here is definition-shaped and shares no machinery with the LP or
-the frontier search: winners are found by branching on every tied elimination,
-and margins by enumerating manipulations outright.  Capped hard because the
-enumeration is exponential; the caps are the contract, exceeding them raises.
+the frontier search: margins are found by enumerating manipulations outright
+(winners, by branching on every tied elimination, come from
+tabulate.adversarial_winners).  Capped hard because the enumeration is
+exponential; the caps are the contract, exceeding them raises.
+random_profile draws the small instances the tests check against it.
 
 oracle_movc works per candidate elimination order.  A manipulation that makes
 some alternate win must realize a complete order ending in an alternate, and
@@ -20,12 +22,13 @@ rewritten ballots.  First k that works is the margin.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .ballots import Profile, first_preference
-from .tabulate import tally
+from irvmargin import Profile
+from irvmargin.ballots import first_preference
 
 
 class OracleCapExceeded(ValueError):
@@ -48,40 +51,6 @@ class OracleConfig:
     max_changes: int = 10
     max_candidates: int = 4
     max_distinct_types: int = 10
-
-
-def adversarial_winners(profile: Profile) -> set[str]:
-    """Candidates who can win under some resolution of elimination ties."""
-    memo: dict[frozenset[str], frozenset[str]] = {}
-
-    def winners(standing: frozenset[str]) -> frozenset[str]:
-        if len(standing) == 1:
-            return standing
-        if standing in memo:
-            return memo[standing]
-        votes = tally(profile, standing)
-        low = min(votes.values())
-        out: frozenset[str] = frozenset()
-        for c in sorted(standing):
-            if votes[c] == low:
-                out |= winners(standing - {c})
-        memo[standing] = out
-        return out
-
-    return set(winners(frozenset(profile.candidate_ids)))
-
-
-def order_attainable(profile: Profile, order: Iterable[str]) -> bool:
-    """Is the complete order a valid adversarial elimination order?"""
-    order = tuple(order)
-    if sorted(order) != sorted(profile.candidate_ids):
-        return False
-    for i in range(len(order) - 1):
-        standing = order[i:]
-        votes = tally(profile, standing)
-        if votes[order[i]] != min(votes.values()):
-            return False
-    return True
 
 
 def oracle_movc(
@@ -229,3 +198,33 @@ def _bounded_vectors(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
     for head in range(head_cap + 1):
         for rest in _bounded_vectors(total - head, caps[1:]):
             yield (head,) + rest
+
+
+def random_profile(
+    seed: int,
+    min_candidates: int = 3,
+    max_candidates: int = 4,
+    max_lines: int = 8,
+    max_count: int = 10,
+) -> Profile:
+    """Small random profile suitable for exhaustive oracle checking.
+
+    Candidate ids are single letters.  Ballot lines are distinct rankings
+    with small counts; totals stay low so brute-force manipulation search
+    over every elimination order remains cheap.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(min_candidates, max_candidates)
+    ids = [chr(ord("a") + i) for i in range(n)]
+    counts: dict[str, int] = {}
+    for _ in range(rng.randint(2, max_lines)):
+        length = rng.randint(1, n)
+        ranking = ">".join(rng.sample(ids, length))
+        counts[ranking] = counts.get(ranking, 0) + rng.randint(1, max_count)
+    # Every candidate needs at least one first preference somewhere or ties
+    # at zero dominate; a singleton ballot per missing candidate fixes that.
+    seen = {line.split(">")[0] for line in counts}
+    for cid in ids:
+        if cid not in seen:
+            counts[cid] = counts.get(cid, 0) + 1
+    return Profile.from_rankings(counts, extra_candidates=ids)

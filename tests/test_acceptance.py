@@ -13,8 +13,9 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+from oracle import ABOVE_CAP, oracle_movc, random_profile
+
 from irvmargin import (
-    ABOVE_CAP,
     Profile,
     TieRule,
     apply_manipulation,
@@ -25,16 +26,15 @@ from irvmargin import (
     last_round_margin,
     load_seat_records,
     lower_bound,
-    oracle_movc,
+    order_attainable,
     parse_profile,
     run_election,
     seats_to_lose_majority,
     seats_to_win,
     threshold,
 )
-from irvmargin.oracle import order_attainable
 from irvmargin.parliament import SeatRecord
-from irvmargin.synth import random_profile, synthetic_seat
+from irvmargin.synth import synthetic_seat
 
 EXAMPLE1 = """\
 # candidates: a:none, b:none, c:none

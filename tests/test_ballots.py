@@ -100,6 +100,16 @@ def test_ballot_invariants() -> None:
         Ballot(("a",), 0)
 
 
+def test_ballot_count_must_be_an_integer() -> None:
+    # A float or string count used to build a profile that the solver or
+    # the file format then rejected with a bare or misleading error.
+    for bad in (2.0, 2.5, "3"):
+        with pytest.raises(ProfileError, match="is not an integer"):
+            Profile.from_rankings({"a": 5, "b>a": bad, "c>b": 3})
+    ballot = Ballot(("a",), True)
+    assert ballot.count == 1 and type(ballot.count) is int
+
+
 def test_profile_requires_two_candidates() -> None:
     with pytest.raises(ProfileError):
         Profile((Candidate("a"),), (Ballot(("a",), 1),))

@@ -7,6 +7,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
+from oracle import random_profile
 from test_acceptance import _random_corpus
 from test_simplex import PERTURBATIONS
 
@@ -24,18 +25,17 @@ from irvmargin import (
     model_lp_text,
     run_election,
 )
-from irvmargin import search, simplex
+from irvmargin import distance, search, simplex
 from irvmargin.distance import (
     DistanceModel,
     Manipulation,
     _assemble,
     _credit,
+    _failing_round,
     swap_final_witness,
 )
-from irvmargin.oracle import order_attainable
 from irvmargin.search import _lead
-from irvmargin.synth import random_profile
-from irvmargin.tabulate import TieRule, last_round_margin, tally
+from irvmargin.tabulate import TieRule, last_round_margin, order_attainable, tally
 
 
 def _order(text: str) -> tuple[str, ...]:
@@ -233,6 +233,35 @@ def test_swap_final_witness_on_random_profiles() -> None:
         assert order_attainable(manipulated, witness.sequence.order)
         checked += 1
     assert checked >= 20
+
+
+def test_type_count_round_check_matches_order_attainable() -> None:
+    # swap_final_witness checks its rounds on type counts; order_attainable,
+    # the reference, re-tallies the ballots.
+    verdicts = []
+    for profile in _random_corpus():
+        for order in itertools.permutations(profile.candidate_ids):
+            counts = dict(enumerate(build_model(profile, order).counts))
+            verdict = _failing_round(len(order), counts) is None
+            assert verdict == order_attainable(profile, order), (profile, order)
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_swap_final_witness_rejects_a_witness_that_fails_a_round(
+    example1: Profile,
+) -> None:
+    # One ballot short of the last-round margin leaves the winner (a) above
+    # the runner-up in the swapped order's final round.
+    def short(count):
+        return last_round_margin(count) - 1
+
+    with mock.patch.object(distance, "last_round_margin", short):
+        with pytest.raises(
+            simplex.SolverError,
+            match=r"swap witness fails round 2 of \('c', 'a', 'b'\)",
+        ):
+            swap_final_witness(example1, run_election(example1))
 
 
 def test_model_lp_text_shape(example1: Profile) -> None:

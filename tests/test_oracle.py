@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import pytest
-
-from irvmargin import (
+from oracle import (
     ABOVE_CAP,
     OracleCapExceeded,
     OracleConfig,
+    oracle_movc,
+    random_profile,
+)
+
+from irvmargin import (
     Profile,
     adversarial_winners,
     apply_manipulation,
     compute_movc,
-    oracle_movc,
+    order_attainable,
 )
-from irvmargin.oracle import order_attainable
-from irvmargin.synth import random_profile
 
 
 def test_adversarial_winners_unique_without_ties(example1: Profile) -> None:

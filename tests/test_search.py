@@ -6,7 +6,6 @@ import random
 import pytest
 
 from irvmargin import (
-    ABOVE_CAP,
     AlternateIsWinner,
     EmptyAlternates,
     Profile,
@@ -20,15 +19,15 @@ from irvmargin import (
     exact_distance,
     last_round_margin,
     lower_bound,
-    oracle_movc,
+    order_attainable,
     run_election,
 )
 from irvmargin.distance import swap_final_witness
 from irvmargin import simplex
-from irvmargin.oracle import OracleCapExceeded, _OrderPlan, order_attainable
 from irvmargin.search import _lookahead
-from irvmargin.synth import random_profile, synthetic_seat
+from irvmargin.synth import synthetic_seat
 from irvmargin.tabulate import tally
+from oracle import ABOVE_CAP, OracleCapExceeded, _OrderPlan, oracle_movc, random_profile
 from test_acceptance import _random_corpus
 
 

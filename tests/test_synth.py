@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from oracle import random_profile
+
 from irvmargin import last_round_margin, run_election, serialize_profile
-from irvmargin.synth import random_profile, synthetic_seat
+from irvmargin.synth import synthetic_seat
 
 
 def test_random_profile_is_deterministic() -> None:

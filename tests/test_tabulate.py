@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracle import random_profile
 
 from irvmargin import (
     Profile,
@@ -12,7 +13,6 @@ from irvmargin import (
     run_election,
     tally,
 )
-from irvmargin.synth import random_profile
 
 
 def test_tally_initial_round(example1: Profile) -> None:
