@@ -116,14 +116,17 @@ class Profile:
         if len(set(ids)) != len(ids):
             raise ProfileError("duplicate candidate id in roster")
         known = set(ids)
-        merged: dict[tuple[str, ...], int] = {}
+        groups: dict[tuple[str, ...], list[Ballot]] = {}
         for ballot in self.ballots:
             for cid in ballot.ranking:
                 if cid not in known:
                     raise ProfileError(f"ballot ranks unknown candidate {cid!r}")
-            merged[ballot.ranking] = merged.get(ballot.ranking, 0) + ballot.count
+            groups.setdefault(ballot.ranking, []).append(ballot)
+        # A ranking given once keeps its ballot; only a true merge builds one.
         normal = tuple(
-            Ballot(ranking, count) for ranking, count in sorted(merged.items())
+            group[0] if len(group) == 1
+            else Ballot(ranking, sum(b.count for b in group))
+            for ranking, group in sorted(groups.items())
         )
         object.__setattr__(self, "candidates", roster)
         object.__setattr__(self, "ballots", normal)

@@ -3,12 +3,13 @@
 compute_movc finds the minimum number of ballots whose rankings must change
 for some member of an alternate set to win; compute_mov is the special case
 where every non-winner is an alternate.  The frontier holds elimination-order
-suffixes, ordered by the LP lower bound of the distance model (ties: longer
-suffix first, then lexicographic).  Expanding a suffix prepends each absent
-candidate; a suffix covering all candidates is scored exactly, cut off at
-the incumbent upper bound, and improvements become the new incumbent.  Nodes
-whose bound reaches the upper bound are pruned, and the incumbent value is
-the margin once the frontier empties.
+suffixes, popped best first by a key that no completion of the suffix costs
+less than (ties: longer suffix first, then lexicographic).  Expanding a
+suffix prepends each absent candidate; a suffix covering all candidates is
+scored exactly when it is generated, cut off at the incumbent upper bound,
+and improvements become the new incumbent.  Nodes whose key reaches the
+upper bound are pruned, and the incumbent value is the margin once the
+frontier empties.
 
 The search makes every prune decision, and it makes the cheap ones from
 first-preference tallies before any distance model is built.  Each standing
@@ -20,12 +21,13 @@ leads.  One rewritten ballot leaves one type and joins another, so it moves
 each such lead by at most 2: every completion costs at least half the gap,
 rounded up, and no LP optimum lies below it.  A child (c,) + S has the
 rounds of S plus a new round 0 with set(S) | {c} standing, where _lead is
-c's lead over the weakest member of S.  The child's rounds from S
-never settle it: S is expanded only while its LP bound, which is at least
-half S's gap rounded up, is below the upper bound, and the upper bound moves
-only when a complete child is scored, which is the only child of its
-parent.  So a child is a tally prune exactly when half its new lead,
-rounded up, reaches the upper bound, and the frontier carries no gap.
+c's lead over the weakest member of S.  The child's rounds from S never
+settle it: S is expanded only once its key, which is at least its LP bound
+and so at least half S's gap rounded up, is below the upper bound (a
+one-candidate root has no rounds), and the upper bound moves only when a
+complete child is scored, which is the only child of its parent.  So a
+child is a tally prune exactly when half its new lead, rounded up, reaches
+the upper bound.
 
 The outside look-ahead (_lookahead) bounds what the LP cannot see, since it
 treats the candidates outside S as gone.  Every x outside S is eliminated
@@ -34,19 +36,32 @@ the standing set shrinks, so in R x holds at least its tally with everyone
 standing, and each s in S at most its tally over S | {x}.  x needs the
 minimal tally, and one rewritten ballot moves each side by at most 1, so
 every completion of S costs at least the largest such lead over the outside
-candidates, halved and rounded up.
+candidates, halved and rounded up, and at least 0.
 
 A child that either bound puts at or above the upper bound is dropped
 before its model, LP or IP exists, and so is a one-candidate root whose
 look-ahead reaches a known upper bound (a root has no round to lead in).
-Both bounds hold for every completion, so a dropped suffix could never have
-given a strictly cheaper incumbent, and neither is ever a frontier key: the
-surviving nodes pop in the same order, and values and witnesses do not
-depend on the checks.
+
+The keys.  A one-candidate root is pushed keyed by its look-ahead and is
+never given an LP.  A child is pushed keyed by the largest of its parent's
+key, its look-ahead and half its new lead rounded up, with no model built.
+When it is first popped with that key still below the upper bound, its
+model is built and its LP solved, and it is pushed again keyed by the
+larger of its key and the LP ceiling; it is expanded only when it pops
+again.  Every key is admissible: the look-ahead, the lead and the LP
+ceiling each bound every completion of the suffix, and a child's
+completions are some of its parent's, so the parent's key bounds them too.
+No completion of a pruned node is cheaper than the incumbent, so the margin
+is exact.  Keys never fall from parent to child or from one push of a
+suffix to the next, so pops never decrease.  Among equally cheap orders the
+pop order picks the witness, so a change to the keys may change the witness
+but never the value.
 compute_movc alone writes SearchStats: nodes_expanded counts expanded
 suffixes, tally_prunes the children a new-round lead dropped,
 lookahead_prunes the roots and children the look-ahead then dropped, and
-lps_solved and ips_solved the LPs and IPs actually solved.
+lps_solved and ips_solved the LPs and IPs actually solved.  An LP is solved
+only for a suffix popped with its key below the upper bound, so a child
+whose key the incumbent overtakes while it waits costs none.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -129,15 +144,12 @@ def _lead(votes: Votes, child: tuple[str, ...]) -> int:
 
 
 def _lookahead(votes: Votes, ids: frozenset[str], suffix: tuple[str, ...]) -> int:
-    """The outside look-ahead bound of the suffix; 0 when it names every
-    candidate."""
+    """The outside look-ahead bound of the suffix, never below 0."""
     everyone = votes(ids)
     standing = frozenset(suffix)
-    return max(
-        ((everyone[x] - min(votes(standing | {x})[s] for s in suffix) + 1) // 2
-         for x in ids - standing),
-        default=0,
-    )
+    leads = (everyone[x] - min(votes(standing | {x})[s] for s in suffix)
+             for x in ids - standing)
+    return max(0, (max(leads, default=0) + 1) // 2)
 
 
 def compute_movc(
@@ -165,37 +177,43 @@ def compute_movc(
 
     votes = cache(partial(tally, profile))
 
-    frontier: list[tuple[int, int, tuple[str, ...]]] = []
+    # (key, -len(suffix), suffix, evaluated): a suffix is pushed unevaluated
+    # and re-pushed once its LP has raised its key.
+    frontier: list[tuple[int, int, tuple[str, ...], bool]] = []
     for a in sorted(alts):
-        if upper is not None and _lookahead(votes, ids, (a,)) >= upper:
+        ahead = _lookahead(votes, ids, (a,))
+        if upper is not None and ahead >= upper:
             stats.lookahead_prunes += 1
             continue
-        heapq.heappush(frontier, (0, -1, (a,)))
+        heapq.heappush(frontier, (ahead, -1, (a,), True))
 
     while frontier:
-        bound, _, order = heapq.heappop(frontier)
-        if upper is not None and bound >= upper:
+        key, _, order, evaluated = heapq.heappop(frontier)
+        if upper is not None and key >= upper:
+            continue
+        if not evaluated:
+            stats.lps_solved += 1
+            key = max(key, lower_bound(build_model(profile, order)))
+            heapq.heappush(frontier, (key, -len(order), order, True))
             continue
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            if upper is not None and (_lead(votes, child) + 1) // 2 >= upper:
+            lead = (_lead(votes, child) + 1) // 2
+            if upper is not None and lead >= upper:
                 stats.tally_prunes += 1
                 continue
-            if upper is not None and _lookahead(votes, ids, child) >= upper:
+            ahead = _lookahead(votes, ids, child)
+            if upper is not None and ahead >= upper:
                 stats.lookahead_prunes += 1
                 continue
-            model = build_model(profile, child)
-            if model.complete:
-                stats.ips_solved += 1
-                outcome = exact_distance(model, cutoff=upper)
-                if outcome is not None:
-                    upper, witness = outcome
-            else:
-                stats.lps_solved += 1
-                child_bound = lower_bound(model)
-                if upper is None or child_bound < upper:
-                    heapq.heappush(frontier, (child_bound, -len(child), child))
+            if len(child) < len(ids):
+                heapq.heappush(frontier, (max(key, lead, ahead), -len(child), child, False))
+                continue
+            stats.ips_solved += 1
+            outcome = exact_distance(build_model(profile, child), cutoff=upper)
+            if outcome is not None:
+                upper, witness = outcome
 
     return MarginResult(
         value=upper,

@@ -30,6 +30,30 @@ def test_parse_merges_duplicate_rankings() -> None:
     assert profile.ballots == (Ballot(("a", "b"), 5),)
 
 
+def test_parse_builds_one_ballot_per_record_and_one_per_merge(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The profile keeps each parsed ballot whose ranking is not repeated.
+    built = []
+    post_init = Ballot.__post_init__
+
+    def counting(ballot: Ballot) -> None:
+        built.append(ballot)
+        post_init(ballot)
+
+    monkeypatch.setattr(Ballot, "__post_init__", counting)
+    text = "# candidates: a:none,b:none,c:none\n3,c>a\n2,a>b\n4,b\n1,a\n"
+    profile = parse_profile(text)
+    assert len(built) == 4
+    assert set(map(id, profile.ballots)) == set(map(id, built))
+    assert serialize_profile(profile) == (
+        "# candidates: a:none,b:none,c:none\n1,a\n2,a>b\n4,b\n3,c>a\n"
+    )
+    built.clear()
+    parse_profile(text + "5,a>b\n")
+    assert len(built) == 6
+
+
 def test_parse_accepts_comments_and_blank_lines() -> None:
     text = "# preamble\n\n# candidates: a:none,b:none\n# midstream note\n1,a\n\n2,b\n"
     profile = parse_profile(text)

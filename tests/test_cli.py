@@ -116,10 +116,10 @@ def test_margin_json_report(seat_file: Path, capsys: pytest.CaptureFixture) -> N
         "additions": {"c": 1},
     }
     assert report["stats"] == {
-        "nodes_expanded": 4,
-        "lps_solved": 3,
-        "ips_solved": 2,
-        "tally_prunes": 1,
+        "nodes_expanded": 2,
+        "lps_solved": 1,
+        "ips_solved": 1,
+        "tally_prunes": 0,
         "lookahead_prunes": 0,
     }
 
@@ -559,7 +559,7 @@ def test_lose_mode_without_an_outside_candidate_is_an_error(
          {"First": [2, 1, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
         # LIB's Second is not ALP's to lose; First searches toward b and c.
         ("ALP", "lose",
-         {"First": [4, 3, 2, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
+         {"First": [2, 1, 1, 0, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
     ],
     ids=["win-LIB", "lose-ALP"],
 )
@@ -622,11 +622,11 @@ alternates: b, c
 witness order: b -> a -> c
   remove 1 x b>c
   add 1 x c
-stat ips_solved: 2
+stat ips_solved: 1
 stat lookahead_prunes: 0
-stat lps_solved: 3
-stat nodes_expanded: 4
-stat tally_prunes: 1
+stat lps_solved: 1
+stat nodes_expanded: 2
+stat tally_prunes: 0
 """,
     ("margin", "csv"): """\
 field,value
@@ -636,11 +636,11 @@ alternates,b;c
 witness_order,b>a>c
 removal,1 x b>c
 addition,1 x c
-stat:ips_solved,2
+stat:ips_solved,1
 stat:lookahead_prunes,0
-stat:lps_solved,3
-stat:nodes_expanded,4
-stat:tally_prunes,1
+stat:lps_solved,1
+stat:nodes_expanded,2
+stat:tally_prunes,0
 """,
     ("movc", "table"): """\
 margin: 10

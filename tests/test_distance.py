@@ -363,10 +363,11 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
 def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # A suffix is expanded only while its LP bound is below the upper bound,
-    # so its own rounds never settle a child: each child needs only the lead
-    # of its new first round.  Checked on every suffix that the MOV search,
-    # and the MOVC search toward each loser alone, bounds.
+    # A suffix is expanded only once its LP bound, and its key, are below
+    # the upper bound, so its own rounds never settle a child: each child
+    # needs only the lead of its new first round.  Checked on every suffix
+    # whose LP the MOV search, and the MOVC search toward each loser and
+    # each pair of losers, solves.
     checked = 0
 
     def checked_bound(model: DistanceModel) -> int:
@@ -380,8 +381,11 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
     for profile in _random_corpus():
         compute_mov(profile, TieRule.LEXICOGRAPHIC)
         winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
-        for loser in set(profile.candidate_ids) - {winner}:
-            search.compute_movc(profile, {loser}, TieRule.LEXICOGRAPHIC)
+        losers = sorted(set(profile.candidate_ids) - {winner})
+        for alternates in itertools.chain(
+            itertools.combinations(losers, 1), itertools.combinations(losers, 2)
+        ):
+            search.compute_movc(profile, alternates, TieRule.LEXICOGRAPHIC)
     assert checked > 500
 
 

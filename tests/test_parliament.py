@@ -357,7 +357,7 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
     both = compute_movc(profile, {"b", "c"})
     assert record.movc_by_target == {"GRE+LIB": both.value}
     assert record.mov is None
-    assert stats == both.stats == SearchStats(4, 3, 2, 1)
+    assert stats == both.stats == SearchStats(2, 1, 1, 0)
     # Manifest parties override the roster: with c in the coalition only b is a target.
     record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
     assert record.movc_by_target == {"LIB": 10}
