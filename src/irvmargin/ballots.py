@@ -139,6 +139,16 @@ class Profile:
     def total(self) -> int:
         return sum(b.count for b in self.ballots)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What searches derive from this object (see search.py).  Not a
+        field, so equality, hash and repr never see it; it dies with the
+        object and is left out of pickles and copies (__getstate__)."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
     @staticmethod
     def from_rankings(
         counts: Mapping[str, int],

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .ballots import DECIMAL, Profile, check_party
-from .search import SearchStats, compute_movc
-from .tabulate import TieRule, last_round_margin, run_election
+from .search import SearchStats, _count_once, compute_movc
+from .tabulate import TieRule, last_round_margin
 
 
 class CoalitionLacksMajority(ValueError):
@@ -124,7 +124,7 @@ def analyze_seat(
         raise ValueError(f"unknown candidates in parties: {sorted(unknown)}")
     party = {c.id: c.party.upper() for c in profile.candidates}
     party.update((cid, check_party(p).upper()) for cid, p in parties.items())
-    count = run_election(profile, tie_rule=tie_rule)
+    count = _count_once(profile, tie_rule)
     movc: dict[str, int | None] = {}
     stats = SearchStats()
     held = party[count.winner] in members

@@ -12,8 +12,18 @@ upper bound are pruned, and the incumbent value is the margin once the
 frontier empties.
 
 The search makes every prune decision, and it makes the cheap ones from
-first-preference tallies before any distance model is built.  Each standing
-set's tally is memoised for the length of one search.
+first-preference tallies before any distance model is built.
+
+Every search on one Profile object shares that object's memo (_recall): the
+count under each tie rule, each standing set's tally, the swap witness, each
+suffix's LP ceiling, and each complete order's exact_distance outcome under
+each cutoff.  Each entry is a pure function of the profile and its key, so a
+recalled entry equals the one a fresh profile would compute, and every value,
+witness and counter is the same whatever ran on the profile before.  An IP
+outcome is recalled only under the very cutoff it was solved with: solve_ip's
+hint may offer a point outside a node's box, so the witness found under one
+cutoff need not be the one found under another.  The memo lives exactly as
+long as its profile; a copy or an unpickled profile starts with none.
 
 The tally gap of a suffix is the largest lead, over its rounds r, of
 order[r]'s round-r tally over a later entry's, and 0 when order[r] never
@@ -59,9 +69,10 @@ but never the value.
 compute_movc alone writes SearchStats: nodes_expanded counts expanded
 suffixes, tally_prunes the children a new-round lead dropped,
 lookahead_prunes the roots and children the look-ahead then dropped, and
-lps_solved and ips_solved the LPs and IPs actually solved.  An LP is solved
-only for a suffix popped with its key below the upper bound, so a child
-whose key the incumbent overtakes while it waits costs none.
+lps_solved and ips_solved the LPs and IPs used by the search, solved or
+recalled.  An LP is used only for a suffix popped with its key below the
+upper bound, so a child whose key the incumbent overtakes while it waits
+costs none.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -70,18 +81,18 @@ strictly cheaper order replaces it.  For alternate sets that exclude the
 runner-up that witness elects no alternate, so the bound starts open and the
 first scored complete order sets it.
 
-Single-threaded by design: the frontier is safe to share because profiles and
-nodes are immutable and the only mutable state is the incumbent, but identical
-values and witnesses must come back regardless of worker count, so callers
-parallelize across independent searches (e.g. seats) instead.
+Single-threaded by design: the frontier is safe to share because nodes are
+immutable, a profile changes only by memo entries that are pure, and the only
+other mutable state is the incumbent, but identical values and witnesses must
+come back regardless of worker count, so callers parallelize across
+independent searches (e.g. seats) instead.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .ballots import Profile
 from .distance import (
@@ -92,10 +103,25 @@ from .distance import (
     lower_bound,
     swap_final_witness,
 )
-from .tabulate import TieRule, run_election, tally
+from .tabulate import CountResult, TieRule, run_election, tally
 
 # First-preference votes of each candidate in a standing set.
 Votes = Callable[[frozenset[str]], dict[str, int]]
+
+
+def _recall(profile: Profile, key: tuple, derive: Callable[[], Any]) -> Any:
+    """The profile's memo entry under key, derived on first use.  A key is
+    a tuple that starts with the kind of entry."""
+    memo = profile._memo
+    if key not in memo:
+        memo[key] = derive()
+    return memo[key]
+
+
+def _count_once(profile: Profile, tie_rule: TieRule) -> CountResult:
+    """The profile's count under tie_rule, run once per profile object.  The
+    result is shared, so callers must not change its rounds' votes."""
+    return _recall(profile, ("count", tie_rule), lambda: run_election(profile, tie_rule))
 
 
 class EmptyAlternates(ValueError):
@@ -164,18 +190,23 @@ def compute_movc(
     unknown = alts - set(profile.candidate_ids)
     if unknown:
         raise ValueError(f"unknown alternate candidates: {sorted(unknown)}")
-    count = run_election(profile, tie_rule)
+    count = _count_once(profile, tie_rule)
     if count.winner in alts:
         raise AlternateIsWinner(f"{count.winner} already wins this profile")
     upper: int | None = None
     witness: Manipulation | None = None
     if count.rounds[-1].eliminated in alts:
-        upper, witness = swap_final_witness(profile, count)
+        upper, witness = _recall(profile, ("swap", tie_rule),
+                                 lambda: swap_final_witness(profile, count))
 
     stats = SearchStats()
     ids = frozenset(profile.candidate_ids)
+    tallies = _recall(profile, ("tally",), dict)  # standing set -> its tally
 
-    votes = cache(partial(tally, profile))
+    def votes(standing: frozenset[str]) -> dict[str, int]:
+        if standing not in tallies:
+            tallies[standing] = tally(profile, standing)
+        return tallies[standing]
 
     # (key, -len(suffix), suffix, evaluated): a suffix is pushed unevaluated
     # and re-pushed once its LP has raised its key.
@@ -193,7 +224,8 @@ def compute_movc(
             continue
         if not evaluated:
             stats.lps_solved += 1
-            key = max(key, lower_bound(build_model(profile, order)))
+            key = max(key, _recall(profile, ("lp", order),
+                                   lambda: lower_bound(build_model(profile, order))))
             heapq.heappush(frontier, (key, -len(order), order, True))
             continue
         stats.nodes_expanded += 1
@@ -211,7 +243,10 @@ def compute_movc(
                 heapq.heappush(frontier, (max(key, lead, ahead), -len(child), child, False))
                 continue
             stats.ips_solved += 1
-            outcome = exact_distance(build_model(profile, child), cutoff=upper)
+            outcome = _recall(
+                profile, ("ip", child, upper),
+                lambda: exact_distance(build_model(profile, child), cutoff=upper),
+            )
             if outcome is not None:
                 upper, witness = outcome
 
@@ -226,6 +261,6 @@ def compute_movc(
 
 def compute_mov(profile: Profile, tie_rule: TieRule = TieRule.FAIL) -> MarginResult:
     """Margin of victory: cheapest change electing any other candidate."""
-    count = run_election(profile, tie_rule)
+    count = _count_once(profile, tie_rule)
     others = [c for c in profile.candidate_ids if c != count.winner]
     return compute_movc(profile, others, tie_rule)

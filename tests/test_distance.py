@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -367,7 +368,8 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
     # the upper bound, so its own rounds never settle a child: each child
     # needs only the lead of its new first round.  Checked on every suffix
     # whose LP the MOV search, and the MOVC search toward each loser and
-    # each pair of losers, solves.
+    # each pair of losers, solves.  Each search runs on its own copy of the
+    # profile, whose memo is empty, so it solves every LP it uses.
     checked = 0
 
     def checked_bound(model: DistanceModel) -> int:
@@ -379,25 +381,30 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
 
     monkeypatch.setattr(search, "lower_bound", checked_bound)
     for profile in _random_corpus():
-        compute_mov(profile, TieRule.LEXICOGRAPHIC)
+        compute_mov(copy.copy(profile), TieRule.LEXICOGRAPHIC)
         winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
         losers = sorted(set(profile.candidate_ids) - {winner})
         for alternates in itertools.chain(
             itertools.combinations(losers, 1), itertools.combinations(losers, 2)
         ):
-            search.compute_movc(profile, alternates, TieRule.LEXICOGRAPHIC)
+            search.compute_movc(copy.copy(profile), alternates, TieRule.LEXICOGRAPHIC)
     assert checked > 500
 
 
-def _corpus_answers() -> list:
+def _corpus_answers() -> tuple[list, int]:
     """compute_mov on each corpus profile, and exact_distance of each of its
     complete orders cut off just above the margin.  Every one of those
     orders reaches solve_ip, so the float guide inside branch and bound is
     exercised on all of them, and solve_ip may prune on certified bounds
-    from its root."""
+    from its root.  compute_mov searches a fresh copy of the profile, so
+    that it recalls nothing an earlier search solved; the float guide runs
+    counted inside it come back with the answers."""
     answers = []
+    guided = 0
     for profile in _random_corpus():
-        result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
+        with mock.patch.object(simplex, "_guide", wraps=simplex._guide) as guide:
+            result = compute_mov(copy.copy(profile), TieRule.LEXICOGRAPHIC)
+        guided += guide.call_count
         answers.append((result.value, result.witness_order,
                         result.witness_manipulation, result.stats))
         perms = list(itertools.permutations(profile.candidate_ids))
@@ -406,12 +413,12 @@ def _corpus_answers() -> list:
                 model = build_model(profile, perm)
                 answers.append(exact_distance(model, cutoff=result.value + 1))
         assert solve_ip.call_count == len(perms)
-    return answers
+    return answers, guided
 
 
 @lru_cache(maxsize=1)
 def _reference_answers() -> list:
-    return _corpus_answers()
+    return _corpus_answers()[0]
 
 
 def _garbage_guide():
@@ -459,4 +466,6 @@ def test_answers_do_not_depend_on_the_float_guide(
         monkeypatch.setattr(simplex, "_guide", _garbage_guide())
     else:
         monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
-    assert _corpus_answers() == reference
+    answers, guided = _corpus_answers()
+    assert guided > 0
+    assert answers == reference

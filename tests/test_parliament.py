@@ -18,10 +18,12 @@ from irvmargin import (
     load_seat_records,
     parse_profile,
     relabel_complement,
+    run_election,
     seats_to_lose_majority,
     seats_to_win,
     threshold,
 )
+from irvmargin import search
 
 LOSE_COALITION_SEATS = [
     ("East Hills", 189),
@@ -376,6 +378,25 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
     assert stats == SearchStats()
     with pytest.raises(ValueError):
         analyze_seat(profile, ["ALP"], "flip", seat="S")
+
+
+@pytest.mark.parametrize(
+    "coalition, mode", [("LIB", "win"), ("ALP", "lose"), ("ALP", "win"), ("NAT", "win")]
+)
+def test_analyze_seat_counts_the_seat_once(
+    monkeypatch: pytest.MonkeyPatch, coalition: str, mode: str
+) -> None:
+    # The search reads the count analyze_seat made, contested seat or not.
+    calls = []
+
+    def counting(profile, tie_rule=TieRule.FAIL):
+        calls.append(tie_rule)
+        return run_election(profile, tie_rule)
+
+    monkeypatch.setattr(search, "run_election", counting)
+    for tie_rule in TieRule:
+        analyze_seat(parse_profile(PARTY_SEAT), [coalition], mode, tie_rule=tie_rule, seat="S")
+    assert calls == list(TieRule)
 
 
 def test_relabel_complement_uses_the_roster_complement() -> None:

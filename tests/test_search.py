@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
+import gc
 import heapq
 import itertools
+import pickle
 import random
+import weakref
 from functools import cache
 from types import SimpleNamespace
 
@@ -195,6 +199,60 @@ def test_search_is_deterministic(example1: Profile) -> None:
     second = compute_mov(example1)
     assert first == second
     assert compute_movc(example1, {"b"}) == compute_movc(example1, {"b"})
+
+
+def _corpus_queries(profile: Profile) -> list:
+    """MOV (None) and MOVC toward each loser and each pair of losers."""
+    winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
+    losers = sorted(set(profile.candidate_ids) - {winner})
+    return [None] + [
+        alternates
+        for n in (1, 2)
+        for alternates in itertools.combinations(losers, n)
+    ]
+
+
+def _query(profile: Profile, alternates):
+    if alternates is None:
+        return compute_mov(profile, TieRule.LEXICOGRAPHIC)
+    return compute_movc(profile, alternates, TieRule.LEXICOGRAPHIC)
+
+
+def test_results_do_not_depend_on_what_ran_before() -> None:
+    # Searches on one profile object share its memo.  Forward and reversed
+    # on one object, and each query on a fresh copy, must give the same
+    # value, witness and counters.
+    queries = 0
+    for profile in _random_corpus():
+        batch = _corpus_queries(profile)
+        fresh = [_query(copy.copy(profile), q) for q in batch]
+        forward = copy.copy(profile)
+        assert [_query(forward, q) for q in batch] == fresh
+        backward = copy.copy(profile)
+        assert [_query(backward, q) for q in reversed(batch)] == fresh[::-1]
+        queries += len(batch)
+    assert queries > 500
+
+
+def test_the_memo_lives_and_dies_with_its_profile(example1: Profile) -> None:
+    # The memo is no part of the profile's identity, copies and pickles
+    # start without it, and it keeps nothing alive.
+    searched = Profile(example1.candidates, example1.ballots)
+    fresh = Profile(example1.candidates, example1.ballots)
+    compute_mov(searched)
+    compute_movc(searched, {"b"})
+    assert vars(searched)["_memo"]
+    assert searched == fresh
+    assert hash(searched) == hash(fresh)
+    assert repr(searched) == repr(fresh)
+    for twin in pickle.loads(pickle.dumps(searched)), copy.copy(searched):
+        assert twin == fresh
+        assert "_memo" not in vars(twin)
+
+    ref = weakref.ref(searched)
+    del searched
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("num_candidates, lookahead_prunes", [(7, 10), (12, 20)])
