@@ -180,10 +180,8 @@ def cmd_margin(args: argparse.Namespace) -> int:
 
 
 def _analyze_seat(task: tuple) -> tuple:
-    """Pool task: parse one manifest seat in the worker and analyze it.
-
-    Module level so process pools can pickle it.  Errors name the seat.
-    """
+    """Parse one manifest seat and analyze it, in whichever process claimed
+    it.  Errors name the seat."""
     name, text, parties, mode, coalition, tie_rule = task
     try:
         return analyze_seat(
@@ -191,6 +189,78 @@ def _analyze_seat(task: tuple) -> tuple:
         )
     except (UnresolvedTie, ValueError, SolverError) as exc:
         raise CliError(f"seat {name!r}: {exc}") from exc
+
+
+def _fan_out(tasks: list[tuple], workers: int) -> list[tuple]:
+    """`_analyze_seat` on every task in `workers` processes, this one and
+    workers - 1 forks: the results in seat order, or the first error in seat
+    order, as one process alone would give.
+
+    Before the first fork each seat index goes into one pipe as a 4-byte
+    ticket, and every process claims the next ticket until none is left, so
+    a slow seat holds up only the process that claimed it.  Tickets leave in
+    seat order, so every seat before a failed one has been claimed, and the
+    process that fails drains the pipe to stop the others.  A fork pickles
+    its (index, ok, value) outcomes to a pipe of its own and leaves through
+    os._exit, running none of its parent's code.
+    """
+    import pickle
+
+    def claim() -> list[tuple]:
+        outcomes = []
+        while ticket := os.read(tickets, 4):
+            i = int.from_bytes(ticket, "little")
+            try:
+                outcomes.append((i, True, _analyze_seat(tasks[i])))
+            except Exception as exc:  # raised below, in seat order
+                outcomes.append((i, False, exc))
+                os.read(tickets, 4 * len(tasks))
+        return outcomes
+
+    queue = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
+    tickets, w = os.pipe()
+    os.set_blocking(w, False)  # a queue the pipe cannot hold is cut short
+    try:
+        sent = os.write(w, queue)
+    finally:
+        os.close(w)
+    children: dict[int, int] = {}  # pid -> read end of its outcome pipe
+    try:
+        if sent < len(queue):
+            raise CliError(f"a manifest may list at most {sent // 4} seats, not {len(tasks)}")
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(claim(), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = r
+        outcomes = claim()
+        sent_back = []
+        for r in children.values():
+            with open(r, "rb", closefd=False) as fh:
+                sent_back.append(fh.read())
+    finally:
+        os.close(tickets)
+        for r in children.values():
+            os.close(r)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for code in codes:
+        if code:
+            raise CliError(f"a worker process failed with exit status {code}")
+    for data in sent_back:
+        outcomes += pickle.loads(data)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
 
 
 def _records_from_manifest(
@@ -203,6 +273,8 @@ def _records_from_manifest(
         raise CliError("each manifest seat must be an object")
     if "options" in manifest:
         raise CliError("manifest options are not read: use --workers and --tie-rule")
+    if args.workers > 1 and not hasattr(os, "fork"):
+        raise CliError("--workers above 1 needs os.fork, which this platform lacks")
     for s in seats:
         if not isinstance(s.get("name"), str) or not isinstance(s.get("path"), str):
             raise CliError("each manifest seat needs a name and a path")
@@ -233,17 +305,8 @@ def _records_from_manifest(
                 )
         tasks.append((seat["name"], text, parties, args.mode, coalition, tie_rule))
 
-    # A pool may start all its workers at once: never more than there are seats.
-    workers = min(args.workers, len(tasks))
-    if workers > 1:
-        # Imported here: the process pool costs start-up time that a
-        # single-worker run never repays.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            analyzed = list(pool.map(_analyze_seat, tasks))
-    else:
-        analyzed = [_analyze_seat(t) for t in tasks]
+    # A process beyond one per seat would find no ticket left.
+    analyzed = _fan_out(tasks, min(args.workers, len(tasks)))
     records = [record for record, _ in analyzed]
     stats = {record.seat: asdict(s) for record, s in analyzed}
     if args.mode == "lose":
@@ -346,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_parl.add_argument("--threshold", type=_decimal, default=None,
                         help="majority threshold (default: majority of records)")
     p_parl.add_argument("--workers", type=_decimal, default=1,
-                        help="seats analyzed concurrently (manifest input)")
+                        help="processes that share the manifest's seats: this one and N - 1 forks")
     p_parl.set_defaults(func=cmd_parliament)
     return parser
 

@@ -17,7 +17,7 @@ from irvmargin import (
     parse_profile,
     relabel_complement,
 )
-from irvmargin import simplex
+from irvmargin import cli, simplex
 from irvmargin.cli import main
 from irvmargin.distance import _assemble
 
@@ -333,41 +333,113 @@ def test_chamber_fixture_loses_its_majority(capsys: pytest.CaptureFixture) -> No
     assert report["total_changes"] == 14
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+def _counted_forks(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Wraps os.fork, which still forks; the list grows by one per fork."""
+    forks: list[int] = []
+    fork = os.fork
 
-    sizes: list[int] = []
+    def counted() -> int:
+        forks.append(1)
+        return fork()
 
-    def __init__(self, max_workers: int) -> None:
-        self.sizes.append(max_workers)
-
-    def __enter__(self) -> _SerialPool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
-def test_pool_is_never_larger_than_the_manifest(
+def test_forks_never_outnumber_the_seats(
     manifest: Path, tmp_path: Path, capsys: pytest.CaptureFixture,
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    forks = _counted_forks(monkeypatch)
     doc = json.loads(manifest.read_text(encoding="utf-8"))
-    for seats, sizes in ((2, [2]), (1, [])):
-        monkeypatch.setattr(_SerialPool, "sizes", [])
+    for seats, forked in ((2, 1), (1, 0)):
         path = _write_manifest(tmp_path, {"seats": doc["seats"][:seats]})
         argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"]
+        forks.clear()
         assert main(argv + ["--workers", "8"]) == 0
-        pooled = capsys.readouterr().out
-        assert _SerialPool.sizes == sizes
-        assert main(argv) == 0
-        assert capsys.readouterr().out == pooled
+        fanned = capsys.readouterr().out
+        assert len(forks) == forked
+        assert main(argv + ["--workers", "1"]) == 0
+        assert capsys.readouterr().out == fanned
+        assert len(forks) == forked
+
+
+def test_a_dead_worker_is_an_error(
+    manifest: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The fork dies on the first seat it claims.  This process holds its
+    # first seat until the fork has exited, so the fork claims one.
+    parent, analyze = os.getpid(), cli._analyze_seat
+    exited, held = os.pipe()
+    holding = [held]
+
+    def dying(task: tuple) -> tuple:
+        if os.getpid() != parent:
+            os._exit(3)
+        if holding:
+            os.close(holding.pop())
+            os.read(exited, 1)  # end of file once the fork's copy is closed too
+        return analyze(task)
+
+    monkeypatch.setattr(cli, "_analyze_seat", dying)
+    argv = ["parliament", str(manifest), "--coalition", "LIB", "--mode", "win"]
+    try:
+        assert main(argv + ["--workers", "2"]) == 1
+    finally:
+        for fd in [exited, *holding]:
+            os.close(fd)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a worker process failed with exit status 3\n"
+
+
+def test_parliament_without_fork_runs_one_process(
+    manifest: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    argv = ["parliament", str(manifest), "--coalition", "LIB", "--mode", "win"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.delattr(os, "fork")
+    assert main(argv + ["--workers", "1"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(argv + ["--workers", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --workers above 1 needs os.fork, which this platform lacks\n"
+    )
+
+
+def test_a_manifest_beyond_the_seat_queue_fails_before_forking(
+    manifest: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    try:
+        capacity = os.write(w, bytes(1 << 20)) // 4  # seats one pipe queues
+    finally:
+        os.close(r)
+        os.close(w)
+    seats = [{"name": f"S{i}", "path": "seat2.ballots"} for i in range(capacity + 1)]
+    path = _write_manifest(manifest.parent, {"seats": seats})
+    forks = _counted_forks(monkeypatch)
+    argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"]
+    for workers in "1", "2":
+        assert main(argv + ["--workers", workers]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: a manifest may list at most {capacity} seats, not {capacity + 1}\n"
+        )
+    assert forks == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_fan_out_leaves_no_descriptor_open(
+    manifest: Path, capsys: pytest.CaptureFixture
+) -> None:
+    argv = ["parliament", str(manifest), "--coalition", "ALP", "--mode", "lose"]
+    before = len(os.listdir("/proc/self/fd"))
+    for run in range(30):
+        assert main(argv + ["--workers", str(1 + run % 3)]) == 0
+    capsys.readouterr()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_tabulate_rejects_stats(seat_file: Path, capsys: pytest.CaptureFixture) -> None:
@@ -807,7 +879,7 @@ def test_bad_manifest_input_is_an_error(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -819,9 +891,13 @@ def test_bad_manifest_input_is_an_error(
 def test_manifest_errors_name_the_seat(
     manifest: Path, capsys: pytest.CaptureFixture, workers: str, text: str, message: str
 ) -> None:
+    # Two broken seats: the error names the first in manifest order, however
+    # many processes share the seats.
     (manifest.parent / "broken.ballots").write_text(text, encoding="utf-8")
+    (manifest.parent / "worse.ballots").write_text("# candidates: a:ALP\n", encoding="utf-8")
     doc = json.loads(manifest.read_text(encoding="utf-8"))
-    doc["seats"].append({"name": "Broken", "path": "broken.ballots"})
+    doc["seats"] += [{"name": "Broken", "path": "broken.ballots"},
+                     {"name": "Worse", "path": "worse.ballots"}]
     path = _write_manifest(manifest.parent, doc)
     argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win",
             "--workers", workers]
@@ -862,16 +938,18 @@ def test_module_entry_point_runs() -> None:
 
 
 def test_import_leaves_the_process_pool_unloaded() -> None:
-    # Only a multi-worker parliament run pays for the pool's import.
+    # The manifest fan-out forks and imports pickle only when it runs, and
+    # no process pool is left to import.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, irvmargin.cli; print('concurrent.futures.process' in sys.modules)"],
+         "import sys, irvmargin.cli; print([m for m in sys.modules if m == 'pickle'"
+         " or m.startswith(('concurrent', 'multiprocessing'))])"],
         capture_output=True,
         text=True,
         check=True,
         env=_package_env(),
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

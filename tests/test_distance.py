@@ -392,21 +392,31 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
 
 
 def _corpus_answers() -> tuple[list, int]:
-    """compute_mov on each corpus profile, and exact_distance of each of its
-    complete orders cut off just above the margin.  Every one of those
-    orders reaches solve_ip, so the float guide inside branch and bound is
-    exercised on all of them, and solve_ip may prune on certified bounds
-    from its root.  compute_mov searches a fresh copy of the profile, so
-    that it recalls nothing an earlier search solved; the float guide runs
-    counted inside it come back with the answers."""
+    """compute_mov on each corpus profile, compute_movc toward each loser
+    and each pair of losers, and exact_distance of each complete order cut
+    off just above the margin.  Every one of those orders reaches solve_ip,
+    so the float guide inside branch and bound is exercised on all of them,
+    and solve_ip may prune on certified bounds from its root.  Each search
+    runs on a fresh copy of the profile, so that it recalls nothing an
+    earlier search solved; the float guide runs counted inside the searches
+    come back with the answers."""
     answers = []
     guided = 0
     for profile in _random_corpus():
+        winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
+        losers = sorted(set(profile.candidate_ids) - {winner})
+        targets = itertools.chain(
+            itertools.combinations(losers, 1), itertools.combinations(losers, 2)
+        )
         with mock.patch.object(simplex, "_guide", wraps=simplex._guide) as guide:
             result = compute_mov(copy.copy(profile), TieRule.LEXICOGRAPHIC)
+            searched = [result] + [
+                search.compute_movc(copy.copy(profile), alternates, TieRule.LEXICOGRAPHIC)
+                for alternates in targets
+            ]
         guided += guide.call_count
-        answers.append((result.value, result.witness_order,
-                        result.witness_manipulation, result.stats))
+        answers += [(r.value, r.witness_order, r.witness_manipulation, r.stats)
+                    for r in searched]
         perms = list(itertools.permutations(profile.candidate_ids))
         with mock.patch.object(simplex, "solve_ip", wraps=simplex.solve_ip) as solve_ip:
             for perm in perms:
@@ -467,5 +477,5 @@ def test_answers_do_not_depend_on_the_float_guide(
     else:
         monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
     answers, guided = _corpus_answers()
-    assert guided > 0
+    assert guided > 800
     assert answers == reference
