@@ -29,8 +29,11 @@ a float run of the simplex whose duals give a Lagrangian bound and whose
 vertex gives a feasible point, both checked in exact rational arithmetic;
 when the two ceilings agree, the optimum's ceiling lies between them.  Any
 other suffix is solved exactly with simplex.solve_lp.  Exact distances come
-from branch and bound on the same model, which prunes on the same certified
-bounds.  Every value returned is exact.
+from branch and bound on the same model, which applies the same rule at
+each node: where the ceilings agree, the certified point is the node's
+point, and the node is solved exactly only where they do not.  Every value
+returned is exact.  A witness's rewrite is one optimal integer point, and
+which one follows the points branch and bound settles or branches on.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def lower_bound(model: DistanceModel) -> int:
     Failing that, the LP is solved exactly.
     """
     objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
-    lower, upper = simplex.certify(objective, rows, senses, rhs, bounds)
+    lower, upper, _ = simplex.certify(objective, rows, senses, rhs, bounds)
     if lower is not None and upper is not None:
         ceiling = math.ceil(model.total + lower)
         if ceiling == math.ceil(model.total + upper):

@@ -5,18 +5,24 @@ small branch-and-bound layer for integer programs.  Its exact run takes the
 integer programs that every distance model and every branch produce, and
 rejects any other data.  It is exact: optima, reduced costs, duals and
 branching bounds carry no rounding, so callers can take ceilings of LP values
-without tolerance guards.  Run on float it only guides.  certify snaps the
-float run's duals to small-denominator rationals and evaluates the Lagrangian
-bound at them exactly (lagrangian_bound), which proves a lower bound on the
-LP minimum whatever the floats were; it snaps the float vertex the same way
-and keeps it as an upper bound only if it passes an exact feasibility check.
-Tolerances exist only inside the float run, no float value reaches a result
-without such a check, and any failure of the float run (a pivot cap, a
-non-finite value, a claim of infeasibility or unboundedness, or duals that
-would push up a column with no upper bound) leaves the caller to solve
-exactly.  The method is Neumaier & Shcherbina, "Safe bounds in linear and
-mixed-integer programming" (2004), and Applegate, Cook, Dash & Espinoza,
-"Exact solutions to linear programming problems" (2007).
+without tolerance guards.  Run on float it proves bounds, never a value by
+itself.  certify snaps the float run's duals to small-denominator rationals
+and evaluates the Lagrangian bound at them exactly (lagrangian_bound), which
+proves a lower bound on the LP minimum whatever the floats were; it snaps the
+float vertex the same way and keeps it, as a point and an upper bound, only
+if it passes an exact feasibility check.  When the two bounds share a
+ceiling, that is the LP's ceiling, and solve_ip settles or branches on the
+snapped point without an exact solve.  Tolerances exist only inside the float
+run, no float value reaches a result without such a check, and any failure
+of the float run (a pivot cap, a non-finite value, a claim of infeasibility
+or unboundedness, or duals that would push up a column with no upper bound)
+leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
+"Safe bounds in linear and mixed-integer programming" (2004), and Applegate,
+Cook, Dash & Espinoza, "Exact solutions to linear programming problems"
+(2007); bounding and branching on checked float results, with an exact
+solve only where a check fails, is the hybrid scheme of Cook, Koch, Steffy &
+Wolter, "A hybrid branch-and-bound approach for exact rational mixed-integer
+programming" (2013).
 
 The implementation is the textbook two-phase full-tableau method with
 variable bounds handled implicitly (nonbasic variables rest at either bound
@@ -146,10 +152,11 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
     # The float run starts each column at the bound its cost prefers, its
     # upper bound when the cost is negative and it has one (Bixby,
     # "Implementing the simplex method: the initial basis", 1992).  The exact
-    # run starts every column at its lower bound: its vertex picks solve_ip's
-    # branching variable and so the witness.  A row starts on its slack when
-    # that can carry the residual, else, as an "=" row always does, on an
-    # artificial of the residual's sign.
+    # run starts every column at its lower bound.  The vertex a run reaches
+    # picks solve_ip's branch, and so the witness: the float run's where
+    # certify settles a node, the exact run's elsewhere.  A row starts on its
+    # slack when that can carry the residual, else, as an "=" row always
+    # does, on an artificial of the residual's sign.
     at_upper = [not exact and cj < 0 and u is not None for cj, u in zip(c, hi)]
     start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
     residual = [
@@ -347,13 +354,21 @@ def _pivot(state: _State, d: list, row: int, col: int) -> None:
         prow, den = tab[row], state.den
         for i in range(len(tab)):
             if i != row:
-                f = tab[i][col]
-                tab[i] = [(piv * vi - f * vp) // den for vi, vp in zip(tab[i], prow)]
-        f = d[col]
-        d[:] = [(piv * dj - f * vp) // den for dj, vp in zip(d, prow)]
+                tab[i] = _eliminate(tab[i], prow, tab[i][col], piv, den)
+        d[:] = _eliminate(d, prow, d[col], piv, den)
         state.den = piv
     state.basis[row] = col
     state.status[col] = _BASIC
+
+
+def _eliminate(r: list, prow: list, f: int, piv: int, den: int) -> list:
+    """(piv * r - f * prow) / den, each division exact.  With piv = den, f * prow
+    alone is a multiple of den, and a row with f = 0 stays as it is."""
+    if piv == den:
+        return r if not f else [v - f * vp // den for v, vp in zip(r, prow)]
+    if not f:
+        return [piv * v // den for v in r]
+    return [(piv * v - f * vp) // den for v, vp in zip(r, prow)]
 
 
 def _satisfies(
@@ -459,25 +474,26 @@ def certify(
     senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
-) -> tuple[Fraction | None, Fraction | None]:
-    """Proven bounds (lower, upper) on the LP minimum from the float run.
+) -> tuple[Fraction | None, Fraction | None, list | None]:
+    """Proven bounds (lower, upper) on the LP minimum from the float run, and
+    the point x that proves upper.
 
     lower is lagrangian_bound at the float duals, each snapped to a rational
-    of small denominator; upper is the objective at the float vertex snapped
-    the same way, kept only if that point satisfies every row and bound
-    exactly.  Either is None where the float run proves nothing; only
+    of small denominator; x is the float vertex snapped the same way, kept
+    only if it satisfies every row and bound exactly, and upper is the
+    objective at x.  Each is None where the float run proves nothing; only
     solve_lp can then tell.
     """
     guess = _guide(objective, rows, senses, rhs, bounds)
     if guess is None or not all(map(math.isfinite, guess.duals + guess.x)):
-        return None, None
+        return None, None, None
     lower = lagrangian_bound(
         objective, rows, senses, rhs, bounds, [_snap(v) for v in guess.duals]
     )
     x = [_snap(v) for v in guess.x]
     if not _satisfies(x, rows, senses, rhs, bounds):
-        return lower, None
-    return lower, sum(cj * xj for cj, xj in zip(objective, x))
+        return lower, None, None
+    return lower, sum(cj * xj for cj, xj in zip(objective, x)), x
 
 
 def solve_ip(
@@ -491,29 +507,35 @@ def solve_ip(
 ) -> LPResult:
     """Minimize over integer points by branch and bound on the LP relaxation.
 
-    The data must be integers, as for solve_lp.  Branches on the first
-    fractional variable with floor/ceiling bound splits; never assumes the
-    relaxation is integral.  The objective is an integer at every integer
-    point, so the relaxation value is rounded up before bound pruning.  Once
-    there is an incumbent or a cutoff, a node whose certified lower bound
-    (certify) already reaches it is pruned without an exact solve.  Its exact
-    relaxation would have been pruned too, or found infeasible, so the tree
-    and the result are those of exact solves at every node.
+    The data must be integers, as for solve_lp.  The objective is an integer
+    at every integer point, so a node's bound is its relaxation's ceiling,
+    and a node whose bound reaches the incumbent or the cutoff is pruned.
+    Each node runs certify first.  A certified lower bound that already
+    reaches the incumbent prunes the node.  When the certified bounds share
+    a ceiling, that ceiling is the node's bound and the snapped point its
+    point; otherwise solve_lp gives both.  An integral point is optimal in
+    its node, since it costs the bound, and becomes the incumbent.  Else the
+    node branches on the point's first fractional variable with floor and
+    ceiling bound splits, which partition the node's integer points whatever
+    the point was; the relaxation is never assumed integral.  So the bounds,
+    prunes and value are those of exact solves at every node, but the
+    branches taken, and so which optimal point is returned, follow the
+    points the float run gives.
 
     cutoff is an exclusive upper bound: subtrees that cannot beat it are
     pruned, and status CUTOFF means no integer point below it exists (which
-    subsumes infeasibility).  hint, if given, maps a node's fractional vertex
+    subsumes infeasibility).  hint, if given, maps a node's fractional point
     to a candidate integral point (or None); candidates are verified against
     the original constraints before they can become incumbents.
     """
     best: LPResult | None = None
     best_value: Fraction | None = None if cutoff is None else Fraction(cutoff)
 
-    def offer(x: list[Fraction], value: Fraction) -> None:
+    def offer(x: list, value: Fraction | int) -> None:
         nonlocal best, best_value
         if best_value is None or value < best_value:
-            best = LPResult(OPTIMAL, value, x)
-            best_value = value
+            best = LPResult(OPTIMAL, Fraction(value), [Fraction(v) for v in x])
+            best_value = best.value
 
     # Converted here: certify's float run would take non-integer data.
     index = operator.index
@@ -528,37 +550,39 @@ def solve_ip(
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
-        if best_value is not None:
-            lower, _ = certify(c, rows, senses, rhs, node_bounds)
-            if lower is not None and math.ceil(lower) >= best_value:
+        lower, upper, x = certify(c, rows, senses, rhs, node_bounds)
+        bound = None if lower is None else math.ceil(lower)
+        if upper is None or math.ceil(upper) != bound:
+            if bound is not None and best_value is not None and bound >= best_value:
                 continue
-        res = solve_lp(c, rows, senses, rhs, node_bounds)
-        if res.status == UNBOUNDED:
-            raise SolverError("integer program has an unbounded relaxation")
-        if res.status != OPTIMAL:
-            continue
-        bound_value = math.ceil(res.value)
-        if best_value is not None and bound_value >= best_value:
+            res = solve_lp(c, rows, senses, rhs, node_bounds)
+            if res.status == UNBOUNDED:
+                raise SolverError("integer program has an unbounded relaxation")
+            if res.status != OPTIMAL:
+                continue
+            x, bound = res.x, math.ceil(res.value)
+        if best_value is not None and bound >= best_value:
             continue
         frac_j = -1
-        for j, xj in enumerate(res.x):
+        for j, xj in enumerate(x):
             if xj.denominator != 1:
                 frac_j = j
                 break
         if frac_j == -1:
-            offer(res.x, res.value)
+            # An integral point costs an integer, its node's bound.
+            offer(x, bound)
             continue
         if hint is not None:
-            guess = hint(res.x)
+            guess = hint(x)
             if guess is not None:
                 guess = [Fraction(v) for v in guess]
                 if all(v.denominator == 1 for v in guess) and _satisfies(
                     guess, rows, senses, rhs, bounds
                 ):
                     offer(guess, sum(cj * v for cj, v in zip(c, guess)))
-                    if best_value is not None and bound_value >= best_value:
+                    if best_value is not None and bound >= best_value:
                         continue
-        xj = res.x[frac_j]
+        xj = x[frac_j]
         fl = math.floor(xj)
         blo, bhi = node_bounds[frac_j]
         down = list(node_bounds)

@@ -41,6 +41,18 @@ CHEAP_SEAT = """\
 3,w
 """
 
+# The branch-and-bound node that gives this seat's witness is settled by the
+# float run's snapped vertex, not by an exact solve: its rewrite removes
+# 3 x c, where exact solves at every node remove 3 x c>a.  The pinned report
+# checks that the float-chosen rewrite is the same on every Python.
+FLOAT_SETTLED_SEAT = """\
+# candidates: a:none, b:none, c:none
+8,a
+7,b>c>a
+8,c
+4,c>a
+"""
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -714,6 +726,35 @@ stat:lps_solved,1
 stat:nodes_expanded,2
 stat:tally_prunes,0
 """,
+    ("settled", "table"): """\
+margin: 3
+winner: c
+alternates: a, b
+witness order: c -> b -> a
+  remove 3 x c
+  add 1 x a
+  add 2 x b>a
+stat ips_solved: 1
+stat lookahead_prunes: 0
+stat lps_solved: 1
+stat nodes_expanded: 2
+stat tally_prunes: 1
+""",
+    ("settled", "csv"): """\
+field,value
+value,3
+winner,c
+alternates,a;b
+witness_order,c>b>a
+removal,3 x c
+addition,1 x a
+addition,2 x b>a
+stat:ips_solved,1
+stat:lookahead_prunes,0
+stat:lps_solved,1
+stat:nodes_expanded,2
+stat:tally_prunes,1
+""",
     ("movc", "table"): """\
 margin: 10
 winner: a
@@ -807,13 +848,18 @@ stat:Third:tally_prunes,0
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
-@pytest.mark.parametrize("case", ["tabulate", "margin", "movc", "nsw", "manifest"])
+@pytest.mark.parametrize(
+    "case", ["tabulate", "margin", "settled", "movc", "nsw", "manifest"]
+)
 def test_table_and_csv_reports_are_pinned_byte_for_byte(
     seat_file: Path, manifest: Path, capsys: pytest.CaptureFixture, case: str, fmt: str
 ) -> None:
+    settled = seat_file.with_name("settled.ballots")
+    settled.write_text(FLOAT_SETTLED_SEAT, encoding="utf-8")
     argv = {
         "tabulate": ["tabulate", str(seat_file)],
         "margin": ["margin", str(seat_file), "--stats"],
+        "settled": ["margin", str(settled), "--stats"],
         "movc": ["movc", str(seat_file), "--alternates", "b"],
         "nsw": ["parliament", str(FIXTURES / "nsw2015.csv"),
                 "--coalition", "LIB+NAT", "--mode", "lose"],

@@ -311,12 +311,70 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
         ceiling = math.ceil(model.total + exact.value)
         assert lower_bound(model) == ceiling
         # The float run settles every one of them: no exact fallback.
-        lower, upper = simplex.certify(*program)
+        lower, upper, _ = simplex.certify(*program)
         assert lower <= exact.value <= upper
         assert math.ceil(model.total + lower) == ceiling
         assert math.ceil(model.total + upper) == ceiling
         checked += 1
     assert checked > 2000
+
+
+def _complete_models():
+    """The model of each complete elimination order of each acceptance-corpus
+    profile."""
+    for profile in _random_corpus():
+        for perm in itertools.permutations(profile.candidate_ids):
+            yield build_model(profile, perm)
+
+
+def test_exact_distance_agrees_with_scipy_milp_on_the_corpus() -> None:
+    # A slower reference for the whole branch and bound: HiGHS's MILP on the
+    # same u/e program, in floats, for every complete order of the corpus.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    checked = 0
+    for model in _complete_models():
+        objective, rows, senses, rhs, bounds = _assemble(model)[:5]
+        low = [-math.inf if sense == "<=" else b for sense, b in zip(senses, rhs)]
+        high = [math.inf if sense == ">=" else b for sense, b in zip(senses, rhs)]
+        theirs = scipy_opt.milp(
+            objective,
+            constraints=scipy_opt.LinearConstraint(rows, low, high),
+            integrality=[1] * len(objective),
+            bounds=scipy_opt.Bounds(
+                [lo for lo, _ in bounds],
+                [math.inf if hi is None else hi for _, hi in bounds],
+            ),
+        )
+        assert theirs.status == 0
+        optimum = round(theirs.fun)
+        assert abs(theirs.fun - optimum) < 1e-6
+        value, _ = exact_distance(model)
+        assert value == model.total + optimum
+        checked += 1
+    assert checked == 1428
+
+
+def test_branch_and_bound_solves_exactly_only_where_a_certificate_fails(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # solve_ip settles a node from the float run when its certified bounds
+    # share a ceiling, and runs solve_lp only when they do not.  Pinned on
+    # every complete order of the corpus, so that a slide back to exact
+    # solves at every node fails: with every float run capped, all 2,248
+    # nodes are solved exactly, and before the float run settled nodes,
+    # 1,931 were.
+    exact = 0
+    solve_lp = simplex.solve_lp
+
+    def counting(*program):
+        nonlocal exact
+        exact += 1
+        return solve_lp(*program)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    for model in _complete_models():
+        exact_distance(model)
+    assert exact == 90
 
 
 def tally_bound(model: DistanceModel) -> int:
@@ -391,15 +449,25 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
     assert checked > 500
 
 
+def _replayed(profile: Profile, order: tuple, value: int, rewrite: Manipulation) -> int:
+    """value, once the rewrite is checked: it changes value ballots, and the
+    profile it leaves makes the complete order attainable."""
+    assert rewrite.size == value
+    assert order_attainable(apply_manipulation(profile, rewrite), order)
+    return value
+
+
 def _corpus_answers() -> tuple[list, int]:
     """compute_mov on each corpus profile, compute_movc toward each loser
     and each pair of losers, and exact_distance of each complete order cut
     off just above the margin.  Every one of those orders reaches solve_ip,
-    so the float guide inside branch and bound is exercised on all of them,
-    and solve_ip may prune on certified bounds from its root.  Each search
-    runs on a fresh copy of the profile, so that it recalls nothing an
-    earlier search solved; the float guide runs counted inside the searches
-    come back with the answers."""
+    so the float guide inside branch and bound is exercised on all of them.
+    Each search runs on a fresh copy of the profile, so that it recalls
+    nothing an earlier search solved; the float guide runs counted inside
+    the searches come back with the answers.  An answer is a value, with a
+    search's witness order and SearchStats.  Which optimal rewrite branch
+    and bound finds depends on the points it branches on, so the rewrites
+    are not part of the answers: each is replayed instead."""
     answers = []
     guided = 0
     for profile in _random_corpus():
@@ -415,13 +483,15 @@ def _corpus_answers() -> tuple[list, int]:
                 for alternates in targets
             ]
         guided += guide.call_count
-        answers += [(r.value, r.witness_order, r.witness_manipulation, r.stats)
-                    for r in searched]
+        for r in searched:
+            order = r.witness_order.order
+            value = _replayed(profile, order, r.value, r.witness_manipulation)
+            answers.append((value, order, r.stats))
         perms = list(itertools.permutations(profile.candidate_ids))
         with mock.patch.object(simplex, "solve_ip", wraps=simplex.solve_ip) as solve_ip:
             for perm in perms:
-                model = build_model(profile, perm)
-                answers.append(exact_distance(model, cutoff=result.value + 1))
+                found = exact_distance(build_model(profile, perm), cutoff=result.value + 1)
+                answers.append(None if found is None else _replayed(profile, perm, *found))
         assert solve_ip.call_count == len(perms)
     return answers, guided
 
@@ -464,7 +534,28 @@ def _relaxed_guide():
     return guide
 
 
-@pytest.mark.parametrize("mode", ["iteration cap", "garbage", "wrong optimum"])
+def _detour_guide():
+    """A float run whose duals are right but whose vertex is another feasible
+    point, off every vertex and worse than the optimum: an eighth of the way
+    from the float optimum to the float run's vertex under the negated
+    objective.  Where the bounds still share a ceiling, branch and bound
+    settles or branches on that point."""
+    real = simplex._guide
+
+    def guide(objective, rows, senses, rhs, bounds):
+        res = real(objective, rows, senses, rhs, bounds)
+        far = real([-v for v in objective], rows, senses, rhs, bounds)
+        if res is None or far is None:
+            return res
+        x = [v + (w - v) / 8 for v, w in zip(res.x, far.x)]
+        return simplex.LPResult(res.status, res.value, x, res.duals)
+
+    return guide
+
+
+@pytest.mark.parametrize(
+    "mode", ["iteration cap", "garbage", "wrong optimum", "worse point"]
+)
 def test_answers_do_not_depend_on_the_float_guide(
     monkeypatch: pytest.MonkeyPatch, mode: str
 ) -> None:
@@ -474,8 +565,10 @@ def test_answers_do_not_depend_on_the_float_guide(
         monkeypatch.setattr(simplex, "_GUIDE_PIVOTS", 0)
     elif mode == "garbage":
         monkeypatch.setattr(simplex, "_guide", _garbage_guide())
-    else:
+    elif mode == "wrong optimum":
         monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
+    else:
+        monkeypatch.setattr(simplex, "_guide", _detour_guide())
     answers, guided = _corpus_answers()
     assert guided > 800
     assert answers == reference

@@ -297,6 +297,33 @@ def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch
     assert pivots == {float: 57, int: 0}
 
 
+def _ip_heavy_seats() -> list[Profile]:
+    """Sixteen uniform-random seats on which integer programs carry the
+    search: one of 6 or 7 candidates, fifteen of 5 or 6."""
+    return [random_profile(105, min_candidates=6, max_candidates=7, max_lines=40,
+                           max_count=200)] + [
+        random_profile(seed, min_candidates=5, max_candidates=6, max_lines=40,
+                       max_count=200)
+        for seed in range(200, 215)
+    ]
+
+
+def test_ip_heavy_margins_do_not_depend_on_the_float_run(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Branch-and-bound nodes settled by the float run give the margins that
+    # exact solves at every node give.  Fresh profiles each time, so that
+    # nothing is recalled.
+    def margins() -> list[int]:
+        return [compute_mov(p, TieRule.LEXICOGRAPHIC).value for p in _ip_heavy_seats()]
+
+    guided = margins()
+    # Every float run fails, so every node is solved exactly.
+    monkeypatch.setattr(simplex, "_GUIDE_PIVOTS", 0)
+    assert margins() == guided
+    assert sum(guided) == 1292
+
+
 def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
     # The look-ahead of a suffix claims that no completion of it is
     # attainable with fewer rewrites; the oracle's per-order enumeration
@@ -363,7 +390,7 @@ def test_frontier_keys_are_admissible_and_pop_in_order(
     "seed, tie_rule, value, order, removals, additions",
     [
         (10, TieRule.LEXICOGRAPHIC, 4, ("c", "b", "a"),
-         ((("c", "a"), 4),), ((("a",), 2), (("b", "a"), 2))),
+         ((("c",), 4),), ((("a",), 2), (("b", "a"), 2))),
         (19, TieRule.FAIL, 6, ("c", "a", "b"),
          ((("c",), 4), (("c", "a"), 2)), ((("a", "b"), 4), (("b",), 2))),
     ],
@@ -372,8 +399,9 @@ def test_exact_start_keeps_the_witness(
     seed: int, tie_rule: TieRule, value: int, order: tuple,
     removals: tuple, additions: tuple,
 ) -> None:
-    # The exact run's vertex picks solve_ip's branching variable, so moving
-    # its start off the lower bounds changes which optimal rewrite is found.
+    # The point a node is settled or branched on picks the rewrite solve_ip
+    # finds: the float run's snapped vertex where its certificate holds,
+    # else the exact run's, which starts every column at its lower bound.
     result = compute_mov(random_profile(seed), tie_rule)
     witness = result.witness_manipulation
     assert result.value == value

@@ -179,7 +179,7 @@ def _float_run_agrees(problem: Problem, value: Fraction) -> bool:
     it either way."""
     guess = simplex._guide(*problem)
     assert guess is None or abs(guess.value - value) < 1e-7
-    lower, upper = certify(*problem)
+    lower, upper, _ = certify(*problem)
     assert lower is None or lower <= value
     assert upper is None or upper >= value
     return guess is not None
@@ -281,7 +281,7 @@ def test_redundant_equality_row_keeps_the_artificial_at_zero() -> None:
     res = solve_lp(*problem)
     assert (res.status, res.value, res.x) == (OPTIMAL, 3, [1, 1])
     assert lagrangian_bound(*problem, res.duals) == 3
-    assert certify(*problem) == (3, 3)
+    assert certify(*problem) == (3, 3, [1, 1])
 
 
 def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
@@ -520,8 +520,11 @@ def _canonical(res: LPResult) -> str:
 
 def test_exact_answers_are_pinned() -> None:
     # A faster exact simplex must reach the very same optima, vertices and
-    # duals on the random sets above (solve_ip only on the boxed ones).
-    lines = []
+    # duals on the random sets above.  solve_ip runs on the boxed ones only:
+    # its statuses and values are pinned on their own, since they cannot
+    # move, and its points apart from them, since they follow the points
+    # it branches on, which the float run may give.
+    lines: dict[str, list[str]] = {"lp": [], "ip value": [], "ip point": []}
     for seed, count, make, ip in (
         (2024, 120, _random_problem, True),
         (99, 150, _random_problem, True),
@@ -530,8 +533,17 @@ def test_exact_answers_are_pinned() -> None:
         rng = random.Random(seed)
         for _ in range(count):
             problem = make(rng)
-            lines.append(_canonical(solve_lp(*problem)))
+            lines["lp"].append(_canonical(solve_lp(*problem)))
             if ip:
-                lines.append(_canonical(solve_ip(*problem)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "4b05dd075aeb186fcf60238dd9e6fdc2c5691be5a4683a615700077171a9ed54"
+                res = solve_ip(*problem)
+                lines["ip value"].append(f"{res.status} {res.value}")
+                lines["ip point"].append(_canonical(res))
+    digests = {
+        part: hashlib.sha256("\n".join(text).encode()).hexdigest()
+        for part, text in lines.items()
+    }
+    assert digests == {
+        "lp": "6e092db603d4ba97299345b693a104426bf72fb71dabb9a7825a393124f168f9",
+        "ip value": "c0804e73162948b07f3b203ad5ad6a545c58220391c12ab880b12886e9280183",
+        "ip point": "d55a6d286526957154fbe79abaebb4ea98f52071be400bbab67f2d794c047651",
+    }
