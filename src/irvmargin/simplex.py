@@ -1,11 +1,11 @@
 """Linear and integer programming with exact rational results.
 
-A bounded-variable primal simplex, generic over its number type, plus a
-small branch-and-bound layer for integer programs.  Its exact run takes the
+A bounded-variable simplex with an exact run and a float run, plus a small
+branch-and-bound layer for integer programs.  The exact run takes the
 integer programs that every distance model and every branch produce, and
 rejects any other data.  It is exact: optima, reduced costs, duals and
 branching bounds carry no rounding, so callers can take ceilings of LP values
-without tolerance guards.  Run on float it proves bounds, never a value by
+without tolerance guards.  The float run proves bounds, never a value by
 itself.  certify snaps the float run's duals to small-denominator rationals
 and evaluates the Lagrangian bound at them exactly (lagrangian_bound), which
 proves a lower bound on the LP minimum whatever the floats were; it snaps the
@@ -14,9 +14,9 @@ if it passes an exact feasibility check.  When the two bounds share a
 ceiling, that is the LP's ceiling, and solve_ip settles or branches on the
 snapped point without an exact solve.  Tolerances exist only inside the float
 run, no float value reaches a result without such a check, and any failure
-of the float run (a pivot cap, a non-finite value, a claim of infeasibility
-or unboundedness, or duals that would push up a column with no upper bound)
-leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
+of the float run (a pivot cap, a non-finite value, a start that is not dual
+feasible, a claim of infeasibility, or duals that would push up a column
+with no upper bound) leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
 "Safe bounds in linear and mixed-integer programming" (2004), and Applegate,
 Cook, Dash & Espinoza, "Exact solutions to linear programming problems"
 (2007); bounding and branching on checked float results, with an exact
@@ -24,11 +24,18 @@ solve only where a check fails, is the hybrid scheme of Cook, Koch, Steffy &
 Wolter, "A hybrid branch-and-bound approach for exact rational mixed-integer
 programming" (2013).
 
-The implementation is the textbook two-phase full-tableau method with
-variable bounds handled implicitly (nonbasic variables rest at either bound
-and may flip without a basis change).  The exact run starts every column at
-its lower bound; the float run starts each at the bound its cost prefers,
-which on the distance models leaves about one pivot per program, and certify
+Both runs keep a full tableau with variable bounds handled implicitly
+(nonbasic variables rest at either bound and may flip without a basis
+change).  The exact run is the textbook two-phase primal simplex, started
+with every column at its lower bound.  The float run is a bounded dual
+simplex with no phase one (Koberstein, "The dual simplex method, techniques
+for a fast and stable implementation", 2005).  It starts on the all-slack
+basis with each column at the bound its cost prefers, which is dual
+feasible on every distance model, and on most suffix programs already
+optimal.  Its leaving row is the one with the largest bound violation.  Its
+ratio test takes the candidates in ratio order and flips a boxed one to its
+other bound instead of entering it while the row stays infeasible after the
+flip (Maros, "A generalized dual phase-2 simplex algorithm", 2003).  certify
 checks whichever optimal vertex it reaches.  The exact run is wholly in
 integers.  The tableau is an integer matrix over one common denominator den,
 the reduced costs an integer row over den, and both are updated by
@@ -38,14 +45,17 @@ elimination", 1968).  The tableau's last column holds den * x on the basis,
 an integer, and a pivot updates it by the same elimination as every other
 column (Azulay & Pique, "A revised simplex method with integer Q-matrices",
 2001).  The ratio test compares its caps by cross-multiplication, so
-Fractions are built only for the result.  Dantzig pricing is used until a
-long degenerate streak, then Bland's rule, which guarantees termination.
+Fractions are built only for the result.  Each run prices by its own rule
+(the exact run Dantzig's, the float run the largest violation) until a long
+degenerate streak, then by Bland's rule, which guarantees termination.
 
 The columns of a program with n columns and m rows are its own at [0, n),
-then row i's slack at n + i, then, from n + m on and in row order, an
-artificial for each row that starts on one.  The slack's coefficient,
-sign[i], is -1 on a ">=" row and +1 otherwise; on an "=" row the slack is
-held at [0, 0] and the row starts on an artificial.  Left of its last
+then row i's slack at n + i, then, in the exact run, from n + m on and in
+row order, an artificial for each row that starts on one.  The slack's
+coefficient, sign[i], is -1 on a ">=" row and +1 otherwise; on an "=" row
+the slack is held at [0, 0].  The exact run starts such a row on an
+artificial; the float run starts it on its slack, which is then basic and
+outside its bounds until the dual simplex drives it out.  Left of its last
 column the tableau is always B^-1 [A | S | Art] (over den in the exact run),
 so its slack block times the signs is B^-1, whatever rows were negated to
 put the identity on the starting basis, and row i's dual is read off its
@@ -73,8 +83,9 @@ _BLAND_AFTER = 40
 # Branch-and-bound nodes solve_ip explores before giving up.
 _NODE_LIMIT = 200_000
 # The float run's zero tolerance, and the iterations it may take per row and
-# column of the program before it gives up (from its start at the bounds the
-# costs prefer, a run on a distance model usually takes one iteration).
+# column of the program before it gives up.  An iteration is one pivot with
+# the bound flips of its ratio test, or the last check, which finds every
+# basic value within its bounds.
 _GUIDE_TOL = 1e-9
 _GUIDE_PIVOTS = 4
 # Largest denominator certify snaps a float dual or coordinate to.
@@ -117,12 +128,13 @@ def solve_lp(
     data must be an integer (TypeError otherwise).  Exact: the result is in
     Fractions.
     """
-    return _simplex(objective, rows, senses, rhs, bounds, int, 0, None)
+    return _simplex(objective, rows, senses, rhs, bounds, int, None)
 
 
-def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
-    """solve_lp in the number type num, with comparisons against zero made
-    up to tol and at most limit iterations (None: no limit)."""
+def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
+    """solve_lp in the number type num: exactly by the primal simplex when
+    num is int, else by the float run's dual simplex in at most limit
+    iterations."""
     n = len(objective)
     m = len(rows)
     if len(senses) != m or len(rhs) != m:
@@ -149,21 +161,27 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {sense!r}")
     sign = [-one if sense == ">=" else one for sense in senses]
-    # The float run starts each column at the bound its cost prefers, its
-    # upper bound when the cost is negative and it has one (Bixby,
-    # "Implementing the simplex method: the initial basis", 1992).  The exact
-    # run starts every column at its lower bound.  The vertex a run reaches
-    # picks solve_ip's branch, and so the witness: the float run's where
-    # certify settles a node, the exact run's elsewhere.  A row starts on its
+    # The exact run starts every column at its lower bound, and a row on its
     # slack when that can carry the residual, else, as an "=" row always
-    # does, on an artificial of the residual's sign.
-    at_upper = [not exact and cj < 0 and u is not None for cj, u in zip(c, hi)]
+    # does, on an artificial of the residual's sign.  The float run starts
+    # every row on its slack and each column at the bound its cost prefers,
+    # its upper bound when the cost is negative (Bixby, "Implementing the
+    # simplex method: the initial basis", 1992): that basis is dual feasible
+    # unless a negative cost has no upper bound, which no distance model
+    # has.  The vertex a run reaches picks solve_ip's branch, and so the
+    # witness: the float run's where certify settles a node, the exact run's
+    # elsewhere.
+    if not exact and any(cj < 0 and u is None for cj, u in zip(c, hi)):
+        raise SolverError("the float run's start is not dual feasible")
+    at_upper = [not exact and cj < 0 for cj in c]
     start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
     residual = [
         b[i] - sum(tab[i][j] * start[j] for j in range(n) if start[j])
         for i in range(m)
     ]
-    art_rows = [i for i in range(m) if senses[i] == "=" or residual[i] * sign[i] < 0]
+    art_rows = [
+        i for i in range(m) if exact and (senses[i] == "=" or residual[i] * sign[i] < 0)
+    ]
     for i, row in enumerate(tab):
         row += [zero] * (m + len(art_rows)) + [residual[i]]
         row[n + i] = sign[i]
@@ -186,21 +204,24 @@ def _simplex(objective, rows, senses, rhs, bounds, num, tol, limit) -> LPResult:
         if tab[i][col] != one:
             tab[i] = [-v for v in tab[i]]
 
-    state = _State(tab, 1, basis, status, lo, hi, tol, limit)
+    state = _State(tab, 1, basis, status, lo, hi)
 
     if art_rows:
         c1 = [zero] * (n + m) + [one] * len(art_rows)
         if _iterate(state, _reduced_costs(state, c1)) == UNBOUNDED:
             raise SolverError("phase one claims an unbounded artificial objective")
         # A nonbasic artificial rests at 0: it has no upper bound to flip to.
-        if sum(state.tab[i][-1] for i in range(m) if state.basis[i] >= n + m) > tol:
+        if sum(state.tab[i][-1] for i in range(m) if state.basis[i] >= n + m) > 0:
             return LPResult(INFEASIBLE)
         for j in range(n + m, len(lo)):
             state.hi[j] = zero
 
     d = _reduced_costs(state, c_full)
-    if _iterate(state, d) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    if exact:
+        if _iterate(state, d) == UNBOUNDED:
+            return LPResult(UNBOUNDED)
+    elif _dual_iterate(state, d, limit) == INFEASIBLE:
+        return LPResult(INFEASIBLE)
     ratio = Fraction if exact else operator.truediv
     x = [ratio(*_variable_value(state, j)) for j in range(n)]
     value = sum(cj * xj for cj, xj in zip(c, x))
@@ -218,8 +239,6 @@ class _State:
     status: list[int]
     lo: list
     hi: list
-    tol: float
-    limit: int | None
 
 
 def _variable_value(state: _State, j: int) -> tuple:
@@ -243,17 +262,14 @@ def _reduced_costs(state: _State, cost: list) -> list:
 
 
 def _iterate(state: _State, d: list) -> str:
+    """The exact run's primal simplex from a primal feasible basis: OPTIMAL,
+    or UNBOUNDED."""
     tab, basis = state.tab, state.basis
     status, lo, hi = state.status, state.lo, state.hi
-    tol = state.tol
     m = len(basis)
     ncols = len(lo)
     degenerate_streak = 0
     while True:
-        if state.limit is not None:
-            if state.limit <= 0:
-                raise SolverError("simplex exceeded its iteration limit")
-            state.limit -= 1
         use_bland = degenerate_streak >= _BLAND_AFTER
         enter = -1
         direction = 0
@@ -263,10 +279,10 @@ def _iterate(state: _State, d: list) -> str:
                 continue
             if hi[j] is not None and hi[j] == lo[j]:
                 continue
-            if status[j] == _LOWER and d[j] < -tol:
+            if status[j] == _LOWER and d[j] < 0:
                 cand = 1
                 score = -d[j]
-            elif status[j] == _UPPER and d[j] > tol:
+            elif status[j] == _UPPER and d[j] > 0:
                 cand = -1
                 score = d[j]
             else:
@@ -290,10 +306,10 @@ def _iterate(state: _State, d: list) -> str:
         for i in range(m):
             row = tab[i]
             a = row[j] * direction
-            if a > tol:
+            if a > 0:
                 g = row[-1] - den * lo[basis[i]]
                 to = _LOWER
-            elif a < -tol and hi[basis[i]] is not None:
+            elif a < 0 and hi[basis[i]] is not None:
                 a = -a
                 g = den * hi[basis[i]] - row[-1]
                 to = _UPPER
@@ -326,6 +342,75 @@ def _iterate(state: _State, d: list) -> str:
         _pivot(state, d, leave_row, j)
         tab[leave_row][-1] += state.den * (lo[j] if direction == 1 else hi[j])
         degenerate_streak = degenerate_streak + 1 if gap == 0 else 0
+
+
+def _dual_iterate(state: _State, d: list, limit: int) -> str:
+    """The float run's bounded dual simplex from a dual feasible basis:
+    OPTIMAL, or INFEASIBLE when a row's violation has no entering column.
+    SolverError once it has taken limit iterations."""
+    tab, basis = state.tab, state.basis
+    status, lo, hi = state.status, state.lo, state.hi
+    ncols = len(lo)
+    degenerate_streak = 0
+    while True:
+        if limit <= 0:
+            raise SolverError("simplex exceeded its iteration limit")
+        limit -= 1
+        use_bland = degenerate_streak >= _BLAND_AFTER
+        # The leaving row: the basic value furthest outside its bounds, or
+        # under Bland's rule the smallest basic column outside them.  Its
+        # violation, slope, is how fast the dual objective gains along the
+        # step, and each bound flip below spends part of it.
+        leave_row, slope = -1, 0.0
+        for i, col in enumerate(basis):
+            v = tab[i][-1]
+            gap = lo[col] - v
+            if hi[col] is not None and v - hi[col] > gap:
+                gap = v - hi[col]
+            if gap > _GUIDE_TOL and (
+                leave_row == -1 or (col < basis[leave_row] if use_bland else gap > slope)
+            ):
+                leave_row, slope = i, gap
+        if leave_row == -1:
+            return OPTIMAL
+        row = tab[leave_row]
+        leaving = basis[leave_row]
+        rise = row[-1] < lo[leaving]
+        # Moving a nonbasic x_j by t moves the leaving value by -row[j] t.  A
+        # column that moves it toward its bound may enter at the ratio
+        # |d_j / row[j]|, and the smallest ratio keeps every reduced cost's
+        # sign.  Passing a boxed column's ratio instead flips it to its other
+        # bound, which is worth it while the row stays infeasible after the
+        # flip (Maros, "A generalized dual phase-2 simplex algorithm", 2003).
+        ratios = []
+        for j in range(ncols):
+            a = row[j]
+            if status[j] == _BASIC or abs(a) <= _GUIDE_TOL or hi[j] == lo[j]:
+                continue
+            if ((a < 0) == (status[j] == _LOWER)) == rise:
+                ratios.append((abs(d[j] / a), j))
+        ratios.sort()
+        flips = []
+        for _, j in ratios:
+            width = None if hi[j] is None else hi[j] - lo[j]
+            if use_bland or width is None or abs(row[j]) * width >= slope - _GUIDE_TOL:
+                break
+            flips.append(j)
+            slope -= abs(row[j]) * width
+        else:
+            return INFEASIBLE
+        for k in flips:
+            step = hi[k] - lo[k] if status[k] == _LOWER else lo[k] - hi[k]
+            status[k] = _UPPER if status[k] == _LOWER else _LOWER
+            for r in tab:
+                if r[k]:
+                    r[-1] -= r[k] * step
+        degenerate_streak = degenerate_streak + 1 if abs(d[j]) <= _GUIDE_TOL else 0
+        start = lo[j] if status[j] == _LOWER else hi[j]
+        row[-1] -= lo[leaving] if rise else hi[leaving]
+        status[leaving] = _LOWER if rise else _UPPER
+        _pivot(state, d, leave_row, j)
+        tab[leave_row][-1] += start
 
 
 def _pivot(state: _State, d: list, row: int, col: int) -> None:
@@ -418,11 +503,12 @@ def lagrangian_bound(
     """
     lam = []
     for v, sense in zip(duals, senses):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        v = Fraction(v)
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                return None
+            v = Fraction(v)
         if (v < 0 and sense == "<=") or (v > 0 and sense == ">="):
-            v = Fraction(0)
+            v = 0
         lam.append(v)
     # Scaled by the common denominator, the evaluation stays in integers
     # when the program's data are integers.
@@ -453,7 +539,7 @@ def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
     infeasible or unbounded."""
     limit = _GUIDE_PIVOTS * (len(rows) + len(objective))
     try:
-        res = _simplex(objective, rows, senses, rhs, bounds, float, _GUIDE_TOL, limit)
+        res = _simplex(objective, rows, senses, rhs, bounds, float, limit)
     except (ArithmeticError, SolverError):
         return None
     return res if res.status == OPTIMAL else None

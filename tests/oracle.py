@@ -5,7 +5,8 @@ the frontier search: margins are found by enumerating manipulations outright
 (winners, by branching on every tied elimination, come from
 tabulate.adversarial_winners).  Capped hard because the enumeration is
 exponential; the caps are the contract, exceeding them raises.
-random_profile draws the small instances the tests check against it.
+random_profile draws the small instances the tests check against it, and
+paper_seat the seats of the paper's scale, which only the solvers reach.
 
 oracle_movc works per candidate elimination order.  A manipulation that makes
 some alternate win must realize a complete order ending in an alternate, and
@@ -22,6 +23,7 @@ rewritten ballots.  First k that works is the margin.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
@@ -227,4 +229,58 @@ def random_profile(
     for cid in ids:
         if cid not in seen:
             counts[cid] = counts.get(cid, 0) + 1
+    return Profile.from_rankings(counts, extra_candidates=ids)
+
+
+# Party positions on the issue plane, (economic, social), of paper_seat's
+# candidates: perfbench/gen.py's six parties, then three more.
+PAPER_PARTIES = (
+    ("GRN", -0.9, 0.6),
+    ("ALP", -0.4, 0.1),
+    ("IND", 0.0, 0.7),
+    ("LIB", 0.4, 0.1),
+    ("NAT", 0.7, -0.4),
+    ("SFF", 0.3, -0.8),
+    ("CDP", 0.5, 0.8),
+    ("AJP", -0.6, -0.5),
+    ("ONP", 0.9, -0.9),
+)
+# Share of voters who stop after 1, 2 and 3 preferences; the rest rank
+# every candidate.
+TRUNCATION = (0.30, 0.15, 0.15)
+
+
+def paper_seat(k: int, i: int) -> Profile:
+    """Seat k/i, of the size of the paper's NSW seats: 20,000 voters rank k
+    candidates, up to 9, by noisy distance on the issue plane and truncate
+    their ballots as under optional preferential voting, as perfbench/gen.py's
+    spatial_seat does.  The candidates are the first k of PAPER_PARTIES, each
+    moved by N(0, 0.1) on both axes, and the voters' centre is
+    (U(-0.2, 0.2), N(0, 0.2)).  All of it is drawn from
+    random.Random(f"big/{k}/{i}"): positions, then the centre, then voters."""
+    rng = random.Random(f"big/{k}/{i}")
+    spots = {
+        party.lower(): (x + rng.gauss(0, 0.1), y + rng.gauss(0, 0.1))
+        for party, x, y in PAPER_PARTIES[:k]
+    }
+    cx, cy = rng.uniform(-0.2, 0.2), rng.gauss(0, 0.2)
+    ids = sorted(spots)
+    counts: dict[str, int] = {}
+    for _ in range(20_000):
+        vx = cx + rng.gauss(0, 0.6)
+        vy = cy + rng.gauss(0, 0.6)
+        score = {
+            c: -math.hypot(vx - x, vy - y) + rng.gauss(0, 0.35)
+            for c, (x, y) in spots.items()
+        }
+        ranking = sorted(ids, key=score.__getitem__, reverse=True)
+        draw = rng.random()
+        length = len(ranking)
+        for stop, share in enumerate(TRUNCATION, start=1):
+            if draw < share:
+                length = stop
+                break
+            draw -= share
+        key = ">".join(ranking[:length])
+        counts[key] = counts.get(key, 0) + 1
     return Profile.from_rankings(counts, extra_candidates=ids)

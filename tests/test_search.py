@@ -34,7 +34,14 @@ from irvmargin import search, simplex
 from irvmargin.search import _lookahead
 from irvmargin.synth import synthetic_seat
 from irvmargin.tabulate import tally
-from oracle import ABOVE_CAP, OracleCapExceeded, _OrderPlan, oracle_movc, random_profile
+from oracle import (
+    ABOVE_CAP,
+    OracleCapExceeded,
+    _OrderPlan,
+    oracle_movc,
+    paper_seat,
+    random_profile,
+)
 from test_acceptance import _random_corpus
 
 
@@ -269,11 +276,12 @@ def test_synthetic_mov_is_settled_by_tallies(
     assert (stats.tally_prunes, stats.lookahead_prunes) == (1, lookahead_prunes)
 
 
-def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Started at the bound each column's cost prefers, the float run keeps
-    # every ballot from the start and needs one pivot per suffix LP.  A fixed
-    # set of suffixes, solved directly: each increasing run of minor
-    # candidates, alone or followed by the runner-up c1.
+def test_float_run_starts_optimal_on_every_suffix_lp(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Started on the slack basis with each column at the bound its cost
+    # prefers, the float run keeps every ballot from the start, and on these
+    # suffixes that start is already optimal: no pivot at all, and no exact
+    # solve.  A fixed set of suffixes, solved directly: each increasing run
+    # of minor candidates, alone or followed by the runner-up c1.
     pivots = {float: 0, int: 0}
     pivot = simplex._pivot
 
@@ -294,7 +302,7 @@ def test_float_run_takes_one_pivot_per_suffix_lp(monkeypatch: pytest.MonkeyPatch
     assert len(orders) == 57
     for order in orders:
         lower_bound(build_model(profile, order))
-    assert pivots == {float: 57, int: 0}
+    assert pivots == {float: 0, int: 0}
 
 
 def _ip_heavy_seats() -> list[Profile]:
@@ -322,6 +330,27 @@ def test_ip_heavy_margins_do_not_depend_on_the_float_run(
     monkeypatch.setattr(simplex, "_GUIDE_PIVOTS", 0)
     assert margins() == guided
     assert sum(guided) == 1292
+
+
+def test_paper_scale_seats_keep_their_margins(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Two of oracle.paper_seat's seats, of the size of the paper's NSW seats:
+    # 7 and 8 candidates and 20,000 ballots.  The pivots of seat 8/3's MOV
+    # are pinned too: a float run that stalls until its pivot cap and falls
+    # back to an exact solve shows here, where it costs seconds.
+    pivots = {float: 0, int: 0}
+    pivot = simplex._pivot
+
+    def counting(state, d, row, col):
+        pivots[type(state.tab[row][col])] += 1
+        pivot(state, d, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    for (k, i), rankings, margin in (((7, 3), 2447, 1756), ((8, 3), 5267, 855)):
+        profile = paper_seat(k, i)
+        pivots.update({float: 0, int: 0})
+        result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
+        assert (len(profile.ballots), result.value) == (rankings, margin)
+    assert pivots == {float: 1706, int: 0}
 
 
 def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:

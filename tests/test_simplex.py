@@ -486,18 +486,83 @@ def _outcome(solve, problem: Problem) -> tuple:
 def test_blands_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch) -> None:
     # Bland's rule only takes over after a long degenerate streak, which the
     # small programs never reach; from the first pivot on it must still end
-    # at the same status and optimal value as Dantzig pricing.
+    # at the same status and optimal value as Dantzig pricing.  The float
+    # run, under Bland's rule from its first step, must certify the same
+    # bounds as under the largest violation with bound flips.
     rng = random.Random(2024)
     lps = [_random_problem(rng) for _ in range(120)]
     rng = random.Random(31)
     lps += [_random_wide_problem(rng) for _ in range(300)]
     rng = random.Random(99)
     ips = [_random_problem(rng) for _ in range(150)]
-    dantzig = [_outcome(solve_lp, p) for p in lps], [_outcome(solve_ip, p) for p in ips]
+
+    def outcomes() -> tuple:
+        return (
+            [_outcome(solve_lp, p) for p in lps],
+            [_outcome(solve_ip, p) for p in ips],
+            [certify(*p)[:2] for p in lps + ips],
+        )
+
+    dantzig = outcomes()
     monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
-    bland = [_outcome(solve_lp, p) for p in lps], [_outcome(solve_ip, p) for p in ips]
-    assert bland == dantzig
+    assert outcomes() == dantzig
     assert sum(status == OPTIMAL for status, _ in dantzig[0]) > 150
+    assert sum(lower is not None for lower, _ in dantzig[2]) > 200
+
+
+def test_float_run_leaves_a_start_that_is_not_dual_feasible_to_the_exact_run() -> None:
+    # min -x  s.t.  x + y = 5, 2x - y <= 4: x's negative cost has no upper
+    # bound to start at, so the float run's start is not dual feasible.  It
+    # proves nothing, and the exact solves still answer.
+    problem = ([-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)])
+    assert simplex._guide(*problem) is None
+    assert certify(*problem) == (None, None, None)
+    assert _outcome(solve_lp, problem) == (OPTIMAL, -3)
+    assert solve_ip(*problem) == LPResult(OPTIMAL, -3, [3, 2])
+
+
+def test_float_run_flips_boxed_columns_in_its_ratio_test(monkeypatch) -> None:
+    # min -3x - 2y - z  s.t.  x + y + z <= 1 on [0, 1]^3 starts at (1, 1, 1),
+    # 2 over the row.  z has the smallest ratio, and the row is still 1 over
+    # once z is flipped to 0, so z flips; y comes next and enters.  One pivot
+    # reaches the optimum (1, 0, 0).
+    problem = ([-3, -2, -1], [[1, 1, 1]], ["<="], [1], [(0, 1)] * 3)
+    entered = []
+    pivot = simplex._pivot
+
+    def recording(state, d, row, col):
+        entered.append(col)
+        pivot(state, d, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    guess = simplex._guide(*problem)
+    assert (guess.value, guess.x, entered) == (-3, [1, 0, 0], [1])
+    lower, upper, _ = certify(*problem)
+    assert lower <= solve_lp(*problem).value <= upper
+
+
+def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
+    # min y  s.t.  x + y >= 1, 2x <= 1 on [0, 1]^2: the relaxation sits at
+    # (1/2, 1/2), and its branch x >= 1 is infeasible.  There the row 2x <= 1
+    # is over with nothing to move it (x is fixed and y is not in it), so the
+    # float run claims the node infeasible, certify proves nothing, and
+    # solve_ip solves that node, and only that one, exactly.
+    root: Problem = ([0, 1], [[1, 1], [2, 0]], [">=", "<="], [1, 1], [(0, 1), (0, 1)])
+    node = root[:4] + ([(1, 1), (0, 1)],)
+    assert simplex._simplex(*node, float, 100).status == INFEASIBLE
+    assert simplex._guide(*node) is None
+    assert certify(*node) == (None, None, None)
+    statuses = []
+
+    def recording(*program):
+        res = solve_lp(*program)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    res = solve_ip(*root)
+    assert (res.status, res.value, res.x) == (OPTIMAL, _enumerate_ip(root), [0, 1])
+    assert statuses == [INFEASIBLE]
 
 
 def test_ip_node_limit_raises(monkeypatch) -> None:
@@ -545,5 +610,5 @@ def test_exact_answers_are_pinned() -> None:
     assert digests == {
         "lp": "6e092db603d4ba97299345b693a104426bf72fb71dabb9a7825a393124f168f9",
         "ip value": "c0804e73162948b07f3b203ad5ad6a545c58220391c12ab880b12886e9280183",
-        "ip point": "d55a6d286526957154fbe79abaebb4ea98f52071be400bbab67f2d794c047651",
+        "ip point": "2d715972ac4497113581851433b801512c341db45833ff3a06a5734faa72bb5f",
     }
