@@ -1,68 +1,70 @@
 """Linear and integer programming with exact rational results.
 
-A bounded-variable simplex with an exact run and a float run, plus a small
-branch-and-bound layer for integer programs.  The exact run takes the
-integer programs that every distance model and every branch produce, and
-rejects any other data.  It is exact: optima, reduced costs, duals and
-branching bounds carry no rounding, so callers can take ceilings of LP values
-without tolerance guards.  The float run proves bounds, never a value by
-itself.  certify snaps the float run's duals to small-denominator rationals
-and evaluates the Lagrangian bound at them exactly (lagrangian_bound), which
-proves a lower bound on the LP minimum whatever the floats were; it snaps the
-float vertex the same way and keeps it, as a point and an upper bound, only
-if it passes an exact feasibility check.  When the two bounds share a
-ceiling, that is the LP's ceiling, and solve_ip settles or branches on the
-snapped point without an exact solve.  Tolerances exist only inside the float
-run, no float value reaches a result without such a check, and any failure
-of the float run (a pivot cap, a non-finite value, a start that is not dual
-feasible, a claim of infeasibility, or duals that would push up a column
-with no upper bound) leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
-"Safe bounds in linear and mixed-integer programming" (2004), and Applegate,
-Cook, Dash & Espinoza, "Exact solutions to linear programming problems"
-(2007); bounding and branching on checked float results, with an exact
-solve only where a check fails, is the hybrid scheme of Cook, Koch, Steffy &
-Wolter, "A hybrid branch-and-bound approach for exact rational mixed-integer
-programming" (2013).
+One bounded dual simplex, run in two arithmetics (an exact run and a float
+run), plus a small branch-and-bound layer for integer programs.  The exact
+run takes the integer programs that every distance model and every branch
+produce, and rejects any other data.  It is exact: optima, reduced costs,
+duals and branching bounds carry no rounding, so callers can take ceilings
+of LP values without tolerance guards.  The float run proves bounds, never a
+value by itself.  certify snaps the float run's duals to small-denominator
+rationals and evaluates the Lagrangian bound at them exactly
+(lagrangian_bound), which proves a lower bound on the LP minimum whatever
+the floats were; it snaps the float vertex the same way and keeps it, as a
+point and an upper bound, only if it passes an exact feasibility check.
+When the two bounds share a ceiling, that is the LP's ceiling, and solve_ip
+settles or branches on the snapped point without an exact solve.
+Tolerances exist only inside the float run, no float value reaches a result
+without such a check, and any failure of the float run (a pivot cap, a
+non-finite value, a claim of infeasibility, or duals that would push up a
+column with no upper bound) leaves the caller to solve exactly.  The method
+is Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
+programming" (2004), and Applegate, Cook, Dash & Espinoza, "Exact solutions
+to linear programming problems" (2007); bounding and branching on checked
+float results, with an exact solve only where a check fails, is the hybrid
+scheme of Cook, Koch, Steffy & Wolter, "A hybrid branch-and-bound approach
+for exact rational mixed-integer programming" (2013).
+
+The solvers take the programs in which every column with a negative cost
+has an upper bound, and raise ValueError on any other.  Every distance
+model is one: its u columns cost -1 and are bounded by their ballot counts,
+its e columns cost 0, and a branch only tightens bounds.  On such a program
+the all-slack basis with each column at the bound its cost prefers (Bixby,
+"Implementing the simplex method: the initial basis", 1992) is dual
+feasible, so both runs start there with no phase one, and the program has
+an optimum unless it is infeasible.
 
 Both runs keep a full tableau with variable bounds handled implicitly
 (nonbasic variables rest at either bound and may flip without a basis
-change).  The exact run is the textbook two-phase primal simplex, started
-with every column at its lower bound.  The float run is a bounded dual
-simplex with no phase one (Koberstein, "The dual simplex method, techniques
-for a fast and stable implementation", 2005).  It starts on the all-slack
-basis with each column at the bound its cost prefers, which is dual
-feasible on every distance model, and on most suffix programs already
-optimal.  Its leaving row is the one with the largest bound violation.  Its
-ratio test takes the candidates in ratio order and flips a boxed one to its
-other bound instead of entering it while the row stays infeasible after the
-flip (Maros, "A generalized dual phase-2 simplex algorithm", 2003).  certify
-checks whichever optimal vertex it reaches.  The exact run is wholly in
-integers.  The tableau is an integer matrix over one common denominator den,
-the reduced costs an integer row over den, and both are updated by
-integer-preserving elimination whose divisions are exact (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968).  The tableau's last column holds den * x on the basis,
-an integer, and a pivot updates it by the same elimination as every other
-column (Azulay & Pique, "A revised simplex method with integer Q-matrices",
-2001).  The ratio test compares its caps by cross-multiplication, so
-Fractions are built only for the result.  Each run prices by its own rule
-(the exact run Dantzig's, the float run the largest violation) until a long
-degenerate streak, then by Bland's rule, which guarantees termination.
+change) and iterate by the same bounded dual simplex (Koberstein, "The dual
+simplex method, techniques for a fast and stable implementation", 2005).
+Its leaving row is the one with the largest bound violation.  Its ratio test
+takes the candidates in ratio order and flips a boxed one to its other bound
+instead of entering it while the row stays infeasible after the flip (Maros,
+"A generalized dual phase-2 simplex algorithm", 2003).  After a long
+degenerate streak it switches to Bland's rule, which guarantees termination
+in exact arithmetic.  The runs differ only in their numbers.  The float run
+compares with a tolerance and gives up after a cap on iterations; certify
+checks whichever optimal vertex it reaches.  The exact run compares with no
+tolerance, has no cap, and is wholly in integers.  Its tableau is an integer
+matrix over one common denominator den, its reduced costs an integer row
+over den, and both are updated by integer-preserving elimination whose
+divisions are exact (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968).  The tableau's last column
+holds den * x on the basis, an integer, and a pivot updates it by the same
+elimination as every other column (Azulay & Pique, "A revised simplex method
+with integer Q-matrices", 2001); bounds are scaled by den to meet it.  A
+ratio of a reduced cost to a tableau entry, both over den, is a Fraction
+that den cancels out of.
 
 The columns of a program with n columns and m rows are its own at [0, n),
-then row i's slack at n + i, then, in the exact run, from n + m on and in
-row order, an artificial for each row that starts on one.  The slack's
-coefficient, sign[i], is -1 on a ">=" row and +1 otherwise; on an "=" row
-the slack is held at [0, 0].  The exact run starts such a row on an
-artificial; the float run starts it on its slack, which is then basic and
-outside its bounds until the dual simplex drives it out.  Left of its last
-column the tableau is always B^-1 [A | S | Art] (over den in the exact run),
-so its slack block times the signs is B^-1, whatever rows were negated to
-put the identity on the starting basis, and row i's dual is read off its
-slack's reduced cost.  An artificial still basic after phase one (a
-redundant equality row) stays basic: phase two bounds every artificial to
-[0, 0] and never lets one enter, so the ratio test holds a basic one at
-zero until it leaves.
+then row i's slack at n + i.  The slack's coefficient, sign[i], is -1 on a
+">=" row and +1 otherwise; on an "=" row the slack is held at [0, 0].  It
+starts basic, outside its bounds while the row's residual is not zero,
+until the dual simplex drives it out; the slack of a redundant equality row
+may stay basic at zero.  Left of its last column the tableau is always
+B^-1 [A | S] (over den in the exact run), so its slack block times the signs
+is B^-1, whatever rows were negated to put the identity on the starting
+basis, and row i's dual is read off its slack's reduced cost.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 CUTOFF = "cutoff"
 
 _BASIC, _LOWER, _UPPER = 0, 1, 2
@@ -124,23 +125,26 @@ def solve_lp(
     """Minimize objective . x subject to rows x (senses) rhs and lo <= x <= hi.
 
     senses entries are "<=", ">=" or "=".  Upper bounds of None mean
-    unbounded above; lower bounds must be finite.  Every other entry of the
-    data must be an integer (TypeError otherwise).  Exact: the result is in
-    Fractions.
+    unbounded above; lower bounds must be finite.  A column with a negative
+    cost needs an upper bound (ValueError otherwise), so the program is
+    never unbounded.  Every other entry of the data must be an integer
+    (TypeError otherwise).  Exact: the result is in Fractions.
     """
-    return _simplex(objective, rows, senses, rhs, bounds, int, None)
+    return _simplex(objective, rows, senses, rhs, bounds, int, math.inf)
 
 
 def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
-    """solve_lp in the number type num: exactly by the primal simplex when
-    num is int, else by the float run's dual simplex in at most limit
-    iterations."""
+    """solve_lp in the number type num: exactly when num is int, else in
+    floats, by the dual simplex in at most limit iterations."""
     n = len(objective)
     m = len(rows)
     if len(senses) != m or len(rhs) != m:
         raise ValueError("senses and rhs need one entry per row")
     if len(bounds) != n:
         raise ValueError("bounds need one entry per column")
+    for sense in senses:
+        if sense not in ("<=", ">=", "="):
+            raise ValueError(f"unknown sense {sense!r}")
     exact = num is int
     if exact:
         num = operator.index
@@ -153,74 +157,36 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
         if len(row) != n:
             raise ValueError("row length does not match objective")
     b = [num(v) for v in rhs]
-    for l, u in zip(lo, hi):
-        if u is not None and u < l:
-            return LPResult(INFEASIBLE)
+    if any(cj < 0 and u is None for cj, u in zip(c, hi)):
+        raise ValueError("a column with a negative cost needs an upper bound")
+    if any(u is not None and u < l for l, u in zip(lo, hi)):
+        return LPResult(INFEASIBLE)
 
-    for sense in senses:
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"unknown sense {sense!r}")
     sign = [-one if sense == ">=" else one for sense in senses]
-    # The exact run starts every column at its lower bound, and a row on its
-    # slack when that can carry the residual, else, as an "=" row always
-    # does, on an artificial of the residual's sign.  The float run starts
-    # every row on its slack and each column at the bound its cost prefers,
-    # its upper bound when the cost is negative (Bixby, "Implementing the
-    # simplex method: the initial basis", 1992): that basis is dual feasible
-    # unless a negative cost has no upper bound, which no distance model
-    # has.  The vertex a run reaches picks solve_ip's branch, and so the
-    # witness: the float run's where certify settles a node, the exact run's
-    # elsewhere.
-    if not exact and any(cj < 0 and u is None for cj, u in zip(c, hi)):
-        raise SolverError("the float run's start is not dual feasible")
-    at_upper = [not exact and cj < 0 for cj in c]
+    # Each column starts at the bound its cost prefers, which makes the
+    # all-slack basis dual feasible.  The vertex a run reaches picks
+    # solve_ip's branch, and so the witness: the float run's where certify
+    # settles a node, the exact run's elsewhere.
+    at_upper = [cj < 0 for cj in c]
     start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
     residual = [
         b[i] - sum(tab[i][j] * start[j] for j in range(n) if start[j])
         for i in range(m)
     ]
-    art_rows = [
-        i for i in range(m) if exact and (senses[i] == "=" or residual[i] * sign[i] < 0)
-    ]
     for i, row in enumerate(tab):
-        row += [zero] * (m + len(art_rows)) + [residual[i]]
+        row += [zero] * m + [residual[i]]
         row[n + i] = sign[i]
-    basis = [n + i for i in range(m)]
-    for k, i in enumerate(art_rows):
-        basis[i] = n + m + k
-        tab[i][n + m + k] = one if residual[i] >= 0 else -one
-    lo += [zero] * (m + len(art_rows))
-    hi += [zero if sense == "=" else None for sense in senses] + [None] * len(art_rows)
-    c_full = c + [zero] * (m + len(art_rows))
-    status = [_UPPER if up else _LOWER for up in at_upper]
-    status += [_LOWER] * (m + len(art_rows))
-    for col in basis:
-        status[col] = _BASIC
-    # Negate each row whose basic column starts at -1 (the slack of a ">="
-    # row, or the artificial of a negative residual) so that the tableau
-    # carries the identity on the basis, and its last column, the residuals,
-    # the basic values.
-    for i, col in enumerate(basis):
-        if tab[i][col] != one:
-            tab[i] = [-v for v in tab[i]]
-
-    state = _State(tab, 1, basis, status, lo, hi)
-
-    if art_rows:
-        c1 = [zero] * (n + m) + [one] * len(art_rows)
-        if _iterate(state, _reduced_costs(state, c1)) == UNBOUNDED:
-            raise SolverError("phase one claims an unbounded artificial objective")
-        # A nonbasic artificial rests at 0: it has no upper bound to flip to.
-        if sum(state.tab[i][-1] for i in range(m) if state.basis[i] >= n + m) > 0:
-            return LPResult(INFEASIBLE)
-        for j in range(n + m, len(lo)):
-            state.hi[j] = zero
-
-    d = _reduced_costs(state, c_full)
-    if exact:
-        if _iterate(state, d) == UNBOUNDED:
-            return LPResult(UNBOUNDED)
-    elif _dual_iterate(state, d, limit) == INFEASIBLE:
+        # A ">=" row is negated so that the tableau carries the identity on
+        # the basis, and its last column, the residuals, the basic values.
+        if sign[i] != one:
+            tab[i] = [-v for v in row]
+    lo += [zero] * m
+    hi += [zero if sense == "=" else None for sense in senses]
+    status = [_UPPER if up else _LOWER for up in at_upper] + [_BASIC] * m
+    state = _State(tab, 1, list(range(n, n + m)), status, lo, hi)
+    # On the all-slack basis the reduced costs are the costs.
+    d = c + [zero] * m
+    if _dual_iterate(state, d, limit, exact) == INFEASIBLE:
         return LPResult(INFEASIBLE)
     ratio = Fraction if exact else operator.truediv
     x = [ratio(*_variable_value(state, j)) for j in range(n)]
@@ -248,108 +214,15 @@ def _variable_value(state: _State, j: int) -> tuple:
     return state.lo[j] if state.status[j] == _LOWER else state.hi[j], 1
 
 
-def _reduced_costs(state: _State, cost: list) -> list:
-    m = len(state.basis)
-    d = [cj * state.den for cj in cost]
-    for i in range(m):
-        cb = cost[state.basis[i]]
-        if cb:
-            row = state.tab[i]
-            for j in range(len(d)):
-                if row[j]:
-                    d[j] -= cb * row[j]
-    return d
-
-
-def _iterate(state: _State, d: list) -> str:
-    """The exact run's primal simplex from a primal feasible basis: OPTIMAL,
-    or UNBOUNDED."""
+def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> str:
+    """The bounded dual simplex from a dual feasible basis: OPTIMAL, or
+    INFEASIBLE when a row's violation has no entering column.  SolverError
+    once it has taken limit iterations.  The exact run compares with no
+    tolerance, the float run with _GUIDE_TOL."""
     tab, basis = state.tab, state.basis
     status, lo, hi = state.status, state.lo, state.hi
-    m = len(basis)
-    ncols = len(lo)
-    degenerate_streak = 0
-    while True:
-        use_bland = degenerate_streak >= _BLAND_AFTER
-        enter = -1
-        direction = 0
-        best_score = 0
-        for j in range(ncols):
-            if status[j] == _BASIC:
-                continue
-            if hi[j] is not None and hi[j] == lo[j]:
-                continue
-            if status[j] == _LOWER and d[j] < 0:
-                cand = 1
-                score = -d[j]
-            elif status[j] == _UPPER and d[j] > 0:
-                cand = -1
-                score = d[j]
-            else:
-                continue
-            if use_bland:
-                enter, direction = j, cand
-                break
-            if score > best_score:
-                best_score, enter, direction = score, j, cand
-        if enter == -1:
-            return OPTIMAL
-        j = enter
-        den = state.den
-
-        # Row i lets x_j move gap / rate before its basic value reaches a
-        # bound: gap is den times the basic value's distance to that bound,
-        # rate den times how fast the value moves.  Caps are compared by
-        # cross-multiplication, so the exact run stays in integers.
-        leave_row = -1
-        gap = rate = leave_to = None
-        for i in range(m):
-            row = tab[i]
-            a = row[j] * direction
-            if a > 0:
-                g = row[-1] - den * lo[basis[i]]
-                to = _LOWER
-            elif a < 0 and hi[basis[i]] is not None:
-                a = -a
-                g = den * hi[basis[i]] - row[-1]
-                to = _UPPER
-            else:
-                continue
-            if (
-                leave_row == -1
-                or g * rate < gap * a
-                or (g * rate == gap * a and basis[i] < basis[leave_row])
-            ):
-                gap, rate, leave_row, leave_to = g, a, i, to
-        width = None if hi[j] is None else hi[j] - lo[j]
-        if leave_row == -1 and width is None:
-            return UNBOUNDED
-
-        if leave_row == -1 or (width is not None and width * rate <= gap):
-            # x_j flips to its other bound, and every basic value follows.
-            for row in tab:
-                if row[j]:
-                    row[-1] -= row[j] * direction * width
-            status[j] = _UPPER if status[j] == _LOWER else _LOWER
-            degenerate_streak = 0
-            continue
-        # Eliminate with the leaving value already at its bound and x_j still
-        # at its own: by Sylvester's identity every division stays exact, and
-        # the leave row is left with den times x_j's step from that bound.
-        leaving = basis[leave_row]
-        tab[leave_row][-1] -= den * (lo[leaving] if leave_to == _LOWER else hi[leaving])
-        status[leaving] = leave_to
-        _pivot(state, d, leave_row, j)
-        tab[leave_row][-1] += state.den * (lo[j] if direction == 1 else hi[j])
-        degenerate_streak = degenerate_streak + 1 if gap == 0 else 0
-
-
-def _dual_iterate(state: _State, d: list, limit: int) -> str:
-    """The float run's bounded dual simplex from a dual feasible basis:
-    OPTIMAL, or INFEASIBLE when a row's violation has no entering column.
-    SolverError once it has taken limit iterations."""
-    tab, basis = state.tab, state.basis
-    status, lo, hi = state.status, state.lo, state.hi
+    tol = 0 if exact else _GUIDE_TOL
+    ratio = Fraction if exact else operator.truediv
     ncols = len(lo)
     degenerate_streak = 0
     while True:
@@ -357,17 +230,19 @@ def _dual_iterate(state: _State, d: list, limit: int) -> str:
             raise SolverError("simplex exceeded its iteration limit")
         limit -= 1
         use_bland = degenerate_streak >= _BLAND_AFTER
+        den = state.den
         # The leaving row: the basic value furthest outside its bounds, or
         # under Bland's rule the smallest basic column outside them.  Its
         # violation, slope, is how fast the dual objective gains along the
-        # step, and each bound flip below spends part of it.
-        leave_row, slope = -1, 0.0
+        # step, and each bound flip below spends part of it.  Values and
+        # slope are over den, as the tableau is.
+        leave_row, slope = -1, 0
         for i, col in enumerate(basis):
             v = tab[i][-1]
-            gap = lo[col] - v
-            if hi[col] is not None and v - hi[col] > gap:
-                gap = v - hi[col]
-            if gap > _GUIDE_TOL and (
+            gap = den * lo[col] - v
+            if hi[col] is not None and v - den * hi[col] > gap:
+                gap = v - den * hi[col]
+            if gap > tol and (
                 leave_row == -1 or (col < basis[leave_row] if use_bland else gap > slope)
             ):
                 leave_row, slope = i, gap
@@ -375,7 +250,7 @@ def _dual_iterate(state: _State, d: list, limit: int) -> str:
             return OPTIMAL
         row = tab[leave_row]
         leaving = basis[leave_row]
-        rise = row[-1] < lo[leaving]
+        rise = row[-1] < den * lo[leaving]
         # Moving a nonbasic x_j by t moves the leaving value by -row[j] t.  A
         # column that moves it toward its bound may enter at the ratio
         # |d_j / row[j]|, and the smallest ratio keeps every reduced cost's
@@ -385,15 +260,15 @@ def _dual_iterate(state: _State, d: list, limit: int) -> str:
         ratios = []
         for j in range(ncols):
             a = row[j]
-            if status[j] == _BASIC or abs(a) <= _GUIDE_TOL or hi[j] == lo[j]:
+            if status[j] == _BASIC or abs(a) <= tol or hi[j] == lo[j]:
                 continue
             if ((a < 0) == (status[j] == _LOWER)) == rise:
-                ratios.append((abs(d[j] / a), j))
+                ratios.append((abs(ratio(d[j], a)), j))
         ratios.sort()
         flips = []
         for _, j in ratios:
             width = None if hi[j] is None else hi[j] - lo[j]
-            if use_bland or width is None or abs(row[j]) * width >= slope - _GUIDE_TOL:
+            if use_bland or width is None or abs(row[j]) * width >= slope - tol:
                 break
             flips.append(j)
             slope -= abs(row[j]) * width
@@ -405,12 +280,16 @@ def _dual_iterate(state: _State, d: list, limit: int) -> str:
             for r in tab:
                 if r[k]:
                     r[-1] -= r[k] * step
-        degenerate_streak = degenerate_streak + 1 if abs(d[j]) <= _GUIDE_TOL else 0
+        degenerate_streak = degenerate_streak + 1 if abs(d[j]) <= tol else 0
+        # Eliminate with the leaving value already at its bound and x_j still
+        # at its own: in the exact run, by Sylvester's identity, every
+        # division stays exact, and the leave row is left with den times
+        # x_j's step from that bound.
         start = lo[j] if status[j] == _LOWER else hi[j]
-        row[-1] -= lo[leaving] if rise else hi[leaving]
+        row[-1] -= den * (lo[leaving] if rise else hi[leaving])
         status[leaving] = _LOWER if rise else _UPPER
         _pivot(state, d, leave_row, j)
-        tab[leave_row][-1] += start
+        tab[leave_row][-1] += state.den * start
 
 
 def _pivot(state: _State, d: list, row: int, col: int) -> None:
@@ -536,7 +415,8 @@ def lagrangian_bound(
 def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
     """The float run of the simplex: its optimal LPResult in floats, or None
     when it reaches its iteration cap, fails, or claims the program
-    infeasible or unbounded."""
+    infeasible.  A program outside the solvers' domain raises ValueError, as
+    in solve_lp."""
     limit = _GUIDE_PIVOTS * (len(rows) + len(objective))
     try:
         res = _simplex(objective, rows, senses, rhs, bounds, float, limit)
@@ -568,7 +448,8 @@ def certify(
     of small denominator; x is the float vertex snapped the same way, kept
     only if it satisfies every row and bound exactly, and upper is the
     objective at x.  Each is None where the float run proves nothing; only
-    solve_lp can then tell.
+    solve_lp can then tell.  A program outside solve_lp's domain raises
+    ValueError.
     """
     guess = _guide(objective, rows, senses, rhs, bounds)
     if guess is None or not all(map(math.isfinite, guess.duals + guess.x)):
@@ -593,7 +474,7 @@ def solve_ip(
 ) -> LPResult:
     """Minimize over integer points by branch and bound on the LP relaxation.
 
-    The data must be integers, as for solve_lp.  The objective is an integer
+    The data must be integers, and in solve_lp's domain.  The objective is an integer
     at every integer point, so a node's bound is its relaxation's ceiling,
     and a node whose bound reaches the incumbent or the cutoff is pruned.
     Each node runs certify first.  A certified lower bound that already
@@ -642,8 +523,6 @@ def solve_ip(
             if bound is not None and best_value is not None and bound >= best_value:
                 continue
             res = solve_lp(c, rows, senses, rhs, node_bounds)
-            if res.status == UNBOUNDED:
-                raise SolverError("integer program has an unbounded relaxation")
             if res.status != OPTIMAL:
                 continue
             x, bound = res.x, math.ceil(res.value)

@@ -14,7 +14,6 @@ from irvmargin.simplex import (
     CUTOFF,
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LPResult,
     SolverError,
     _satisfies,
@@ -50,13 +49,13 @@ def test_lp_fractional_vertex() -> None:
 
 
 def test_lp_equality_and_negative_costs() -> None:
-    # min -2x - 3y  s.t.  x + y = 4, x - y <= 2
+    # min -2x - 3y  s.t.  x + y = 4, x - y <= 2, with bounds that do not bind
     res = solve_lp(
         [-2, -3],
         [[1, 1], [1, -1]],
         ["=", "<="],
         [4, 2],
-        [(0, None), (0, None)],
+        [(0, 5), (0, 5)],
     )
     assert res.status == OPTIMAL
     assert res.value == -12
@@ -74,9 +73,33 @@ def test_lp_infeasible() -> None:
     assert res.status == INFEASIBLE
 
 
-def test_lp_unbounded() -> None:
-    res = solve_lp([-1], [[0]], ["<="], [1], [(0, None)])
-    assert res.status == UNBOUNDED
+def _in_domain(problem: Problem) -> bool:
+    """Whether every column with a negative cost has an upper bound, as the
+    solvers require."""
+    objective, _, _, _, bounds = problem
+    return all(cj >= 0 or hi is not None for cj, (_, hi) in zip(objective, bounds))
+
+
+def _assert_rejected(problem: Problem, *solvers) -> None:
+    for solve in solvers:
+        with pytest.raises(ValueError, match="negative cost needs an upper bound"):
+            solve(*problem)
+
+
+def test_solvers_reject_a_negative_cost_with_no_upper_bound() -> None:
+    # Such a column has no bound its cost prefers to start at, so no start
+    # is dual feasible.  The solvers refuse it: when nothing bounds it, when
+    # the rows do (min -x  s.t.  x + y = 5, 2x - y <= 4 would be -3), and
+    # when another column's box is empty.
+    problems: list[Problem] = [
+        ([-1], [[0]], ["<="], [1], [(0, None)]),
+        ([1, -1], [], [], [], [(0, 2), (0, None)]),
+        ([-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)]),
+        ([-1, 0], [[1, 1]], ["="], [5], [(0, None), (2, 1)]),
+    ]
+    for problem in problems:
+        assert not _in_domain(problem)
+        _assert_rejected(problem, solve_lp, certify, solve_ip)
 
 
 def _boxed_minimum(objective: list, bounds: list) -> LPResult:
@@ -86,12 +109,7 @@ def _boxed_minimum(objective: list, bounds: list) -> LPResult:
         return LPResult(INFEASIBLE)
     x = []
     for cj, (lo, hi) in zip(objective, bounds):
-        if cj >= 0:
-            x.append(lo)
-        elif hi is None:
-            return LPResult(UNBOUNDED)
-        else:
-            x.append(hi)
+        x.append(lo if cj >= 0 else hi)
     return LPResult(OPTIMAL, sum(cj * xj for cj, xj in zip(objective, x)), x, [])
 
 
@@ -99,7 +117,6 @@ def test_lp_without_rows_rests_at_the_bounds() -> None:
     assert solve_lp([2, -3, 0], [], [], [], [(1, 4), (-2, 5), (0, None)]) == LPResult(
         OPTIMAL, -13, [1, 5, 0], []
     )
-    assert solve_lp([1, -1], [], [], [], [(0, 2), (0, None)]).status == UNBOUNDED
     assert solve_lp([1, 1], [], [], [], [(0, 2), (3, 1)]).status == INFEASIBLE
     rng = random.Random(5)
     for _ in range(300):
@@ -109,12 +126,20 @@ def test_lp_without_rows_rests_at_the_bounds() -> None:
         for _ in range(n):
             lo = rng.randint(-3, 3)
             bounds.append((lo, rng.choice([None, lo + rng.randint(-1, 4)])))
-        assert solve_lp(objective, [], [], [], bounds) == _boxed_minimum(objective, bounds)
+        problem = (objective, [], [], [], bounds)
+        if not _in_domain(problem):
+            _assert_rejected(problem, solve_lp)
+            continue
+        assert solve_lp(*problem) == _boxed_minimum(objective, bounds)
 
 
 def test_lp_rejects_unknown_sense() -> None:
     with pytest.raises(ValueError, match="unknown sense"):
         solve_lp([1], [[1]], ["<"], [1], [(0, None)])
+    # An empty box does not let the sense through.
+    for solve in (solve_lp, solve_ip):
+        with pytest.raises(ValueError, match="unknown sense"):
+            solve([1], [[1]], ["<"], [1], [(2, 1)])
 
 
 @pytest.mark.parametrize(
@@ -230,14 +255,17 @@ def _random_wide_problem(rng: random.Random) -> Problem:
 
 def test_lp_is_exact_on_random_fractional_programs() -> None:
     rng = random.Random(31)
-    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
     guided = 0
     for _ in range(300):
         problem = _random_wide_problem(rng)
+        if not _in_domain(problem):
+            _assert_rejected(problem, solve_lp, certify)
+            continue
         res = solve_lp(*problem)
         seen[res.status] += 1
         theirs = _linprog(problem)
-        assert theirs.status == {OPTIMAL: 0, INFEASIBLE: 2, UNBOUNDED: 3}[res.status]
+        assert theirs.status == {OPTIMAL: 0, INFEASIBLE: 2}[res.status]
         if res.status != OPTIMAL:
             continue
         assert all(isinstance(v, Fraction) for v in res.x + res.duals)
@@ -272,10 +300,11 @@ def test_lp_duals_prove_the_optimum_exactly() -> None:
     assert optimal_seen > 50
 
 
-def test_redundant_equality_row_keeps_the_artificial_at_zero() -> None:
+def test_redundant_equality_row_keeps_its_basic_slack_at_zero() -> None:
     # min x + 2y  s.t.  x + y = 2, 2x + 2y = 4, x - y <= 0: the second row
-    # repeats the first, so phase one ends with an artificial still basic at
-    # zero, and phase two must keep it there.
+    # repeats the first, so once a pivot satisfies one of the two, the
+    # other's slack is basic at zero, held to [0, 0], and the dual simplex
+    # must keep it there.
     problem = ([1, 2], [[1, 1], [2, 2], [1, -1]], ["=", "=", "<="], [2, 4, 0],
                [(0, None), (0, None)])
     res = solve_lp(*problem)
@@ -301,11 +330,14 @@ def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
 
 
 def test_lagrangian_bound_leaves_unbounded_columns_to_the_exact_solve() -> None:
-    # min -y  s.t.  x + y = 5, x >= 0, y >= 2.
-    problem = ([0, -1], [[1, 1]], ["="], [5], [(0, None), (2, None)])
+    # min -y  s.t.  x + y = 5, x >= 0, 2 <= y <= 8: x costs 0 and has no
+    # upper bound, like a distance model's e column.
+    problem = ([0, -1], [[1, 1]], ["="], [5], [(0, None), (2, 8)])
     assert solve_lp(*problem).value == -5
-    # At lam = 0 the bound would push y, which has no upper bound, up.
-    assert lagrangian_bound(*problem, [0]) is None
+    # At lam = -1 the bound would push x, which has no upper bound, up.
+    assert lagrangian_bound(*problem, [-1]) is None
+    # At lam = 0 it pushes only y up, to 8, and proves a weaker bound.
+    assert lagrangian_bound(*problem, [0]) == -8
     # At lam = 1 no column is pushed up and the bound is the optimum.
     assert lagrangian_bound(*problem, [1]) == -5
     # An empty box proves nothing.
@@ -331,6 +363,9 @@ def test_perturbed_duals_never_overstate_the_optimum(kind: str) -> None:
         problem = _random_problem(rng)
         if rng.random() < 0.5:
             problem = _with_conservation_row(problem, rng)
+        if not _in_domain(problem):
+            _assert_rejected(problem, solve_lp, certify)
+            continue
         res = solve_lp(*problem)
         if res.status != OPTIMAL:
             continue
@@ -486,15 +521,19 @@ def _outcome(solve, problem: Problem) -> tuple:
 def test_blands_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch) -> None:
     # Bland's rule only takes over after a long degenerate streak, which the
     # small programs never reach; from the first pivot on it must still end
-    # at the same status and optimal value as Dantzig pricing.  The float
-    # run, under Bland's rule from its first step, must certify the same
-    # bounds as under the largest violation with bound flips.
+    # at the same status and optimal value as the largest violation with
+    # bound flips, and the float run must certify the same bounds.
     rng = random.Random(2024)
     lps = [_random_problem(rng) for _ in range(120)]
     rng = random.Random(31)
     lps += [_random_wide_problem(rng) for _ in range(300)]
     rng = random.Random(99)
     ips = [_random_problem(rng) for _ in range(150)]
+    for problem in lps + ips:
+        if not _in_domain(problem):
+            _assert_rejected(problem, solve_lp, certify, solve_ip)
+    lps = [problem for problem in lps if _in_domain(problem)]
+    ips = [problem for problem in ips if _in_domain(problem)]
 
     def outcomes() -> tuple:
         return (
@@ -503,22 +542,11 @@ def test_blands_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch) -
             [certify(*p)[:2] for p in lps + ips],
         )
 
-    dantzig = outcomes()
+    largest = outcomes()
     monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
-    assert outcomes() == dantzig
-    assert sum(status == OPTIMAL for status, _ in dantzig[0]) > 150
-    assert sum(lower is not None for lower, _ in dantzig[2]) > 200
-
-
-def test_float_run_leaves_a_start_that_is_not_dual_feasible_to_the_exact_run() -> None:
-    # min -x  s.t.  x + y = 5, 2x - y <= 4: x's negative cost has no upper
-    # bound to start at, so the float run's start is not dual feasible.  It
-    # proves nothing, and the exact solves still answer.
-    problem = ([-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)])
-    assert simplex._guide(*problem) is None
-    assert certify(*problem) == (None, None, None)
-    assert _outcome(solve_lp, problem) == (OPTIMAL, -3)
-    assert solve_ip(*problem) == LPResult(OPTIMAL, -3, [3, 2])
+    assert outcomes() == largest
+    assert sum(status == OPTIMAL for status, _ in largest[0]) > 150
+    assert sum(lower is not None for lower, _ in largest[2]) > 200
 
 
 def test_float_run_flips_boxed_columns_in_its_ratio_test(monkeypatch) -> None:
@@ -585,7 +613,7 @@ def _canonical(res: LPResult) -> str:
 
 def test_exact_answers_are_pinned() -> None:
     # A faster exact simplex must reach the very same optima, vertices and
-    # duals on the random sets above.  solve_ip runs on the boxed ones only:
+    # duals on the random sets above, and reject the same programs.  solve_ip runs on the boxed ones only:
     # its statuses and values are pinned on their own, since they cannot
     # move, and its points apart from them, since they follow the points
     # it branches on, which the float run may give.
@@ -598,7 +626,10 @@ def test_exact_answers_are_pinned() -> None:
         rng = random.Random(seed)
         for _ in range(count):
             problem = make(rng)
-            lines["lp"].append(_canonical(solve_lp(*problem)))
+            try:
+                lines["lp"].append(_canonical(solve_lp(*problem)))
+            except ValueError:
+                lines["lp"].append("rejected")
             if ip:
                 res = solve_ip(*problem)
                 lines["ip value"].append(f"{res.status} {res.value}")
@@ -608,7 +639,7 @@ def test_exact_answers_are_pinned() -> None:
         for part, text in lines.items()
     }
     assert digests == {
-        "lp": "6e092db603d4ba97299345b693a104426bf72fb71dabb9a7825a393124f168f9",
+        "lp": "bcdb9f70054144a2b76e30a7fa996f1f063e90e9538179f6d34af2f4994330ce",
         "ip value": "c0804e73162948b07f3b203ad5ad6a545c58220391c12ab880b12886e9280183",
         "ip point": "2d715972ac4497113581851433b801512c341db45833ff3a06a5734faa72bb5f",
     }
