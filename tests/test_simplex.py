@@ -88,18 +88,34 @@ def _assert_rejected(problem: Problem, *solvers) -> None:
 
 def test_solvers_reject_a_negative_cost_with_no_upper_bound() -> None:
     # Such a column has no bound its cost prefers to start at, so no start
-    # is dual feasible.  The solvers refuse it: when nothing bounds it, when
-    # the rows do (min -x  s.t.  x + y = 5, 2x - y <= 4 would be -3), and
+    # is dual feasible.  The solvers refuse it when no row touches it and
     # when another column's box is empty.
     problems: list[Problem] = [
-        ([-1], [[0]], ["<="], [1], [(0, None)]),
         ([1, -1], [], [], [], [(0, 2), (0, None)]),
-        ([-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)]),
         ([-1, 0], [[1, 1]], ["="], [5], [(0, None), (2, 1)]),
     ]
     for problem in problems:
         assert not _in_domain(problem)
         _assert_rejected(problem, solve_lp, certify, solve_ip)
+
+
+def test_lp_unbounded() -> None:
+    # min -x  s.t.  0x <= 1, x >= 0 has no finite minimum; its column's
+    # negative cost has no upper bound, so every solver refuses it.
+    problem: Problem = ([-1], [[0]], ["<="], [1], [(0, None)])
+    assert not _in_domain(problem)
+    _assert_rejected(problem, solve_lp, certify, solve_ip)
+
+
+def test_float_run_leaves_a_start_that_is_not_dual_feasible_to_the_exact_run() -> None:
+    # min -x  s.t.  x + y = 5, 2x - y <= 4 would be -3, but x's negative cost
+    # has no upper bound to start at, so no start is dual feasible.  Neither
+    # run takes it: the float run and every solver refuse it.
+    problem: Problem = (
+        [-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)]
+    )
+    assert not _in_domain(problem)
+    _assert_rejected(problem, simplex._guide, solve_lp, certify, solve_ip)
 
 
 def _boxed_minimum(objective: list, bounds: list) -> LPResult:
