@@ -26,12 +26,14 @@ decides which of them to run.
 
 Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
 a float run of the simplex whose duals give a Lagrangian bound and whose
-vertex gives a feasible point, both checked in exact rational arithmetic;
-when the two ceilings agree, the optimum's ceiling lies between them.  Any
-other suffix is solved exactly with simplex.solve_lp.  Exact distances come
-from branch and bound on the same model, which applies the same rule at
-each node: where the ceilings agree, the certified point is the node's
-point, and the node is solved exactly only where they do not.  Every value
+vertex gives a feasible point, both rounded to integers over the
+determinant of its final basis and checked in integer arithmetic; when the
+two ceilings agree, the optimum's ceiling lies between them.  Any other
+suffix is solved exactly with simplex.solve_lp.  Exact distances come from
+branch and bound on the same model, which applies the same rule at each
+node: where the ceilings agree, the certified point is the node's point;
+where the float run ends infeasible, the node is pruned once its Farkas ray
+checks; and the node is solved exactly only where neither holds.  Every value
 returned is exact.  A witness's rewrite is one optimal integer point, and
 which one follows the points branch and bound settles or branches on.
 """

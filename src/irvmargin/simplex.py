@@ -6,23 +6,27 @@ run takes the integer programs that every distance model and every branch
 produce, and rejects any other data.  It is exact: optima, reduced costs,
 duals and branching bounds carry no rounding, so callers can take ceilings
 of LP values without tolerance guards.  The float run proves bounds, never a
-value by itself.  certify snaps the float run's duals to small-denominator
-rationals and evaluates the Lagrangian bound at them exactly
-(lagrangian_bound), which proves a lower bound on the LP minimum whatever
-the floats were; it snaps the float vertex the same way and keeps it, as a
-point and an upper bound, only if it passes an exact feasibility check.
+value by itself.  It starts on the basis +-I, so its pivots' magnitudes
+multiply to |det B| of its final basis, and every basic value, dual and row
+of B^-1 there is an integer over D = round(|det B|) (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", 2007).  certify
+rounds the float duals and vertex times D and checks them in integers over
+D: the Lagrangian bound at the duals (lagrangian_bound) is a lower bound on
+the LP minimum whatever the floats were, and the vertex, if it satisfies
+every row and bound, a point and an upper bound.  A float run that ends
+infeasible on a row gives that row of B^-1 as a Farkas ray, which proves the
+program infeasible if the Lagrangian sum without the objective exceeds 0.
 When the two bounds share a ceiling, that is the LP's ceiling, and solve_ip
-settles or branches on the snapped point without an exact solve.
-Tolerances exist only inside the float run, no float value reaches a result
-without such a check, and any failure of the float run (a pivot cap, a
-non-finite value, a claim of infeasibility, or duals that would push up a
-column with no upper bound) leaves the caller to solve exactly.  The method
-is Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
-programming" (2004), and Applegate, Cook, Dash & Espinoza, "Exact solutions
-to linear programming problems" (2007); bounding and branching on checked
-float results, with an exact solve only where a check fails, is the hybrid
-scheme of Cook, Koch, Steffy & Wolter, "A hybrid branch-and-bound approach
-for exact rational mixed-integer programming" (2013).
+settles or branches on the checked point without an exact solve; a checked
+ray prunes its node.  Tolerances exist only inside the float run, no float
+value reaches a result without such a check, and any failure (a pivot cap,
+a non-finite value, a determinant below 1, a check that does not hold)
+leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
+"Safe bounds in linear and mixed-integer programming" (2004), and Applegate
+et al.; bounding, branching and pruning on checked float results, with an
+exact solve only where a check fails, is the hybrid scheme of Cook, Koch,
+Steffy & Wolter, "A hybrid branch-and-bound approach for exact rational
+mixed-integer programming" (2013).
 
 The solvers take the programs in which every column with a negative cost
 has an upper bound, and raise ValueError on any other.  Every distance
@@ -89,8 +93,6 @@ _NODE_LIMIT = 200_000
 # basic value within its bounds.
 _GUIDE_TOL = 1e-9
 _GUIDE_PIVOTS = 4
-# Largest denominator certify snaps a float dual or coordinate to.
-_SNAP_DENOMINATOR = 1000
 
 
 class SolverError(RuntimeError):
@@ -103,13 +105,15 @@ class LPResult:
 
     duals, set by solve_lp at an optimum, holds row i's multiplier in the
     Lagrangian objective.x + duals.(rows x - rhs): >= 0 on "<=" rows and
-    <= 0 on ">=" rows.  solve_ip leaves it None.
+    <= 0 on ">=" rows.  solve_ip leaves it None.  The float run also sets
+    det, |det B| of its final basis, and when INFEASIBLE its Farkas ray.
     """
 
     status: str
     value: Fraction | None = None
     x: list[Fraction] | None = None
     duals: list[Fraction] | None = None
+    det: float | None = None
 
 
 Bound = tuple[int, "int | None"]
@@ -169,10 +173,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     # settles a node, the exact run's elsewhere.
     at_upper = [cj < 0 for cj in c]
     start = [u if up else l for l, u, up in zip(lo, hi, at_upper)]
-    residual = [
-        b[i] - sum(tab[i][j] * start[j] for j in range(n) if start[j])
-        for i in range(m)
-    ]
+    residual = [bi - sum(map(operator.mul, row, start)) for bi, row in zip(b, tab)]
     for i, row in enumerate(tab):
         row += [zero] * m + [residual[i]]
         row[n + i] = sign[i]
@@ -183,42 +184,44 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     lo += [zero] * m
     hi += [zero if sense == "=" else None for sense in senses]
     status = [_UPPER if up else _LOWER for up in at_upper] + [_BASIC] * m
-    state = _State(tab, 1, list(range(n, n + m)), status, lo, hi)
+    state = _State(tab, list(range(n, n + m)), status, lo, hi)
     # On the all-slack basis the reduced costs are the costs.
     d = c + [zero] * m
-    if _dual_iterate(state, d, limit, exact) == INFEASIBLE:
-        return LPResult(INFEASIBLE)
+    r = _dual_iterate(state, d, limit, exact)
+    if r >= 0:
+        if exact:
+            return LPResult(INFEASIBLE)
+        # No point of the box brings row r's basic value within its bounds:
+        # row r of B^-1, turned toward the bound it misses, proves it.
+        toward = 1 if tab[r][-1] < lo[state.basis[r]] else -1
+        ray = [toward * tab[r][n + i] * sign[i] for i in range(m)]
+        return LPResult(INFEASIBLE, duals=ray, det=state.det)
     ratio = Fraction if exact else operator.truediv
-    x = [ratio(*_variable_value(state, j)) for j in range(n)]
+    x = [ratio(lo[j] if status[j] != _UPPER else hi[j], 1) for j in range(n)]
+    for i, j in enumerate(state.basis):
+        if j < n:
+            x[j] = ratio(tab[i][-1], state.den)
     value = sum(cj * xj for cj, xj in zip(c, x))
     duals = [ratio(d[n + i] * sign[i], state.den) for i in range(m)]
-    return LPResult(OPTIMAL, value, x, duals)
+    return LPResult(OPTIMAL, value, x, duals, None if exact else state.det)
 
 
-@dataclass(slots=True)
 class _State:
     # The tableau is tab / den, and its last column holds den * x on the
-    # basis: den stays 1 in the float run.
-    tab: list
-    den: int
-    basis: list[int]
-    status: list[int]
-    lo: list
-    hi: list
+    # basis: den stays 1 in the float run, which keeps |det B| in det.  A
+    # plain slotted class: a dataclass costs more to define at import.
+    __slots__ = ("tab", "den", "basis", "status", "lo", "hi", "det")
+
+    def __init__(self, tab: list, basis: list, status: list, lo: list, hi: list):
+        self.tab, self.basis, self.status, self.lo, self.hi = tab, basis, status, lo, hi
+        self.den, self.det = 1, 1.0
 
 
-def _variable_value(state: _State, j: int) -> tuple:
-    """x_j as a numerator and a denominator."""
-    if state.status[j] == _BASIC:
-        return state.tab[state.basis.index(j)][-1], state.den
-    return state.lo[j] if state.status[j] == _LOWER else state.hi[j], 1
-
-
-def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> str:
-    """The bounded dual simplex from a dual feasible basis: OPTIMAL, or
-    INFEASIBLE when a row's violation has no entering column.  SolverError
-    once it has taken limit iterations.  The exact run compares with no
-    tolerance, the float run with _GUIDE_TOL."""
+def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
+    """The bounded dual simplex from a dual feasible basis: -1 at an optimum,
+    else the row whose violation has no entering column, which proves the
+    program infeasible.  SolverError once it has taken limit iterations.  The
+    exact run compares with no tolerance, the float run with _GUIDE_TOL."""
     tab, basis = state.tab, state.basis
     status, lo, hi = state.status, state.lo, state.hi
     tol = 0 if exact else _GUIDE_TOL
@@ -247,7 +250,7 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> str:
             ):
                 leave_row, slope = i, gap
         if leave_row == -1:
-            return OPTIMAL
+            return -1
         row = tab[leave_row]
         leaving = basis[leave_row]
         rise = row[-1] < den * lo[leaving]
@@ -273,7 +276,7 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> str:
             flips.append(j)
             slope -= abs(row[j]) * width
         else:
-            return INFEASIBLE
+            return leave_row
         for k in flips:
             step = hi[k] - lo[k] if status[k] == _LOWER else lo[k] - hi[k]
             status[k] = _UPPER if status[k] == _LOWER else _LOWER
@@ -296,6 +299,7 @@ def _pivot(state: _State, d: list, row: int, col: int) -> None:
     tab = state.tab
     piv = tab[row][col]
     if isinstance(piv, float):
+        state.det *= abs(piv)
         if piv != 1:
             tab[row] = [v / piv for v in tab[row]]
         prow = tab[row]
@@ -335,30 +339,46 @@ def _eliminate(r: list, prow: list, f: int, piv: int, den: int) -> list:
     return [(piv * v - f * vp) // den for v, vp in zip(r, prow)]
 
 
-def _satisfies(
-    x: list[Fraction | int],
-    rows: Sequence[Sequence[int]],
-    senses: Sequence[str],
-    rhs: Sequence[int],
-    bounds: Sequence[Bound],
-) -> bool:
+def _holds(x, rows, senses, rhs, bounds, den) -> bool:
+    """Whether x / den, for integers x, satisfies every bound and row."""
     for (l, u), xj in zip(bounds, x):
-        if xj < l or (u is not None and xj > u):
+        if xj < l * den or (u is not None and xj > u * den):
             return False
-    # Scaled by the common denominator, the row sums stay in integers when
-    # the rows are integers.
-    scale = math.lcm(*(xj.denominator for xj in x))
-    x = [xj.numerator * (scale // xj.denominator) for xj in x]
     for row, sense, b in zip(rows, senses, rhs):
-        v = sum(coef * xj for coef, xj in zip(row, x) if coef)
-        b *= scale
-        if sense == "<=" and v > b:
-            return False
-        if sense == ">=" and v < b:
-            return False
-        if sense == "=" and v != b:
+        v = sum(map(operator.mul, row, x)) - b * den
+        if (v > 0 and sense != ">=") or (v < 0 and sense != "<="):
             return False
     return True
+
+
+def _satisfies(x, rows, senses, rhs, bounds) -> bool:
+    """Whether x, in Fractions or ints, satisfies every bound and row."""
+    den = math.lcm(*(xj.denominator for xj in x))
+    return _holds([xj.numerator * (den // xj.denominator) for xj in x],
+                  rows, senses, rhs, bounds, den)
+
+
+def _lagrangian(objective, rows, senses, rhs, bounds, p, den) -> int | None:
+    """den times lagrangian_bound at the multipliers p / den, for integers p.
+    With den = 0 the objective weighs nothing, and a result above 0 proves
+    that no point of the box satisfies the rows (Farkas)."""
+    coefs = [cj * den for cj in objective]
+    total = 0
+    # A multiplier of the wrong sign for its row counts as 0.
+    for row, pi, sense, b in zip(rows, p, senses, rhs):
+        if (pi > 0 and sense != ">=") or (pi < 0 and sense != "<="):
+            coefs = [cj + a * pi for cj, a in zip(coefs, row, strict=True)]
+            total -= pi * b
+    for cj, (lo, hi) in zip(coefs, bounds):
+        if hi is not None and hi < lo:
+            return None
+        if cj > 0:
+            total += cj * lo
+        elif cj < 0:
+            if hi is None:
+                return None
+            total += cj * hi
+    return total
 
 
 def lagrangian_bound(
@@ -380,58 +400,24 @@ def lagrangian_bound(
     finite, a box is empty, or a column the bound would push up has no upper
     bound: the bound proves nothing then, and the caller solves exactly.
     """
-    lam = []
-    for v, sense in zip(duals, senses):
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                return None
-            v = Fraction(v)
-        if (v < 0 and sense == "<=") or (v > 0 and sense == ">="):
-            v = 0
-        lam.append(v)
-    # Scaled by the common denominator, the evaluation stays in integers
-    # when the program's data are integers.
-    scale = math.lcm(*(v.denominator for v in lam))
-    p = [v.numerator * (scale // v.denominator) for v in lam]
-    coefs = [cj * scale for cj in objective]
-    for row, pi in zip(rows, p):
-        if pi:
-            for j, a in enumerate(row):
-                if a:
-                    coefs[j] += a * pi
-    total = -sum(pi * b for pi, b in zip(p, rhs) if pi)
-    for cj, (lo, hi) in zip(coefs, bounds):
-        if hi is not None and hi < lo:
-            return None
-        if cj > 0:
-            total += cj * lo
-        elif cj < 0:
-            if hi is None:
-                return None
-            total += cj * hi
-    return Fraction(total, scale)
+    try:
+        lam = [Fraction(v) for v in duals]
+    except (ArithmeticError, ValueError):
+        return None
+    den = math.lcm(*(v.denominator for v in lam))
+    p = [v.numerator * (den // v.denominator) for v in lam]
+    total = _lagrangian(objective, rows, senses, rhs, bounds, p, den)
+    return None if total is None else Fraction(total, den)
 
 
 def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
-    """The float run of the simplex: its optimal LPResult in floats, or None
-    when it reaches its iteration cap, fails, or claims the program
-    infeasible.  A program outside the solvers' domain raises ValueError, as
-    in solve_lp."""
+    """The float run of the simplex, or None when it reaches its iteration cap
+    or fails.  A program outside the solvers' domain raises ValueError."""
     limit = _GUIDE_PIVOTS * (len(rows) + len(objective))
     try:
-        res = _simplex(objective, rows, senses, rhs, bounds, float, limit)
+        return _simplex(objective, rows, senses, rhs, bounds, float, limit)
     except (ArithmeticError, SolverError):
         return None
-    return res if res.status == OPTIMAL else None
-
-
-def _snap(v: float) -> Fraction | int:
-    """The rational nearest v with denominator at most _SNAP_DENOMINATOR,
-    as an int when v is whole up to the float run's tolerance."""
-    r = round(v)
-    if abs(v - r) <= _GUIDE_TOL:
-        return r
-    return Fraction(v).limit_denominator(_SNAP_DENOMINATOR)
 
 
 def certify(
@@ -440,27 +426,41 @@ def certify(
     senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
-) -> tuple[Fraction | None, Fraction | None, list | None]:
+    cutoff: Fraction | int | None = None,
+) -> tuple[Fraction | float | None, Fraction | None, list | None]:
     """Proven bounds (lower, upper) on the LP minimum from the float run, and
     the point x that proves upper.
 
-    lower is lagrangian_bound at the float duals, each snapped to a rational
-    of small denominator; x is the float vertex snapped the same way, kept
-    only if it satisfies every row and bound exactly, and upper is the
-    objective at x.  Each is None where the float run proves nothing; only
-    solve_lp can then tell.  A program outside solve_lp's domain raises
-    ValueError.
+    lower is lagrangian_bound at the float duals, and x the float vertex,
+    kept if it satisfies every row and bound; both are rounded over
+    D = round(|det B|) of the float run's basis and checked in integers
+    over D, and x holds a Fraction only where it is not whole.  x is not
+    checked once lower's ceiling reaches cutoff.  lower is math.inf if the
+    float run claims the program infeasible and its Farkas ray checks.  Each
+    is None where the float run proves nothing; only solve_lp can then
+    tell.  A program outside solve_lp's domain raises ValueError.
     """
     guess = _guide(objective, rows, senses, rhs, bounds)
-    if guess is None or not all(map(math.isfinite, guess.duals + guess.x)):
+    # D >= 1; an empty box's float run gives no det, and NaN fails too.
+    if guess is None or not (guess.det or 0) > 0.5:
         return None, None, None
-    lower = lagrangian_bound(
-        objective, rows, senses, rhs, bounds, [_snap(v) for v in guess.duals]
-    )
-    x = [_snap(v) for v in guess.x]
-    if not _satisfies(x, rows, senses, rhs, bounds):
+    farkas = guess.status == INFEASIBLE
+    try:
+        den = round(guess.det)
+        p = [round(v * den) for v in guess.duals]
+        x = [round(v * den) for v in guess.x or ()]
+    except (ArithmeticError, ValueError):
+        return None, None, None
+    total = _lagrangian(objective, rows, senses, rhs, bounds, p, 0 if farkas else den)
+    if farkas or total is None:
+        return (math.inf if farkas and (total or 0) > 0 else None), None, None
+    lower = Fraction(total, den)
+    if (cutoff is not None and math.ceil(lower) >= cutoff) or not _holds(
+        x, rows, senses, rhs, bounds, den
+    ):
         return lower, None, None
-    return lower, sum(cj * xj for cj, xj in zip(objective, x)), x
+    upper = Fraction(sum(map(operator.mul, objective, x)), den)
+    return lower, upper, [v // den if v % den == 0 else Fraction(v, den) for v in x]
 
 
 def solve_ip(
@@ -477,17 +477,17 @@ def solve_ip(
     The data must be integers, and in solve_lp's domain.  The objective is an integer
     at every integer point, so a node's bound is its relaxation's ceiling,
     and a node whose bound reaches the incumbent or the cutoff is pruned.
-    Each node runs certify first.  A certified lower bound that already
-    reaches the incumbent prunes the node.  When the certified bounds share
-    a ceiling, that ceiling is the node's bound and the snapped point its
-    point; otherwise solve_lp gives both.  An integral point is optimal in
-    its node, since it costs the bound, and becomes the incumbent.  Else the
-    node branches on the point's first fractional variable with floor and
-    ceiling bound splits, which partition the node's integer points whatever
-    the point was; the relaxation is never assumed integral.  So the bounds,
-    prunes and value are those of exact solves at every node, but the
-    branches taken, and so which optimal point is returned, follow the
-    points the float run gives.
+    Each node runs certify first.  A checked Farkas ray, or a certified
+    lower bound that already reaches the incumbent, prunes the node.  When
+    the certified bounds share a ceiling, that ceiling is the node's bound
+    and the checked point its point; otherwise solve_lp gives both.  An
+    integral point is optimal in its node, since it costs the bound, and
+    becomes the incumbent.  Else the node branches on the point's first
+    fractional variable with floor and ceiling bound splits, which partition
+    the node's integer points whatever the point was; the relaxation is
+    never assumed integral.  So the bounds, prunes and value are those of
+    exact solves at every node, but the branches taken, and so which optimal
+    point is returned, follow the points the float run gives.
 
     cutoff is an exclusive upper bound: subtrees that cannot beat it are
     pruned, and status CUTOFF means no integer point below it exists (which
@@ -517,7 +517,9 @@ def solve_ip(
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
-        lower, upper, x = certify(c, rows, senses, rhs, node_bounds)
+        lower, upper, x = certify(c, rows, senses, rhs, node_bounds, best_value)
+        if lower == math.inf:
+            continue
         bound = None if lower is None else math.ceil(lower)
         if upper is None or math.ceil(upper) != bound:
             if bound is not None and best_value is not None and bound >= best_value:
@@ -537,16 +539,13 @@ def solve_ip(
             # An integral point costs an integer, its node's bound.
             offer(x, bound)
             continue
-        if hint is not None:
-            guess = hint(x)
-            if guess is not None:
-                guess = [Fraction(v) for v in guess]
-                if all(v.denominator == 1 for v in guess) and _satisfies(
-                    guess, rows, senses, rhs, bounds
-                ):
-                    offer(guess, sum(cj * v for cj, v in zip(c, guess)))
-                    if best_value is not None and bound >= best_value:
-                        continue
+        guess = None if hint is None else hint(x)
+        if guess is not None and not any(v % 1 for v in guess):
+            guess = [int(v) for v in guess]
+            if _holds(guess, rows, senses, rhs, bounds, 1):
+                offer(guess, sum(map(operator.mul, c, guess)))
+                if bound >= best_value:
+                    continue
         xj = x[frac_j]
         fl = math.floor(xj)
         blo, bhi = node_bounds[frac_j]

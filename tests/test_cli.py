@@ -42,7 +42,7 @@ CHEAP_SEAT = """\
 """
 
 # The branch-and-bound node that gives this seat's witness is settled by the
-# float run's snapped vertex, not by an exact solve: its rewrite removes
+# float run's checked vertex, not by an exact solve: its rewrite removes
 # 3 x c, where exact solves at every node remove 3 x c>a.  The pinned report
 # checks that the float-chosen rewrite is the same on every Python.
 FLOAT_SETTLED_SEAT = """\

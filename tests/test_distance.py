@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import random
@@ -302,21 +303,47 @@ def test_round_rows_are_the_suffix_tallies() -> None:
         assert [sum(a * v for a, v in zip(row, x)) for row in rows] == expected
 
 
-def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus() -> None:
-    checked = 0
+def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The suffixes include every complete order, whose LP is its branch and
+    # bound's root.  Where the float and exact runs stop on the same basis,
+    # the float run's determinant rounds to the exact run's den, and where
+    # they also leave each nonbasic column at the same bound, certify's
+    # point is the exact vertex.
+    finals = []
+    dual_iterate = simplex._dual_iterate
+
+    def recording(state, d, limit, exact):
+        row = dual_iterate(state, d, limit, exact)
+        det = state.den if exact else round(state.det)
+        finals.append((sorted(state.basis), det, state.status[:]))
+        return row
+
+    monkeypatch.setattr(simplex, "_dual_iterate", recording)
+    checked = shared = same_vertex = 0
     for profile, order in _corpus_sequences():
         model = build_model(profile, order)
         program = _assemble(model)[:5]
+        finals.clear()
         exact = simplex.solve_lp(*program)
         ceiling = math.ceil(model.total + exact.value)
-        assert lower_bound(model) == ceiling
         # The float run settles every one of them: no exact fallback.
-        lower, upper, _ = simplex.certify(*program)
+        lower, upper, x = simplex.certify(*program)
         assert lower <= exact.value <= upper
         assert math.ceil(model.total + lower) == ceiling
         assert math.ceil(model.total + upper) == ceiling
+        (exact_basis, den, exact_status), (float_basis, det, float_status) = finals
+        if exact_basis == float_basis:
+            assert det == den
+            shared += 1
+            if exact_status == float_status:
+                assert x == exact.x
+                same_vertex += 1
+        assert lower_bound(model) == ceiling
         checked += 1
     assert checked > 2000
+    assert same_vertex > 3000
 
 
 def _complete_models():
@@ -358,12 +385,12 @@ def test_branch_and_bound_solves_exactly_only_where_a_certificate_fails(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # solve_ip settles a node from the float run when its certified bounds
-    # share a ceiling, and runs solve_lp only when they do not.  Pinned on
-    # every complete order of the corpus, so that a slide back to exact
-    # solves at every node fails: with every float run capped, all 2,248
-    # nodes are solved exactly, and before the float run settled nodes,
-    # 1,931 were.  Each of the 66 left is an infeasible node, which the
-    # float run can only claim infeasible.
+    # share a ceiling, prunes it when its Farkas ray checks, and runs
+    # solve_lp only when neither holds.  Pinned on every complete order of
+    # the corpus, so that a slide back to exact solves at every node fails:
+    # with every float run capped, all 2,248 nodes are solved exactly, and
+    # before the float run settled nodes, 1,931 were.  The 66 infeasible
+    # nodes, which were still solved exactly, are all pruned by their rays.
     exact = 0
     solve_lp = simplex.solve_lp
 
@@ -375,7 +402,7 @@ def test_branch_and_bound_solves_exactly_only_where_a_certificate_fails(
     monkeypatch.setattr(simplex, "solve_lp", counting)
     for model in _complete_models():
         exact_distance(model)
-    assert exact == 66
+    assert exact == 0
 
 
 def tally_bound(model: DistanceModel) -> int:
@@ -503,8 +530,10 @@ def _reference_answers() -> list:
 
 
 def _garbage_guide():
-    """The float run with its duals and vertex perturbed, each call by one
-    of PERTURBATIONS drawn at random."""
+    """The float run with its vertex and its duals, or its Farkas ray,
+    perturbed, each call by one of PERTURBATIONS drawn at random.  Its
+    determinant passes through, so the perturbed values still reach the
+    exact checks."""
     real = simplex._guide
     rng = random.Random(3)
 
@@ -513,9 +542,8 @@ def _garbage_guide():
         if res is None:
             return None
         perturb = PERTURBATIONS[rng.choice(sorted(PERTURBATIONS))]
-        return simplex.LPResult(
-            res.status, res.value, perturb(rng, res.x), perturb(rng, res.duals)
-        )
+        x = None if res.x is None else perturb(rng, res.x)
+        return dataclasses.replace(res, x=x, duals=perturb(rng, res.duals))
 
     return guide
 
@@ -523,14 +551,14 @@ def _garbage_guide():
 def _relaxed_guide():
     """A float run that is wrong but self-consistent, as a float optimum can
     be: it solves the program without its last row and gives that row a
-    zero dual."""
+    zero dual, or a zero entry in its ray."""
     real = simplex._guide
 
     def guide(objective, rows, senses, rhs, bounds):
         res = real(objective, rows[:-1], senses[:-1], rhs[:-1], bounds)
         if res is None:
             return None
-        return simplex.LPResult(res.status, res.value, res.x, res.duals + [0.0])
+        return dataclasses.replace(res, duals=res.duals + [0.0])
 
     return guide
 
@@ -546,16 +574,36 @@ def _detour_guide():
     def guide(objective, rows, senses, rhs, bounds):
         res = real(objective, rows, senses, rhs, bounds)
         far = real([-v for v in objective], rows, senses, rhs, bounds)
-        if res is None or far is None:
+        if res is None or res.status != simplex.OPTIMAL or far is None:
             return res
         x = [v + (w - v) / 8 for v, w in zip(res.x, far.x)]
-        return simplex.LPResult(res.status, res.value, x, res.duals)
+        return dataclasses.replace(res, x=x)
+
+    return guide
+
+
+def _misdetermined_guide():
+    """The float run with its determinant off by one, doubled or NaN, in
+    turn.  Doubled, it is still a denominator of every value, so the checks
+    hold; off by one, a check fails unless the rounding happens to land on
+    the exact values; NaN proves nothing."""
+    real = simplex._guide
+    wrongs = itertools.cycle(
+        [lambda det: det + 1, lambda det: 2 * det, lambda det: math.nan]
+    )
+
+    def guide(*program):
+        res = real(*program)
+        if res is None:
+            return None
+        return dataclasses.replace(res, det=next(wrongs)(res.det))
 
     return guide
 
 
 @pytest.mark.parametrize(
-    "mode", ["iteration cap", "garbage", "wrong optimum", "worse point"]
+    "mode",
+    ["iteration cap", "garbage", "wrong optimum", "worse point", "wrong determinant"],
 )
 def test_answers_do_not_depend_on_the_float_guide(
     monkeypatch: pytest.MonkeyPatch, mode: str
@@ -568,8 +616,10 @@ def test_answers_do_not_depend_on_the_float_guide(
         monkeypatch.setattr(simplex, "_guide", _garbage_guide())
     elif mode == "wrong optimum":
         monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
-    else:
+    elif mode == "worse point":
         monkeypatch.setattr(simplex, "_guide", _detour_guide())
+    else:
+        monkeypatch.setattr(simplex, "_guide", _misdetermined_guide())
     answers, guided = _corpus_answers()
     assert guided > 800
     assert answers == reference

@@ -429,7 +429,7 @@ def test_exact_start_keeps_the_witness(
     removals: tuple, additions: tuple,
 ) -> None:
     # The point a node is settled or branched on picks the rewrite solve_ip
-    # finds: the float run's snapped vertex where its certificate holds,
+    # finds: the float run's checked vertex where its certificate holds,
     # else the exact run's, which starts every column at its lower bound.
     result = compute_mov(random_profile(seed), tie_rule)
     witness = result.witness_manipulation

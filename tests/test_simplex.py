@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -329,6 +330,17 @@ def test_redundant_equality_row_keeps_its_basic_slack_at_zero() -> None:
     assert certify(*problem) == (3, 3, [1, 1])
 
 
+def test_certify_rounds_over_a_determinant_above_1000() -> None:
+    # min -2x - y  s.t.  30x + 37y <= 41, 37x - 30y <= 7 on [0, 1]^2: both
+    # rows are tight at the optimum (1489, 1307) / 2269, whose basis has
+    # |det| 2269, so no rational of denominator 1000 or less is the vertex.
+    problem = ([-2, -1], [[30, 37], [37, -30]], ["<=", "<="], [41, 7], [(0, 1), (0, 1)])
+    res = solve_lp(*problem)
+    assert res.x == [Fraction(1489, 2269), Fraction(1307, 2269)]
+    assert round(simplex._guide(*problem).det) == 2269
+    assert certify(*problem) == (res.value, res.value, res.x)
+
+
 def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
     """The problem behind an equality row with positive coefficients, with
     every other column unbounded above: a bound that would push one of those
@@ -589,13 +601,15 @@ def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
     # min y  s.t.  x + y >= 1, 2x <= 1 on [0, 1]^2: the relaxation sits at
     # (1/2, 1/2), and its branch x >= 1 is infeasible.  There the row 2x <= 1
     # is over with nothing to move it (x is fixed and y is not in it), so the
-    # float run claims the node infeasible, certify proves nothing, and
-    # solve_ip solves that node, and only that one, exactly.
+    # float run claims the node infeasible with that row of B^-1, (0, 1), as
+    # its ray.  Weighed by it, the rows sum to 2x - 1, which is 1 > 0 on the
+    # whole box, so the node has no point: solve_ip prunes it with no exact
+    # solve.
     root: Problem = ([0, 1], [[1, 1], [2, 0]], [">=", "<="], [1, 1], [(0, 1), (0, 1)])
     node = root[:4] + ([(1, 1), (0, 1)],)
-    assert simplex._simplex(*node, float, 100).status == INFEASIBLE
-    assert simplex._guide(*node) is None
-    assert certify(*node) == (None, None, None)
+    guess = simplex._guide(*node)
+    assert (guess.status, guess.duals, guess.det) == (INFEASIBLE, [0, 1], 1)
+    assert certify(*node) == (math.inf, None, None)
     statuses = []
 
     def recording(*program):
@@ -604,9 +618,25 @@ def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
         return res
 
     monkeypatch.setattr(simplex, "solve_lp", recording)
+    expected = (OPTIMAL, _enumerate_ip(root), [0, 1])
     res = solve_ip(*root)
-    assert (res.status, res.value, res.x) == (OPTIMAL, _enumerate_ip(root), [0, 1])
-    assert statuses == [INFEASIBLE]
+    assert (res.status, res.value, res.x) == expected
+    assert statuses == []
+    # A ray that does not check proves nothing, and the node falls back to
+    # the exact solve: turned around, or moved to the other row, whose sign
+    # clamps it to 0.
+    real = simplex._guide
+    for ray in ([0.0, -1.0], [1.0, 0.0]):
+        monkeypatch.setattr(
+            simplex, "_guide",
+            lambda *program: dataclasses.replace(real(*program), duals=ray)
+            if list(program[4]) == node[4] else real(*program),
+        )
+        assert certify(*node) == (None, None, None)
+        statuses.clear()
+        res = solve_ip(*root)
+        assert (res.status, res.value, res.x) == expected
+        assert statuses == [INFEASIBLE]
 
 
 def test_ip_node_limit_raises(monkeypatch) -> None:
