@@ -329,7 +329,11 @@ def cmd_parliament(args: argparse.Namespace) -> int:
 
     stats: dict = {}
     if text.lstrip().startswith("{"):
-        records, stats = _records_from_manifest(args, json.loads(text), coalition)
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"manifest {args.records} is not valid JSON: {exc}") from exc
+        records, stats = _records_from_manifest(args, manifest, coalition)
     else:
         records = load_seat_records(text)
 

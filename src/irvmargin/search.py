@@ -58,8 +58,14 @@ key, its look-ahead and half its new lead rounded up, with no model built.
 When it is first popped with that key still below the upper bound, its
 model is built and its LP solved, and it is pushed again keyed by the
 larger of its key and the LP ceiling; it is expanded only when it pops
-again.  Every key is admissible: the look-ahead, the lead and the LP
-ceiling each bound every completion of the suffix, and a child's
+again.  A child (c, a) of two candidates that is not complete is pushed
+already evaluated, with no model and no LP: its model has one round, in
+which c's and a's tallies are tally({c, a}), and each rewritten ballot
+moves c's lead by at most 2, while moving half the lead from chains that
+credit c to a's singleton chain closes it.  So its LP optimum is the half
+lead, its ceiling is already in the key, and the re-push would land on the
+same heap position.  Every key is admissible: the look-ahead, the lead and
+the LP ceiling each bound every completion of the suffix, and a child's
 completions are some of its parent's, so the parent's key bounds them too.
 No completion of a pruned node is cheaper than the incumbent, so the margin
 is exact.  Keys never fall from parent to child or from one push of a
@@ -70,9 +76,9 @@ compute_movc alone writes SearchStats: nodes_expanded counts expanded
 suffixes, tally_prunes the children a new-round lead dropped,
 lookahead_prunes the roots and children the look-ahead then dropped, and
 lps_solved and ips_solved the LPs and IPs used by the search, solved or
-recalled.  An LP is used only for a suffix popped with its key below the
-upper bound, so a child whose key the incumbent overtakes while it waits
-costs none.
+recalled.  An LP is used only for a suffix of three or more candidates
+popped with its key below the upper bound, so a child whose key the
+incumbent overtakes while it waits costs none.
 
 When the realized runner-up is an alternate, the upper bound and the
 incumbent start at the realized order with its last two entries swapped,
@@ -208,8 +214,9 @@ def compute_movc(
             tallies[standing] = tally(profile, standing)
         return tallies[standing]
 
-    # (key, -len(suffix), suffix, evaluated): a suffix is pushed unevaluated
-    # and re-pushed once its LP has raised its key.
+    # (key, -len(suffix), suffix, evaluated): a suffix of three or more
+    # candidates is pushed unevaluated and re-pushed once its LP has raised
+    # its key.
     frontier: list[tuple[int, int, tuple[str, ...], bool]] = []
     for a in sorted(alts):
         ahead = _lookahead(votes, ids, (a,))
@@ -240,7 +247,9 @@ def compute_movc(
                 stats.lookahead_prunes += 1
                 continue
             if len(child) < len(ids):
-                heapq.heappush(frontier, (max(key, lead, ahead), -len(child), child, False))
+                # A two-candidate child's LP ceiling is its half lead.
+                heapq.heappush(frontier, (max(key, lead, ahead), -len(child), child,
+                                          len(child) == 2))
                 continue
             stats.ips_solved += 1
             outcome = _recall(

@@ -129,7 +129,7 @@ def test_margin_json_report(seat_file: Path, capsys: pytest.CaptureFixture) -> N
     }
     assert report["stats"] == {
         "nodes_expanded": 2,
-        "lps_solved": 1,
+        "lps_solved": 0,
         "ips_solved": 1,
         "tally_prunes": 0,
         "lookahead_prunes": 0,
@@ -640,10 +640,10 @@ def test_lose_mode_without_an_outside_candidate_is_an_error(
         # LIB holds Second, so it runs no search; First and Third search
         # toward their LIB candidate.  Third's look-ahead drops its one root.
         ("LIB", "win",
-         {"First": [2, 1, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
+         {"First": [2, 0, 1, 1, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
         # LIB's Second is not ALP's to lose; First searches toward b and c.
         ("ALP", "lose",
-         {"First": [2, 1, 1, 0, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
+         {"First": [2, 0, 1, 0, 0], "Second": [0, 0, 0, 0, 0], "Third": [0, 0, 0, 0, 1]}),
     ],
     ids=["win-LIB", "lose-ALP"],
 )
@@ -708,7 +708,7 @@ witness order: b -> a -> c
   add 1 x c
 stat ips_solved: 1
 stat lookahead_prunes: 0
-stat lps_solved: 1
+stat lps_solved: 0
 stat nodes_expanded: 2
 stat tally_prunes: 0
 """,
@@ -722,7 +722,7 @@ removal,1 x b>c
 addition,1 x c
 stat:ips_solved,1
 stat:lookahead_prunes,0
-stat:lps_solved,1
+stat:lps_solved,0
 stat:nodes_expanded,2
 stat:tally_prunes,0
 """,
@@ -736,7 +736,7 @@ witness order: c -> b -> a
   add 2 x b>a
 stat ips_solved: 1
 stat lookahead_prunes: 0
-stat lps_solved: 1
+stat lps_solved: 0
 stat nodes_expanded: 2
 stat tally_prunes: 1
 """,
@@ -751,7 +751,7 @@ addition,1 x a
 addition,2 x b>a
 stat:ips_solved,1
 stat:lookahead_prunes,0
-stat:lps_solved,1
+stat:lps_solved,0
 stat:nodes_expanded,2
 stat:tally_prunes,1
 """,
@@ -810,7 +810,7 @@ seats needed: 1
 total changes: 1
 stat First ips_solved: 1
 stat First lookahead_prunes: 0
-stat First lps_solved: 1
+stat First lps_solved: 0
 stat First nodes_expanded: 2
 stat First tally_prunes: 1
 stat Second ips_solved: 0
@@ -830,7 +830,7 @@ Third,1
 TOTAL,1
 stat:First:ips_solved,1
 stat:First:lookahead_prunes,0
-stat:First:lps_solved,1
+stat:First:lps_solved,0
 stat:First:nodes_expanded,2
 stat:First:tally_prunes,1
 stat:Second:ips_solved,0
@@ -923,6 +923,19 @@ def test_bad_manifest_input_is_an_error(
     argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"] + extra
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_manifest_that_is_not_json_is_named_in_its_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    path = tmp_path / "manifest.json"
+    path.write_text('{"seats": [,]}\n', encoding="utf-8")
+    argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: manifest {path} is not valid JSON: "
+        "Expecting value: line 1 column 12 (char 11)\n"
+    )
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])

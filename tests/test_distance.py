@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import itertools
@@ -426,8 +427,9 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     # The bound is half the largest suffix-tally lead, rounded up, and never
     # above the LP ceiling or the exact distance, so a cutoff it reaches is
     # reached by the solvers too.  The largest of the search's new-round
-    # leads along the order is the same bound.
-    settled = 0
+    # leads along the order is the same bound.  On a suffix of two
+    # candidates that is not complete it is the LP ceiling itself.
+    settled = paired = 0
     for profile, order in _corpus_sequences():
         lead = max(0, *(
             _lead(lambda s: tally(profile, s), order[r:])
@@ -443,8 +445,24 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
             for cutoff in {bound, value + 1}:
                 cut = exact_distance(model, cutoff=cutoff)
                 assert cut == (None if value >= cutoff else (value, witness))
+        if len(order) == 2 and not model.complete:
+            # One round, c against a: the LP moves a ballot from a chain that
+            # credits c to a's singleton chain, closing c's lead by 2, so its
+            # ceiling is the half lead the search keys such a suffix by.
+            exact = simplex.solve_lp(*_assemble(model)[:5])
+            assert bound == lower_bound(model) == math.ceil(model.total + exact.value)
+            paired += 1
         settled += bound > 0
     assert settled > 1000
+    assert paired > 500
+
+
+def _loser_sets(profile: Profile) -> list:
+    """Every nonempty set of the profile's losers under lexicographic ties."""
+    winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
+    losers = sorted(set(profile.candidate_ids) - {winner})
+    return [alts for n in range(1, len(losers) + 1)
+            for alts in itertools.combinations(losers, n)]
 
 
 def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
@@ -453,26 +471,28 @@ def test_searched_suffixes_are_bounded_at_least_by_their_tallies(
     # A suffix is expanded only once its LP bound, and its key, are below
     # the upper bound, so its own rounds never settle a child: each child
     # needs only the lead of its new first round.  Checked on every suffix
-    # whose LP the MOV search, and the MOVC search toward each loser and
-    # each pair of losers, solves.  Each search runs on its own copy of the
-    # profile, whose memo is empty, so it solves every LP it uses.
+    # whose LP the MOV search, and the MOVC search toward each set of
+    # losers, solves, on the corpus and on ten five-candidate profiles.
+    # Each search runs on its own copy of the profile, whose memo is empty,
+    # so it solves every LP it uses.  A two-candidate suffix is keyed by its
+    # LP ceiling, its half lead, when it is pushed, so none gets an LP.
     checked = 0
 
     def checked_bound(model: DistanceModel) -> int:
         nonlocal checked
+        assert len(model.sequence.order) > 2
         bound = lower_bound(model)
         assert tally_bound(model) <= bound
         checked += 1
         return bound
 
     monkeypatch.setattr(search, "lower_bound", checked_bound)
-    for profile in _random_corpus():
+    profiles = _random_corpus() + tuple(
+        random_profile(seed, min_candidates=5, max_candidates=5) for seed in range(10)
+    )
+    for profile in profiles:
         compute_mov(copy.copy(profile), TieRule.LEXICOGRAPHIC)
-        winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
-        losers = sorted(set(profile.candidate_ids) - {winner})
-        for alternates in itertools.chain(
-            itertools.combinations(losers, 1), itertools.combinations(losers, 2)
-        ):
+        for alternates in _loser_sets(profile):
             search.compute_movc(copy.copy(profile), alternates, TieRule.LEXICOGRAPHIC)
     assert checked > 500
 
@@ -486,36 +506,34 @@ def _replayed(profile: Profile, order: tuple, value: int, rewrite: Manipulation)
 
 
 def _corpus_answers() -> tuple[list, int]:
-    """compute_mov on each corpus profile, compute_movc toward each loser
-    and each pair of losers, and exact_distance of each complete order cut
-    off just above the margin.  Every one of those orders reaches solve_ip,
-    so the float guide inside branch and bound is exercised on all of them.
-    Each search runs on a fresh copy of the profile, so that it recalls
-    nothing an earlier search solved; the float guide runs counted inside
-    the searches come back with the answers.  An answer is a value, with a
+    """compute_mov on each corpus profile, compute_movc toward each set of
+    losers, lower_bound of each suffix of three or more candidates, and
+    exact_distance of each complete order cut off just above the margin.
+    Every one of those orders reaches solve_ip, so the float guide inside
+    branch and bound is exercised on all of them.  Each search runs on a
+    fresh copy of the profile, so that it recalls nothing an earlier search
+    solved; the float guide runs counted inside the searches and the suffix
+    bounds come back with the answers.  An answer is a value, with a
     search's witness order and SearchStats.  Which optimal rewrite branch
     and bound finds depends on the points it branches on, so the rewrites
     are not part of the answers: each is replayed instead."""
     answers = []
     guided = 0
     for profile in _random_corpus():
-        winner = run_election(profile, TieRule.LEXICOGRAPHIC).winner
-        losers = sorted(set(profile.candidate_ids) - {winner})
-        targets = itertools.chain(
-            itertools.combinations(losers, 1), itertools.combinations(losers, 2)
-        )
+        perms = list(itertools.permutations(profile.candidate_ids))
+        suffixes = sorted({perm[cut:] for perm in perms for cut in range(len(perm) - 2)})
         with mock.patch.object(simplex, "_guide", wraps=simplex._guide) as guide:
             result = compute_mov(copy.copy(profile), TieRule.LEXICOGRAPHIC)
             searched = [result] + [
                 search.compute_movc(copy.copy(profile), alternates, TieRule.LEXICOGRAPHIC)
-                for alternates in targets
+                for alternates in _loser_sets(profile)
             ]
+            answers.append([lower_bound(build_model(profile, s)) for s in suffixes])
         guided += guide.call_count
         for r in searched:
             order = r.witness_order.order
             value = _replayed(profile, order, r.value, r.witness_manipulation)
             answers.append((value, order, r.stats))
-        perms = list(itertools.permutations(profile.candidate_ids))
         with mock.patch.object(simplex, "solve_ip", wraps=simplex.solve_ip) as solve_ip:
             for perm in perms:
                 found = exact_distance(build_model(profile, perm), cutoff=result.value + 1)
@@ -609,11 +627,23 @@ def test_answers_do_not_depend_on_the_float_guide(
     monkeypatch: pytest.MonkeyPatch, mode: str
 ) -> None:
     reference = _reference_answers()
+    passed = collections.Counter()
     if mode == "iteration cap":
         # Every float run fails, so everything is solved exactly.
         monkeypatch.setattr(simplex, "_GUIDE_PIVOTS", 0)
     elif mode == "garbage":
         monkeypatch.setattr(simplex, "_guide", _garbage_guide())
+        # Rounding noise leaves runs that pass the checks: some keep a
+        # point, and some prove a node infeasible by its ray.
+        certify = simplex.certify
+
+        def counted(*program):
+            lower, upper, x = certify(*program)
+            passed["point"] += x is not None
+            passed["ray"] += lower == math.inf
+            return lower, upper, x
+
+        monkeypatch.setattr(simplex, "certify", counted)
     elif mode == "wrong optimum":
         monkeypatch.setattr(simplex, "_guide", _relaxed_guide())
     elif mode == "worse point":
@@ -623,3 +653,5 @@ def test_answers_do_not_depend_on_the_float_guide(
     answers, guided = _corpus_answers()
     assert guided > 800
     assert answers == reference
+    if mode == "garbage":
+        assert passed["point"] > 0 and passed["ray"] > 0

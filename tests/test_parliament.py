@@ -353,13 +353,13 @@ def test_analyze_seat_targets_and_sums_stats() -> None:
     movc = compute_movc(profile, {"b"})
     assert record == SeatRecord("S", 3, 20, None, "a", "ALP", {"LIB": movc.value})
     # The targeted search is the only one the seat runs.
-    assert stats == movc.stats == SearchStats(2, 1, 1, 1)
+    assert stats == movc.stats == SearchStats(2, 0, 1, 1)
 
     record, stats = analyze_seat(profile, ["ALP"], "lose", seat="S")
     both = compute_movc(profile, {"b", "c"})
     assert record.movc_by_target == {"GRE+LIB": both.value}
     assert record.mov is None
-    assert stats == both.stats == SearchStats(2, 1, 1, 0)
+    assert stats == both.stats == SearchStats(2, 0, 1, 0)
     # Manifest parties override the roster: with c in the coalition only b is a target.
     record, _ = analyze_seat(profile, ["ALP"], "lose", {"c": "alp"}, TieRule.FAIL, seat="S")
     assert record.movc_by_target == {"LIB": 10}

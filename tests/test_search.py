@@ -58,7 +58,7 @@ def test_mov_golden(example1: Profile) -> None:
 def test_mov_search_stats_are_reproducible(example1: Profile) -> None:
     result = compute_mov(example1)
     assert result.stats.nodes_expanded == 2
-    assert result.stats.lps_solved == 1
+    assert result.stats.lps_solved == 0
     assert result.stats.ips_solved == 1
     assert result.stats.tally_prunes == 0
     assert result.stats.lookahead_prunes == 0
@@ -350,7 +350,7 @@ def test_paper_scale_seats_keep_their_margins(monkeypatch: pytest.MonkeyPatch) -
         pivots.update({float: 0, int: 0})
         result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
         assert (len(profile.ballots), result.value) == (rankings, margin)
-    assert pivots == {float: 1706, int: 0}
+    assert pivots == {float: 1686, int: 0}
 
 
 def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
