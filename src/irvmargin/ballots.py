@@ -55,18 +55,15 @@ class ParseError(ProfileError):
 
 @dataclass(frozen=True)
 class Candidate:
-    """A candidate: stable id, display name, and party code ("none" if unaffiliated)."""
+    """A candidate: stable id and party code ("none" if unaffiliated)."""
 
     id: str
-    name: str = ""
     party: str = "none"
 
     def __post_init__(self):
         if not self.id or _FORBIDDEN_IN_ID.search(self.id):
             raise ProfileError(f"invalid candidate id {self.id!r}")
         check_party(self.party)
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
 
 
 @dataclass(frozen=True)

@@ -80,15 +80,20 @@ def _emit(args: argparse.Namespace, report: _Report) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    """An input file's text, without a UTF-8 byte-order mark."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_profile(args: argparse.Namespace) -> Profile:
     if args.ballots is not None and args.seed is not None:
         raise CliError("give a ballot file or --seed, not both")
     if args.ballots is not None:
-        try:
-            with open(args.ballots, encoding="utf-8-sig") as fh:
-                return parse_profile(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {args.ballots}: {exc.strerror}") from exc
+        return parse_profile(_read_text(args.ballots))
     if args.seed is not None:
         return synthetic_seat(args.seed)
     raise CliError("provide a ballot file or --seed")
@@ -266,21 +271,22 @@ def _fan_out(tasks: list[tuple], workers: int) -> list[tuple]:
 def _records_from_manifest(
     args: argparse.Namespace, manifest: dict, coalition: frozenset[str]
 ) -> tuple[list, dict]:
+    where = f"manifest {args.records}"
     seats = manifest.get("seats")
     if not isinstance(seats, list) or not seats:
-        raise CliError("manifest needs a nonempty seats list")
+        raise CliError(f"{where} needs a nonempty seats list")
     if not all(isinstance(s, dict) for s in seats):
-        raise CliError("each manifest seat must be an object")
+        raise CliError(f"{where}: each seat must be an object")
     if "options" in manifest:
-        raise CliError("manifest options are not read: use --workers and --tie-rule")
+        raise CliError(f"{where}: options are not read: use --workers and --tie-rule")
     if args.workers > 1 and not hasattr(os, "fork"):
         raise CliError("--workers above 1 needs os.fork, which this platform lacks")
     for s in seats:
         if not isinstance(s.get("name"), str) or not isinstance(s.get("path"), str):
-            raise CliError("each manifest seat needs a name and a path")
+            raise CliError(f"{where}: each seat needs a name and a path")
     names = [s["name"] for s in seats]
     if len(set(names)) != len(names):
-        raise CliError("manifest seat names must be unique")
+        raise CliError(f"{where}: seat names must be unique")
 
     base = os.path.dirname(os.path.abspath(args.records))
     tie_rule = TieRule(args.tie_rule)
@@ -289,11 +295,7 @@ def _records_from_manifest(
         path = seat["path"]
         if not os.path.isabs(path):
             path = os.path.join(base, path)
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+        text = _read_text(path)
         parties = seat.get("parties", {})
         if not isinstance(parties, dict):
             raise CliError(f"seat {seat['name']!r}: parties must be an object")
@@ -321,11 +323,7 @@ def cmd_parliament(args: argparse.Namespace) -> int:
     for flag, value in ("--threshold", args.threshold), ("--workers", args.workers):
         if value is not None and value < 1:
             raise CliError(f"{flag} must be at least 1, not {value}")
-    try:
-        with open(args.records, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.records}: {exc.strerror}") from exc
+    text = _read_text(args.records)
 
     stats: dict = {}
     if text.lstrip().startswith("{"):

@@ -46,19 +46,11 @@ takes the candidates in ratio order and flips a boxed one to its other bound
 instead of entering it while the row stays infeasible after the flip (Maros,
 "A generalized dual phase-2 simplex algorithm", 2003).  After a long
 degenerate streak it switches to Bland's rule, which guarantees termination
-in exact arithmetic.  The runs differ only in their numbers.  The float run
-compares with a tolerance and gives up after a cap on iterations; certify
-checks whichever optimal vertex it reaches.  The exact run compares with no
-tolerance, has no cap, and is wholly in integers.  Its tableau is an integer
-matrix over one common denominator den, its reduced costs an integer row
-over den, and both are updated by integer-preserving elimination whose
-divisions are exact (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968).  The tableau's last column
-holds den * x on the basis, an integer, and a pivot updates it by the same
-elimination as every other column (Azulay & Pique, "A revised simplex method
-with integer Q-matrices", 2001); bounds are scaled by den to meet it.  A
-ratio of a reduced cost to a tableau entry, both over den, is a Fraction
-that den cancels out of.
+in exact arithmetic.  The runs are the same code on different numbers: the
+exact run on Fractions, the float run on floats.  The float run compares
+with a tolerance and gives up after a cap on iterations; certify checks
+whichever optimal vertex it reaches.  The exact run compares with no
+tolerance and has no cap.
 
 The columns of a program with n columns and m rows are its own at [0, n),
 then row i's slack at n + i.  The slack's coefficient, sign[i], is -1 on a
@@ -66,9 +58,9 @@ then row i's slack at n + i.  The slack's coefficient, sign[i], is -1 on a
 starts basic, outside its bounds while the row's residual is not zero,
 until the dual simplex drives it out; the slack of a redundant equality row
 may stay basic at zero.  Left of its last column the tableau is always
-B^-1 [A | S] (over den in the exact run), so its slack block times the signs
-is B^-1, whatever rows were negated to put the identity on the starting
-basis, and row i's dual is read off its slack's reduced cost.
+B^-1 [A | S], so its slack block times the signs is B^-1, whatever rows were
+negated to put the identity on the starting basis, its last column holds
+the basic values, and row i's dual is read off its slack's reduced cost.
 """
 
 from __future__ import annotations
@@ -134,12 +126,12 @@ def solve_lp(
     never unbounded.  Every other entry of the data must be an integer
     (TypeError otherwise).  Exact: the result is in Fractions.
     """
-    return _simplex(objective, rows, senses, rhs, bounds, int, math.inf)
+    return _simplex(objective, rows, senses, rhs, bounds, Fraction, math.inf)
 
 
 def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
-    """solve_lp in the number type num: exactly when num is int, else in
-    floats, by the dual simplex in at most limit iterations."""
+    """solve_lp in the number type num, Fraction or float, by the dual
+    simplex in at most limit iterations; Fraction takes integer data only."""
     n = len(objective)
     m = len(rows)
     if len(senses) != m or len(rhs) != m:
@@ -149,9 +141,9 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     for sense in senses:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {sense!r}")
-    exact = num is int
+    exact = num is Fraction
     if exact:
-        num = operator.index
+        num = lambda v: Fraction(operator.index(v))
     zero, one = num(0), num(1)
     c = [num(v) for v in objective]
     lo = [num(b[0]) for b in bounds]
@@ -184,7 +176,7 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     lo += [zero] * m
     hi += [zero if sense == "=" else None for sense in senses]
     status = [_UPPER if up else _LOWER for up in at_upper] + [_BASIC] * m
-    state = _State(tab, list(range(n, n + m)), status, lo, hi)
+    state = _State(tab, list(range(n, n + m)), status, lo, hi, one)
     # On the all-slack basis the reduced costs are the costs.
     d = c + [zero] * m
     r = _dual_iterate(state, d, limit, exact)
@@ -196,25 +188,25 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
         toward = 1 if tab[r][-1] < lo[state.basis[r]] else -1
         ray = [toward * tab[r][n + i] * sign[i] for i in range(m)]
         return LPResult(INFEASIBLE, duals=ray, det=state.det)
-    ratio = Fraction if exact else operator.truediv
-    x = [ratio(lo[j] if status[j] != _UPPER else hi[j], 1) for j in range(n)]
+    x = [lo[j] if status[j] != _UPPER else hi[j] for j in range(n)]
     for i, j in enumerate(state.basis):
         if j < n:
-            x[j] = ratio(tab[i][-1], state.den)
+            x[j] = tab[i][-1]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    duals = [ratio(d[n + i] * sign[i], state.den) for i in range(m)]
+    duals = [d[n + i] * sign[i] for i in range(m)]
     return LPResult(OPTIMAL, value, x, duals, None if exact else state.det)
 
 
 class _State:
-    # The tableau is tab / den, and its last column holds den * x on the
-    # basis: den stays 1 in the float run, which keeps |det B| in det.  A
-    # plain slotted class: a dataclass costs more to define at import.
-    __slots__ = ("tab", "den", "basis", "status", "lo", "hi", "det")
+    # The tableau, whose last column holds x on the basis, and |det B|, the
+    # product of the pivots' magnitudes from det = 1 on the starting basis;
+    # all in the run's numbers.  A plain slotted class: a dataclass costs
+    # more to define at import.
+    __slots__ = ("tab", "basis", "status", "lo", "hi", "det")
 
-    def __init__(self, tab: list, basis: list, status: list, lo: list, hi: list):
+    def __init__(self, tab: list, basis: list, status: list, lo: list, hi: list, det):
         self.tab, self.basis, self.status, self.lo, self.hi = tab, basis, status, lo, hi
-        self.den, self.det = 1, 1.0
+        self.det = det
 
 
 def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
@@ -225,7 +217,6 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
     tab, basis = state.tab, state.basis
     status, lo, hi = state.status, state.lo, state.hi
     tol = 0 if exact else _GUIDE_TOL
-    ratio = Fraction if exact else operator.truediv
     ncols = len(lo)
     degenerate_streak = 0
     while True:
@@ -233,18 +224,16 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
             raise SolverError("simplex exceeded its iteration limit")
         limit -= 1
         use_bland = degenerate_streak >= _BLAND_AFTER
-        den = state.den
         # The leaving row: the basic value furthest outside its bounds, or
         # under Bland's rule the smallest basic column outside them.  Its
         # violation, slope, is how fast the dual objective gains along the
-        # step, and each bound flip below spends part of it.  Values and
-        # slope are over den, as the tableau is.
+        # step, and each bound flip below spends part of it.
         leave_row, slope = -1, 0
         for i, col in enumerate(basis):
             v = tab[i][-1]
-            gap = den * lo[col] - v
-            if hi[col] is not None and v - den * hi[col] > gap:
-                gap = v - den * hi[col]
+            gap = lo[col] - v
+            if hi[col] is not None and v - hi[col] > gap:
+                gap = v - hi[col]
             if gap > tol and (
                 leave_row == -1 or (col < basis[leave_row] if use_bland else gap > slope)
             ):
@@ -253,7 +242,7 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
             return -1
         row = tab[leave_row]
         leaving = basis[leave_row]
-        rise = row[-1] < den * lo[leaving]
+        rise = row[-1] < lo[leaving]
         # Moving a nonbasic x_j by t moves the leaving value by -row[j] t.  A
         # column that moves it toward its bound may enter at the ratio
         # |d_j / row[j]|, and the smallest ratio keeps every reduced cost's
@@ -266,7 +255,7 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
             if status[j] == _BASIC or abs(a) <= tol or hi[j] == lo[j]:
                 continue
             if ((a < 0) == (status[j] == _LOWER)) == rise:
-                ratios.append((abs(ratio(d[j], a)), j))
+                ratios.append((abs(d[j] / a), j))
         ratios.sort()
         flips = []
         for _, j in ratios:
@@ -285,58 +274,32 @@ def _dual_iterate(state: _State, d: list, limit: float, exact: bool) -> int:
                     r[-1] -= r[k] * step
         degenerate_streak = degenerate_streak + 1 if abs(d[j]) <= tol else 0
         # Eliminate with the leaving value already at its bound and x_j still
-        # at its own: in the exact run, by Sylvester's identity, every
-        # division stays exact, and the leave row is left with den times
-        # x_j's step from that bound.
+        # at its own: the leave row is left with x_j's step from that bound.
         start = lo[j] if status[j] == _LOWER else hi[j]
-        row[-1] -= den * (lo[leaving] if rise else hi[leaving])
+        row[-1] -= lo[leaving] if rise else hi[leaving]
         status[leaving] = _LOWER if rise else _UPPER
         _pivot(state, d, leave_row, j)
-        tab[leave_row][-1] += state.den * start
+        tab[leave_row][-1] += start
 
 
 def _pivot(state: _State, d: list, row: int, col: int) -> None:
     tab = state.tab
     piv = tab[row][col]
-    if isinstance(piv, float):
-        state.det *= abs(piv)
-        if piv != 1:
-            tab[row] = [v / piv for v in tab[row]]
-        prow = tab[row]
-        for i in range(len(tab)):
-            if i != row and tab[i][col]:
-                f = tab[i][col]
-                tab[i] = [vi - f * vp for vi, vp in zip(tab[i], prow)]
-        if d[col]:
-            f = d[col]
-            for j in range(len(d)):
-                if prow[j]:
-                    d[j] -= f * prow[j]
-    else:
-        # Integer-preserving (Bareiss): the pivot row stays as it is, with
-        # its sign turned so that the new denominator, the pivot, is positive.
-        # Every other row's division by the old denominator is exact.
-        if piv < 0:
-            piv = -piv
-            tab[row] = [-v for v in tab[row]]
-        prow, den = tab[row], state.den
-        for i in range(len(tab)):
-            if i != row:
-                tab[i] = _eliminate(tab[i], prow, tab[i][col], piv, den)
-        d[:] = _eliminate(d, prow, d[col], piv, den)
-        state.den = piv
+    state.det *= abs(piv)
+    if piv != 1:
+        tab[row] = [v / piv for v in tab[row]]
+    prow = tab[row]
+    for i in range(len(tab)):
+        if i != row and tab[i][col]:
+            f = tab[i][col]
+            tab[i] = [vi - f * vp for vi, vp in zip(tab[i], prow)]
+    if d[col]:
+        f = d[col]
+        for j in range(len(d)):
+            if prow[j]:
+                d[j] -= f * prow[j]
     state.basis[row] = col
     state.status[col] = _BASIC
-
-
-def _eliminate(r: list, prow: list, f: int, piv: int, den: int) -> list:
-    """(piv * r - f * prow) / den, each division exact.  With piv = den, f * prow
-    alone is a multiple of den, and a row with f = 0 stays as it is."""
-    if piv == den:
-        return r if not f else [v - f * vp // den for v, vp in zip(r, prow)]
-    if not f:
-        return [piv * v // den for v in r]
-    return [(piv * v - f * vp) // den for v, vp in zip(r, prow)]
 
 
 def _holds(x, rows, senses, rhs, bounds, den) -> bool:
@@ -438,7 +401,9 @@ def certify(
     checked once lower's ceiling reaches cutoff.  lower is math.inf if the
     float run claims the program infeasible and its Farkas ray checks.  Each
     is None where the float run proves nothing; only solve_lp can then
-    tell.  A program outside solve_lp's domain raises ValueError.
+    tell.  A program outside solve_lp's domain raises ValueError.  Unlike
+    solve_lp and solve_ip, certify does not check that the data are
+    integers.
     """
     guess = _guide(objective, rows, senses, rhs, bounds)
     # D >= 1; an empty box's float run gives no det, and NaN fails too.

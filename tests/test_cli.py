@@ -882,8 +882,14 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
     "manifest_doc, extra, message",
     [
         ({"seats": [{"name": "S", "path": "seat1.ballots"}], "options": {"workers": 2}},
-         [], "manifest options are not read: use --workers and --tie-rule"),
-        ({"seats": ["seat1.ballots"]}, [], "each manifest seat must be an object"),
+         [], "manifest {manifest}: options are not read: use --workers and --tie-rule"),
+        ({"seats": []}, [], "manifest {manifest} needs a nonempty seats list"),
+        ({"seats": {"name": "S", "path": "seat1.ballots"}}, [],
+         "manifest {manifest} needs a nonempty seats list"),
+        ({"seats": ["seat1.ballots"]}, [], "manifest {manifest}: each seat must be an object"),
+        ({"seats": [{"name": "S", "path": "seat1.ballots"},
+                    {"name": "S", "path": "seat2.ballots"}]},
+         [], "manifest {manifest}: seat names must be unique"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": ["a", "ALP"]}]},
          [], "seat 'S': parties must be an object"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": None}}]},
@@ -893,7 +899,7 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--threshold", "0"],
          "--threshold must be at least 1, not 0"),
         ({"seats": [{"name": ["x"], "path": "seat1.ballots"}]}, [],
-         "each manifest seat needs a name and a path"),
+         "manifest {manifest}: each seat needs a name and a path"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"zz": "LIB"}}]},
          [], "seat 'S': unknown candidates in parties: ['zz']"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"a": "LIB+NAT"}}]},
@@ -908,7 +914,8 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
            [], "seat 'S': parties must be an object")
           for falsy in ([], 0, "", False, None)],
     ],
-    ids=["options", "seat-not-object", "parties-not-object", "party-null",
+    ids=["options", "seats-empty", "seats-not-list", "seat-not-object",
+         "seat-names-repeat", "parties-not-object", "party-null",
          "workers-flag", "threshold-flag",
          "name-not-string", "party-of-absent-candidate", "party-with-plus",
          "party-with-space", "party-blank",
@@ -922,7 +929,23 @@ def test_bad_manifest_input_is_an_error(
     path = _write_manifest(manifest.parent, manifest_doc)
     argv = ["parliament", str(path), "--coalition", "LIB", "--mode", "win"] + extra
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(manifest=path)}\n"
+
+
+@pytest.mark.parametrize("case", ["ballots", "records", "manifest-seat"])
+def test_an_input_file_that_cannot_be_read_is_an_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, case: str
+) -> None:
+    missing = tmp_path / "missing.ballots"
+    if case == "ballots":
+        argv = ["margin", str(missing)]
+    else:
+        records = missing if case == "records" else _write_manifest(
+            tmp_path, {"seats": [{"name": "S", "path": missing.name}]})
+        argv = ["parliament", str(records), "--coalition", "LIB", "--mode", "win"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {missing}: No such file or directory\n")
 
 
 def test_a_manifest_that_is_not_json_is_named_in_its_error(

@@ -309,7 +309,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus(
 ) -> None:
     # The suffixes include every complete order, whose LP is its branch and
     # bound's root.  Where the float and exact runs stop on the same basis,
-    # the float run's determinant rounds to the exact run's den, and where
+    # the float run's determinant rounds to the exact run's |det B|, and where
     # they also leave each nonbasic column at the same bound, certify's
     # point is the exact vertex.
     finals = []
@@ -317,8 +317,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus(
 
     def recording(state, d, limit, exact):
         row = dual_iterate(state, d, limit, exact)
-        det = state.den if exact else round(state.det)
-        finals.append((sorted(state.basis), det, state.status[:]))
+        finals.append((sorted(state.basis), round(state.det), state.status[:]))
         return row
 
     monkeypatch.setattr(simplex, "_dual_iterate", recording)

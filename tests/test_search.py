@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import weakref
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -282,7 +283,7 @@ def test_float_run_starts_optimal_on_every_suffix_lp(monkeypatch: pytest.MonkeyP
     # suffixes that start is already optimal: no pivot at all, and no exact
     # solve.  A fixed set of suffixes, solved directly: each increasing run
     # of minor candidates, alone or followed by the runner-up c1.
-    pivots = {float: 0, int: 0}
+    pivots = {float: 0, Fraction: 0}
     pivot = simplex._pivot
 
     def counting(state, d, row, col):
@@ -302,7 +303,7 @@ def test_float_run_starts_optimal_on_every_suffix_lp(monkeypatch: pytest.MonkeyP
     assert len(orders) == 57
     for order in orders:
         lower_bound(build_model(profile, order))
-    assert pivots == {float: 0, int: 0}
+    assert pivots == {float: 0, Fraction: 0}
 
 
 def _ip_heavy_seats() -> list[Profile]:
@@ -337,7 +338,7 @@ def test_paper_scale_seats_keep_their_margins(monkeypatch: pytest.MonkeyPatch) -
     # 7 and 8 candidates and 20,000 ballots.  The pivots of seat 8/3's MOV
     # are pinned too: a float run that stalls until its pivot cap and falls
     # back to an exact solve shows here, where it costs seconds.
-    pivots = {float: 0, int: 0}
+    pivots = {float: 0, Fraction: 0}
     pivot = simplex._pivot
 
     def counting(state, d, row, col):
@@ -347,10 +348,10 @@ def test_paper_scale_seats_keep_their_margins(monkeypatch: pytest.MonkeyPatch) -
     monkeypatch.setattr(simplex, "_pivot", counting)
     for (k, i), rankings, margin in (((7, 3), 2447, 1756), ((8, 3), 5267, 855)):
         profile = paper_seat(k, i)
-        pivots.update({float: 0, int: 0})
+        pivots.update({float: 0, Fraction: 0})
         result = compute_mov(profile, TieRule.LEXICOGRAPHIC)
         assert (len(profile.ballots), result.value) == (rankings, margin)
-    assert pivots == {float: 1686, int: 0}
+    assert pivots == {float: 1686, Fraction: 0}
 
 
 def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
