@@ -138,7 +138,7 @@ class Profile:
 
     @cached_property
     def _memo(self) -> dict:
-        """What searches derive from this object (see search.py).  Not a
+        """What tabulate.tally and searches derive from this object.  Not a
         field, so equality, hash and repr never see it; it dies with the
         object and is left out of pickles and copies (__getstate__)."""
         return {}

@@ -20,6 +20,7 @@ from .ballots import DECIMAL, Profile, parse_profile
 from .distance import build_model, model_lp_text
 from .parliament import (
     analyze_seat,
+    coalition_key,
     load_seat_records,
     relabel_complement,
     seats_to_lose_majority,
@@ -269,7 +270,7 @@ def _fan_out(tasks: list[tuple], workers: int) -> list[tuple]:
 
 
 def _records_from_manifest(
-    args: argparse.Namespace, manifest: dict, coalition: frozenset[str]
+    args: argparse.Namespace, manifest: dict, coalition: str
 ) -> tuple[list, dict]:
     where = f"manifest {args.records}"
     seats = manifest.get("seats")
@@ -317,9 +318,10 @@ def _records_from_manifest(
 
 
 def cmd_parliament(args: argparse.Namespace) -> int:
-    coalition = frozenset(p.upper() for p in args.coalition.split("+") if p.strip())
-    if not coalition:
-        raise CliError("empty --coalition")
+    try:
+        coalition = coalition_key(args.coalition)
+    except ValueError:
+        raise CliError("empty --coalition") from None
     for flag, value in ("--threshold", args.threshold), ("--workers", args.workers):
         if value is not None and value < 1:
             raise CliError(f"{flag} must be at least 1, not {value}")

@@ -24,18 +24,12 @@ of each other, so values and witnesses match the y/d formulation exactly.
 Every function here is a pure function of a DistanceModel; the search
 decides which of them to run.
 
-Lower bounds are ceilings of LP optima.  Most come from simplex.certify:
-a float run of the simplex whose duals give a Lagrangian bound and whose
-vertex gives a feasible point, both rounded to integers over the
-determinant of its final basis and checked in integer arithmetic; when the
-two ceilings agree, the optimum's ceiling lies between them.  Any other
-suffix is solved exactly with simplex.solve_lp.  Exact distances come from
-branch and bound on the same model, which applies the same rule at each
-node: where the ceilings agree, the certified point is the node's point;
-where the float run ends infeasible, the node is pruned once its Farkas ray
-checks; and the node is solved exactly only where neither holds.  Every value
-returned is exact.  A witness's rewrite is one optimal integer point, and
-which one follows the points branch and bound settles or branches on.
+Lower bounds are ceilings of LP optima, and exact distances come from
+branch and bound on the same model; simplex.settle settles the bound and
+every node, from the float run's checked bounds where it can and by an
+exact solve elsewhere.  Every value returned is exact.  A witness's rewrite
+is one optimal integer point, and which one follows the points branch and
+bound settles or branches on.
 """
 
 from __future__ import annotations
@@ -164,22 +158,13 @@ def _assemble(model: DistanceModel):
 
 
 def lower_bound(model: DistanceModel) -> int:
-    """Ceiling of the LP relaxation; admissible for every completion of the suffix.
-
-    The float run's certified bounds settle the ceiling when theirs agree:
-    the exact optimum lies between them, so that is its ceiling too.
-    Failing that, the LP is solved exactly.
-    """
-    objective, rows, senses, rhs, bounds, _, _ = _assemble(model)
-    lower, upper, _ = simplex.certify(objective, rows, senses, rhs, bounds)
-    if lower is not None and upper is not None:
-        ceiling = math.ceil(model.total + lower)
-        if ceiling == math.ceil(model.total + upper):
-            return ceiling
-    res = simplex.solve_lp(objective, rows, senses, rhs, bounds)
-    if res.status != simplex.OPTIMAL:
-        raise SolverError(f"distance relaxation reported {res.status}")
-    return math.ceil(model.total + res.value)
+    """Ceiling of the LP relaxation; admissible for every completion of the
+    suffix.  simplex.settle gives it, from the float run's certified bounds
+    where their ceilings agree and from an exact solve elsewhere."""
+    settled = simplex.settle(*_assemble(model)[:5])
+    if settled is None:
+        raise SolverError("distance relaxation reported infeasible")
+    return model.total + settled[0]
 
 
 @dataclass(frozen=True)

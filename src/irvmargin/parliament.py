@@ -30,8 +30,9 @@ class MissingMovc(ValueError):
     """A seat needed by the scenario has no margin toward the target coalition."""
 
 
-def coalition_key(parties: Iterable[str]) -> str:
-    """Canonical name for a coalition: sorted, upper-cased, '+'-joined."""
+def coalition_key(parties: str | Iterable[str]) -> str:
+    """Canonical name for a coalition: sorted, upper-cased, '+'-joined.  One
+    string is read in this form; so is every coalition argument here."""
     return "+".join(sorted(_coalition_set(parties)))
 
 
@@ -72,8 +73,9 @@ def threshold(num_seats: int) -> int:
     return (num_seats + 2) // 2
 
 
-def _coalition_set(coalition: Iterable[str]) -> frozenset[str]:
-    parties = frozenset(p.strip().upper() for p in coalition if p.strip())
+def _coalition_set(coalition: str | Iterable[str]) -> frozenset[str]:
+    codes = coalition.split("+") if isinstance(coalition, str) else coalition
+    parties = frozenset(p.strip().upper() for p in codes if p.strip())
     if not parties:
         raise ValueError("empty coalition")
     return parties
@@ -307,7 +309,7 @@ def load_seat_records(text: str) -> list[SeatRecord]:
             raise ValueError(f"line 1: seat CSV repeats column {col!r}")
         if col.startswith("movc:"):
             try:
-                key = coalition_key(col[len("movc:"):].split("+"))
+                key = coalition_key(col[len("movc:"):])
             except ValueError:
                 raise ValueError(f"seat CSV column {col!r} names no coalition") from None
             if key in movc_columns:

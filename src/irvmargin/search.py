@@ -15,15 +15,16 @@ The search makes every prune decision, and it makes the cheap ones from
 first-preference tallies before any distance model is built.
 
 Every search on one Profile object shares that object's memo (_recall): the
-count under each tie rule, each standing set's tally, the swap witness, each
-suffix's LP ceiling, and each complete order's exact_distance outcome under
-each cutoff.  Each entry is a pure function of the profile and its key, so a
-recalled entry equals the one a fresh profile would compute, and every value,
-witness and counter is the same whatever ran on the profile before.  An IP
-outcome is recalled only under the very cutoff it was solved with: solve_ip's
-hint may offer a point outside a node's box, so the witness found under one
-cutoff need not be the one found under another.  The memo lives exactly as
-long as its profile; a copy or an unpickled profile starts with none.
+count under each tie rule, the swap witness, each suffix's LP ceiling, and
+each complete order's exact_distance outcome under each cutoff; tallies are
+kept there by tabulate.tally, for the count and the search alike.  Each
+entry is a pure function of the profile and its key, so a recalled entry
+equals the one a fresh profile would compute, and every value, witness and
+counter is the same whatever ran on the profile before.  An IP outcome is
+recalled only under the very cutoff it was solved with: solve_ip's hint may
+offer a point outside a node's box, so the witness found under one cutoff
+need not be the one found under another.  The memo lives exactly as long as
+its profile; a copy or an unpickled profile starts with none.
 
 The tally gap of a suffix is the largest lead, over its rounds r, of
 order[r]'s round-r tally over a later entry's, and 0 when order[r] never
@@ -111,9 +112,6 @@ from .distance import (
 )
 from .tabulate import CountResult, TieRule, run_election, tally
 
-# First-preference votes of each candidate in a standing set.
-Votes = Callable[[frozenset[str]], dict[str, int]]
-
 
 def _recall(profile: Profile, key: tuple, derive: Callable[[], Any]) -> Any:
     """The profile's memo entry under key, derived on first use.  A key is
@@ -168,18 +166,18 @@ class MarginResult:
         return self.witness_manipulation.sequence
 
 
-def _lead(votes: Votes, child: tuple[str, ...]) -> int:
+def _lead(profile: Profile, child: tuple[str, ...]) -> int:
     """The lead of c over the weakest member of S in the new first round of
     child = (c,) + S."""
-    v = votes(frozenset(child))
+    v = tally(profile, child)
     return v[child[0]] - min(v[s] for s in child[1:])
 
 
-def _lookahead(votes: Votes, ids: frozenset[str], suffix: tuple[str, ...]) -> int:
+def _lookahead(profile: Profile, ids: frozenset[str], suffix: tuple[str, ...]) -> int:
     """The outside look-ahead bound of the suffix, never below 0."""
-    everyone = votes(ids)
+    everyone = tally(profile, ids)
     standing = frozenset(suffix)
-    leads = (everyone[x] - min(votes(standing | {x})[s] for s in suffix)
+    leads = (everyone[x] - min(tally(profile, standing | {x})[s] for s in suffix)
              for x in ids - standing)
     return max(0, (max(leads, default=0) + 1) // 2)
 
@@ -207,19 +205,12 @@ def compute_movc(
 
     stats = SearchStats()
     ids = frozenset(profile.candidate_ids)
-    tallies = _recall(profile, ("tally",), dict)  # standing set -> its tally
-
-    def votes(standing: frozenset[str]) -> dict[str, int]:
-        if standing not in tallies:
-            tallies[standing] = tally(profile, standing)
-        return tallies[standing]
-
     # (key, -len(suffix), suffix, evaluated): a suffix of three or more
     # candidates is pushed unevaluated and re-pushed once its LP has raised
     # its key.
     frontier: list[tuple[int, int, tuple[str, ...], bool]] = []
     for a in sorted(alts):
-        ahead = _lookahead(votes, ids, (a,))
+        ahead = _lookahead(profile, ids, (a,))
         if upper is not None and ahead >= upper:
             stats.lookahead_prunes += 1
             continue
@@ -238,11 +229,11 @@ def compute_movc(
         stats.nodes_expanded += 1
         for c in sorted(ids.difference(order)):
             child = (c,) + order
-            lead = (_lead(votes, child) + 1) // 2
+            lead = (_lead(profile, child) + 1) // 2
             if upper is not None and lead >= upper:
                 stats.tally_prunes += 1
                 continue
-            ahead = _lookahead(votes, ids, child)
+            ahead = _lookahead(profile, ids, child)
             if upper is not None and ahead >= upper:
                 stats.lookahead_prunes += 1
                 continue

@@ -16,16 +16,17 @@ the LP minimum whatever the floats were, and the vertex, if it satisfies
 every row and bound, a point and an upper bound.  A float run that ends
 infeasible on a row gives that row of B^-1 as a Farkas ray, which proves the
 program infeasible if the Lagrangian sum without the objective exceeds 0.
-When the two bounds share a ceiling, that is the LP's ceiling, and solve_ip
-settles or branches on the checked point without an exact solve; a checked
-ray prunes its node.  Tolerances exist only inside the float run, no float
-value reaches a result without such a check, and any failure (a pivot cap,
-a non-finite value, a determinant below 1, a check that does not hold)
-leaves the caller to solve exactly.  The method is Neumaier & Shcherbina,
-"Safe bounds in linear and mixed-integer programming" (2004), and Applegate
-et al.; bounding, branching and pruning on checked float results, with an
-exact solve only where a check fails, is the hybrid scheme of Cook, Koch,
-Steffy & Wolter, "A hybrid branch-and-bound approach for exact rational
+settle is the one place these results are used (the hybrid rule): a
+checked ray proves the program infeasible, and when the two bounds share a
+ceiling, that is the LP's ceiling and the checked point is returned without
+an exact solve.  Tolerances exist only inside the float run, no float value
+reaches a result without such a check, and any failure (a pivot cap, a
+non-finite value, a determinant below 1, a check that does not hold) makes
+settle solve exactly.  The method is Neumaier & Shcherbina, "Safe bounds
+in linear and mixed-integer programming" (2004), and Applegate et al.;
+bounding, branching and pruning on checked float results, with an exact
+solve only where a check fails, is the hybrid scheme of Cook, Koch, Steffy &
+Wolter, "A hybrid branch-and-bound approach for exact rational
 mixed-integer programming" (2013).
 
 The solvers take the programs in which every column with a negative cost
@@ -389,7 +390,6 @@ def certify(
     senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
-    cutoff: Fraction | int | None = None,
 ) -> tuple[Fraction | float | None, Fraction | None, list | None]:
     """Proven bounds (lower, upper) on the LP minimum from the float run, and
     the point x that proves upper.
@@ -397,13 +397,12 @@ def certify(
     lower is lagrangian_bound at the float duals, and x the float vertex,
     kept if it satisfies every row and bound; both are rounded over
     D = round(|det B|) of the float run's basis and checked in integers
-    over D, and x holds a Fraction only where it is not whole.  x is not
-    checked once lower's ceiling reaches cutoff.  lower is math.inf if the
-    float run claims the program infeasible and its Farkas ray checks.  Each
-    is None where the float run proves nothing; only solve_lp can then
-    tell.  A program outside solve_lp's domain raises ValueError.  Unlike
-    solve_lp and solve_ip, certify does not check that the data are
-    integers.
+    over D, and x holds a Fraction only where it is not whole.  lower is
+    math.inf if the float run claims the program infeasible and its Farkas
+    ray checks.  Each is None where the float run proves nothing; only
+    solve_lp can then tell.  settle applies the results.  A program outside
+    solve_lp's domain raises ValueError.  Unlike solve_lp and solve_ip,
+    certify does not check that the data are integers.
     """
     guess = _guide(objective, rows, senses, rhs, bounds)
     # D >= 1; an empty box's float run gives no det, and NaN fails too.
@@ -420,12 +419,34 @@ def certify(
     if farkas or total is None:
         return (math.inf if farkas and (total or 0) > 0 else None), None, None
     lower = Fraction(total, den)
-    if (cutoff is not None and math.ceil(lower) >= cutoff) or not _holds(
-        x, rows, senses, rhs, bounds, den
-    ):
+    if not _holds(x, rows, senses, rhs, bounds, den):
         return lower, None, None
     upper = Fraction(sum(map(operator.mul, objective, x)), den)
     return lower, upper, [v // den if v % den == 0 else Fraction(v, den) for v in x]
+
+
+def settle(objective: Sequence[int], rows: Sequence[Sequence[int]], senses: Sequence[str],
+           rhs: Sequence[int], bounds: Sequence[Bound], cutoff: Fraction | int | None = None,
+           ) -> tuple[int, list] | None:
+    """(ceiling, x): the LP minimum's ceiling and a feasible x whose cost has
+    it too, or None when the program is infeasible or the ceiling reaches
+    cutoff.  The hybrid rule: certify's checked ray or lower bound, or its
+    bounds when their ceilings agree, settle it; else solve_lp does.  Only
+    solve_lp checks that the data are integers."""
+    lower, upper, x = certify(objective, rows, senses, rhs, bounds)
+    if lower == math.inf:
+        return None
+    ceiling = None if lower is None else math.ceil(lower)
+    if ceiling is not None and cutoff is not None and ceiling >= cutoff:
+        return None
+    if upper is None or math.ceil(upper) != ceiling:
+        res = solve_lp(objective, rows, senses, rhs, bounds)
+        if res.status != OPTIMAL:
+            return None
+        x, ceiling = res.x, math.ceil(res.value)
+        if cutoff is not None and ceiling >= cutoff:
+            return None
+    return ceiling, x
 
 
 def solve_ip(
@@ -439,20 +460,19 @@ def solve_ip(
 ) -> LPResult:
     """Minimize over integer points by branch and bound on the LP relaxation.
 
-    The data must be integers, and in solve_lp's domain.  The objective is an integer
-    at every integer point, so a node's bound is its relaxation's ceiling,
-    and a node whose bound reaches the incumbent or the cutoff is pruned.
-    Each node runs certify first.  A checked Farkas ray, or a certified
-    lower bound that already reaches the incumbent, prunes the node.  When
-    the certified bounds share a ceiling, that ceiling is the node's bound
-    and the checked point its point; otherwise solve_lp gives both.  An
-    integral point is optimal in its node, since it costs the bound, and
-    becomes the incumbent.  Else the node branches on the point's first
-    fractional variable with floor and ceiling bound splits, which partition
-    the node's integer points whatever the point was; the relaxation is
-    never assumed integral.  So the bounds, prunes and value are those of
-    exact solves at every node, but the branches taken, and so which optimal
-    point is returned, follow the points the float run gives.
+    The data must be integers, and in solve_lp's domain.  The objective is
+    an integer at every integer point, so a node's bound is its relaxation's
+    ceiling, and a node whose bound reaches the incumbent or the cutoff is
+    pruned.  settle settles each node with that cutoff: a node it returns
+    None for is pruned, and otherwise its ceiling is the node's bound and
+    its point the node's point.  An integral point is optimal in its node,
+    since it costs the bound, and becomes the incumbent.  Else the node
+    branches on the point's first fractional variable with floor and
+    ceiling bound splits, which partition the node's integer points whatever
+    the point was; the relaxation is never assumed integral.  So the bounds,
+    prunes and value are those of exact solves at every node, but the
+    branches taken, and so which optimal point is returned, follow the
+    points the float run gives.
 
     cutoff is an exclusive upper bound: subtrees that cannot beat it are
     pruned, and status CUTOFF means no integer point below it exists (which
@@ -469,7 +489,7 @@ def solve_ip(
             best = LPResult(OPTIMAL, Fraction(value), [Fraction(v) for v in x])
             best_value = best.value
 
-    # Converted here: certify's float run would take non-integer data.
+    # Converted here: settle's float run would take non-integer data.
     index = operator.index
     c = [index(v) for v in objective]
     rows = [[index(v) for v in row] for row in rows]
@@ -482,19 +502,10 @@ def solve_ip(
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
-        lower, upper, x = certify(c, rows, senses, rhs, node_bounds, best_value)
-        if lower == math.inf:
+        settled = settle(c, rows, senses, rhs, node_bounds, best_value)
+        if settled is None:
             continue
-        bound = None if lower is None else math.ceil(lower)
-        if upper is None or math.ceil(upper) != bound:
-            if bound is not None and best_value is not None and bound >= best_value:
-                continue
-            res = solve_lp(c, rows, senses, rhs, node_bounds)
-            if res.status != OPTIMAL:
-                continue
-            x, bound = res.x, math.ceil(res.value)
-        if best_value is not None and bound >= best_value:
-            continue
+        bound, x = settled
         frac_j = -1
         for j, xj in enumerate(x):
             if xj.denominator != 1:

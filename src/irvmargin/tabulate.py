@@ -25,7 +25,8 @@ class TieRule(enum.Enum):
 
 @dataclass(frozen=True)
 class CountRound:
-    """One round: votes per standing candidate, and the exhausted ballots."""
+    """One round: votes per standing candidate, and the exhausted ballots.
+    votes is tally's shared dict, which callers must not change."""
 
     standing: tuple[str, ...]
     votes: dict[str, int]
@@ -47,12 +48,17 @@ class CountResult:
 
 def tally(profile: Profile, standing: Iterable[str]) -> dict[str, int]:
     """First-preference votes per standing candidate; an exhausted ballot
-    counts for no one."""
-    votes = {c: 0 for c in sorted(standing)}
-    for ballot in profile.ballots:
-        top = first_preference(ballot, votes)
-        if top is not None:
-            votes[top] += ballot.count
+    counts for no one.  Walked once per profile object and standing set
+    (kept in its memo): the dict is shared, so callers must not change it."""
+    memo = profile._memo
+    key = frozenset(standing)
+    votes = memo.get(key)
+    if votes is None:
+        votes = memo[key] = {c: 0 for c in sorted(key)}
+        for ballot in profile.ballots:
+            top = first_preference(ballot, votes)
+            if top is not None:
+                votes[top] += ballot.count
     return votes
 
 

@@ -340,6 +340,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus(
             if exact_status == float_status:
                 assert x == exact.x
                 same_vertex += 1
+        assert simplex.settle(*program) == (math.ceil(exact.value), x)
         assert lower_bound(model) == ceiling
         checked += 1
     assert checked > 2000
@@ -431,7 +432,7 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
     settled = paired = 0
     for profile, order in _corpus_sequences():
         lead = max(0, *(
-            _lead(lambda s: tally(profile, s), order[r:])
+            _lead(profile, order[r:])
             for r in range(len(order) - 1)
         ))
         model = build_model(profile, order)

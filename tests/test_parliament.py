@@ -444,3 +444,46 @@ def test_seats_without_a_target_candidate_are_held_but_never_chosen() -> None:
     # A blank cell was never computed, which is not the same thing.
     with pytest.raises(MissingMovc):
         seats_to_win(load_seat_records(text.replace(",-", ",")), ["LIB"], 2)
+
+
+# PARTY_SEAT's candidates under three party rosters: ALP, LIB and GRN each
+# win one seat, and NAT stands in two, so the parties outside a coalition
+# in one seat need not be those of the chamber's roster.
+CHAMBER = {
+    "S1": {"a": "ALP", "b": "LIB", "c": "GRN"},
+    "S2": {"a": "LIB", "b": "ALP", "c": "NAT"},
+    "S3": {"a": "GRN", "b": "LIB", "c": "NAT"},
+}
+
+
+def _chamber(coalition, mode: str) -> list[SeatRecord]:
+    profile = parse_profile(PARTY_SEAT)
+    return [analyze_seat(profile, coalition, mode, parties, seat=seat)[0]
+            for seat, parties in CHAMBER.items()]
+
+
+# Each function that takes a coalition, called with the coalition under test
+# and with records built from its codes.
+COALITION_CALLS = {
+    "coalition_key": lambda coalition, codes: coalition_key(coalition),
+    "analyze_seat": lambda coalition, codes: [
+        analyze_seat(parse_profile(PARTY_SEAT), coalition, mode, parties, seat=seat)
+        for mode in ("win", "lose") for seat, parties in CHAMBER.items()
+    ],
+    "relabel_complement": lambda coalition, codes: relabel_complement(
+        _chamber(codes, "lose"), coalition
+    ),
+    "seats_to_win": lambda coalition, codes: seats_to_win(
+        _chamber(codes, "win"), coalition, 3
+    ),
+    "seats_to_lose_majority": lambda coalition, codes: seats_to_lose_majority(
+        relabel_complement(_chamber(codes, "lose"), codes), coalition, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", COALITION_CALLS.values(), ids=COALITION_CALLS)
+@pytest.mark.parametrize("text, codes", [("LIB", ["LIB"]), ("alp+ grn", ["ALP", "GRN"])])
+def test_a_coalition_string_is_read_as_plus_joined_codes(call, text, codes) -> None:
+    # The form coalition_key writes and --coalition takes, never letters.
+    assert call(text, codes) == call(codes, codes)

@@ -31,10 +31,9 @@ from irvmargin import (
     run_election,
 )
 from irvmargin.distance import swap_final_witness
-from irvmargin import search, simplex
+from irvmargin import search, simplex, tabulate
 from irvmargin.search import _lookahead
 from irvmargin.synth import synthetic_seat
-from irvmargin.tabulate import tally
 from oracle import (
     ABOVE_CAP,
     OracleCapExceeded,
@@ -263,6 +262,30 @@ def test_the_memo_lives_and_dies_with_its_profile(example1: Profile) -> None:
     assert ref() is None
 
 
+def test_the_count_and_the_searches_walk_each_standing_set_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # tabulate.tally is the one cache of first-preference tallies: the
+    # count's rounds, the searches' leads and look-aheads all read it, so
+    # each standing set costs one walk of the ballots on the profile.
+    profile = random_profile(200, min_candidates=5, max_candidates=6, max_lines=40,
+                             max_count=200)
+    walked = []
+    first_preference = tabulate.first_preference
+
+    def counting(ballot, standing):
+        walked.append(frozenset(standing))
+        return first_preference(ballot, standing)
+
+    monkeypatch.setattr(tabulate, "first_preference", counting)
+    count = run_election(profile, TieRule.LEXICOGRAPHIC)
+    compute_mov(profile, TieRule.LEXICOGRAPHIC)
+    compute_movc(profile, count.elimination_order[:2], TieRule.LEXICOGRAPHIC)
+    standing_sets = len(set(walked))
+    assert standing_sets > len(count.rounds)
+    assert len(walked) / len(profile.ballots) == standing_sets
+
+
 @pytest.mark.parametrize("num_candidates, lookahead_prunes", [(7, 10), (12, 20)])
 def test_synthetic_mov_is_settled_by_tallies(
     num_candidates: int, lookahead_prunes: int
@@ -363,7 +386,7 @@ def test_lookahead_never_exceeds_the_oracle_distance_of_a_completion() -> None:
         ids = frozenset(profile.candidate_ids)
         for perm in itertools.permutations(sorted(ids)):
             bound = max(
-                _lookahead(lambda s: tally(profile, s), ids, perm[cut:])
+                _lookahead(profile, ids, perm[cut:])
                 for cut in range(len(perm))
             )
             plan = _OrderPlan(profile, perm)

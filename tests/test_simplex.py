@@ -20,6 +20,7 @@ from irvmargin.simplex import (
     _satisfies,
     certify,
     lagrangian_bound,
+    settle,
     solve_ip,
     solve_lp,
 )
@@ -339,6 +340,58 @@ def test_certify_rounds_over_a_determinant_above_1000() -> None:
     assert res.x == [Fraction(1489, 2269), Fraction(1307, 2269)]
     assert round(simplex._guide(*problem).det) == 2269
     assert certify(*problem) == (res.value, res.value, res.x)
+
+
+@pytest.fixture
+def exact_solves(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The programs settle hands to solve_lp."""
+    calls = []
+
+    def counting(*program):
+        calls.append(program)
+        return solve_lp(*program)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    return calls
+
+
+def test_settle_prunes_on_a_checked_farkas_ray(exact_solves: list) -> None:
+    # x >= 5 on [0, 3]: the float run ends infeasible and its ray checks.
+    problem = ([1], [[1]], [">="], [5], [(0, 3)])
+    assert certify(*problem)[0] == math.inf
+    assert settle(*problem) is None
+    assert settle(*problem, cutoff=10) is None
+    assert exact_solves == []
+
+
+def test_settle_prunes_on_a_certified_ceiling_at_the_cutoff(exact_solves: list) -> None:
+    # min x  s.t.  2x >= 3: the minimum 3/2 has ceiling 2.
+    problem = ([1], [[2]], [">="], [3], [(0, 5)])
+    assert settle(*problem) == (2, [Fraction(3, 2)])
+    assert settle(*problem, cutoff=3) == (2, [Fraction(3, 2)])
+    assert settle(*problem, cutoff=2) is None
+    assert exact_solves == []
+
+
+def test_settle_solves_exactly_where_the_certified_ceilings_disagree(
+    monkeypatch: pytest.MonkeyPatch, exact_solves: list
+) -> None:
+    # A lower bound 1 below the certified one still holds, but its ceiling
+    # no longer matches the upper bound's, so only solve_lp can settle.
+    problem = ([-2, -1], [[30, 37], [37, -30]], ["<=", "<="], [41, 7], [(0, 1), (0, 1)])
+    exact = solve_lp(*problem)
+
+    def loosened(*program):
+        lower, upper, x = certify(*program)
+        return lower - 1, upper, x
+
+    monkeypatch.setattr(simplex, "certify", loosened)
+    assert settle(*problem) == (math.ceil(exact.value), exact.x)
+    assert len(exact_solves) == 1
+    # The exact ceiling, -1, reaches a cutoff of -1 though the loosened
+    # certified one, -2, does not.
+    assert settle(*problem, cutoff=-1) is None
+    assert len(exact_solves) == 2
 
 
 def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
