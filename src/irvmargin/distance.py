@@ -12,14 +12,16 @@ space (all strictly increasing chains, empty included) exactly the 2^|pi|
 masks.
 
 The model asks for new type counts y_t minimizing the ballots removed from
-their original type, subject to conservation of the ballot total and, for
-each round of the suffix, the eliminated candidate holding a minimal tally
-(non-strict: ties resolve in the adversary's favor).  For a partial suffix
-the candidates outside pi are treated as already eliminated, so the optimum
-is a lower bound on the distance of every completion.  The solver works on an
-equivalent substitution y_t = u_t + e_t with u_t <= n_t the ballots kept and
-e_t the additions; integral (u, e) and integral y are cost-preserving images
-of each other, so values and witnesses match the y/d formulation exactly.
+their original type, subject to adding at most the ballots removed (the
+final candidate's singleton type takes any shortfall, so a witness conserves
+the total) and, for each round of the suffix, the eliminated candidate
+holding a minimal tally (non-strict: ties resolve in the adversary's favor).
+For a partial suffix the candidates outside pi are treated as already
+eliminated, so the optimum is a lower bound on the distance of every
+completion.  The solver works on an equivalent substitution y_t = u_t + e_t
+with u_t <= n_t the ballots kept and e_t the additions; integral (u, e) and
+integral y are cost-preserving images of each other, so values and witnesses
+match the y/d formulation exactly.
 
 Every function here is a pure function of a DistanceModel; the search
 decides which of them to run.
@@ -135,9 +137,13 @@ def _assemble(model: DistanceModel):
     chain covers what the empty chain would.  Objective sum(-u) so that
     distance = total + optimum.
 
-    Row 0 conserves the total.  Row (r, j), for each round r and later
-    position j, is tally(order[r]) - tally(order[j]) <= 0 in round r: a
-    column counts +1 where its type credits r (_credit), -1 where it credits j.
+    Every row is "<=", the one form the solvers take.  Row 0, sum(u + e)
+    <= total, adds at most the ballots removed; as an equality it would have
+    the same optima, since the final candidate's singleton e column, which
+    costs 0 and counts -1 in rows (r, k-1) only, can take up any shortfall.
+    Row (r, j), for each round r and later position j, is tally(order[r]) -
+    tally(order[j]) <= 0 in round r: a column counts +1 where its type
+    credits r (_credit), -1 where it credits j.
     """
     counts = model.counts
     k = len(model.sequence.order)
@@ -152,16 +158,15 @@ def _assemble(model: DistanceModel):
     for r in range(k - 1):
         credit = [_credit(m, r) for m in masks]
         rows.extend([(c == r) - (c == j) for c in credit] for j in range(r + 1, k))
-    senses = ["="] + ["<="] * (len(rows) - 1)
     rhs = [model.total] + [0] * (len(rows) - 1)
-    return objective, rows, senses, rhs, bounds, u_masks, e_masks
+    return objective, rows, rhs, bounds, u_masks, e_masks
 
 
 def lower_bound(model: DistanceModel) -> int:
     """Ceiling of the LP relaxation; admissible for every completion of the
     suffix.  simplex.settle gives it, from the float run's certified bounds
     where their ceilings agree and from an exact solve elsewhere."""
-    settled = simplex.settle(*_assemble(model)[:5])
+    settled = simplex.settle(*_assemble(model)[:4])
     if settled is None:
         raise SolverError("distance relaxation reported infeasible")
     return model.total + settled[0]
@@ -205,12 +210,12 @@ def exact_distance(
     sequence = model.sequence
     if not model.complete:
         raise DistanceError("exact distance requires a complete elimination order")
-    objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
+    objective, rows, rhs, bounds, u_masks, e_masks = _assemble(model)
     winner_col = len(u_masks) + e_masks.index(1 << (len(sequence.order) - 1))
 
     def round_down(x):
         # Floors satisfy the bounds and can only loosen tallies on the
-        # removal side; the winner's singleton chain absorbs the conservation
+        # removal side; the winner's singleton chain absorbs row 0's
         # shortfall.  Feasibility is still checked by the solver.
         guess = [math.floor(v) for v in x]
         guess[winner_col] += model.total - sum(guess)
@@ -219,7 +224,6 @@ def exact_distance(
     res = simplex.solve_ip(
         objective,
         rows,
-        senses,
         rhs,
         bounds,
         cutoff=None if cutoff is None else cutoff - model.total,
@@ -232,6 +236,9 @@ def exact_distance(
     value = model.total + res.value
     assert value.denominator == 1
     x = [int(v) for v in res.x]
+    # The winner's singleton chain takes row 0's shortfall at no cost, so
+    # the witness conserves the total.
+    x[winner_col] += model.total - sum(x)
     counts = model.counts
     removals = [(m, counts[m] - k) for m, k in zip(u_masks, x) if k < counts[m]]
     additions = [(m, a) for m, a in zip(e_masks, x[len(u_masks):]) if a]
@@ -345,7 +352,7 @@ def model_lp_text(model: DistanceModel) -> str:
     """Human-readable dump of the u/e program that lower_bound and
     exact_distance solve: _assemble's objective, one line per row, and one
     bound line per column."""
-    objective, rows, senses, rhs, bounds, u_masks, e_masks = _assemble(model)
+    objective, rows, rhs, bounds, u_masks, e_masks = _assemble(model)
 
     def chain(mask: int) -> str:
         return ">".join(model.sequence.chain(mask)) or "-"
@@ -365,8 +372,8 @@ def model_lp_text(model: DistanceModel) -> str:
         "minimize: " + _linear(objective, names),
         "subject to:",
     ]
-    for label, row, sense, b in zip(labels, rows, senses, rhs):
-        lines.append(f"  {label}: {_linear(row, names)} {sense} {b}")
+    for label, row, b in zip(labels, rows, rhs):
+        lines.append(f"  {label}: {_linear(row, names)} <= {b}")
     lines.append("bounds:")
     for name, (lo, hi) in zip(names, bounds):
         lines.append(f"  {lo} <= {name}" + ("" if hi is None else f" <= {hi}"))

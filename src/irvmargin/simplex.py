@@ -53,15 +53,14 @@ with a tolerance and gives up after a cap on iterations; certify checks
 whichever optimal vertex it reaches.  The exact run compares with no
 tolerance and has no cap.
 
-The columns of a program with n columns and m rows are its own at [0, n),
-then row i's slack at n + i.  The slack's coefficient, sign[i], is -1 on a
-">=" row and +1 otherwise; on an "=" row the slack is held at [0, 0].  It
-starts basic, outside its bounds while the row's residual is not zero,
-until the dual simplex drives it out; the slack of a redundant equality row
-may stay basic at zero.  Left of its last column the tableau is always
-B^-1 [A | S], so its slack block times the signs is B^-1, whatever rows were
-negated to put the identity on the starting basis, its last column holds
-the basic values, and row i's dual is read off its slack's reduced cost.
+Every row has the one form rows[i] . x <= rhs[i]; a ">=" row is its
+negation, and an "=" row the pair of a row and its negation.  The columns
+of a program with n columns and m rows are its own at [0, n), then row i's
+slack at n + i, with coefficient +1 and bounds [0, inf).  A slack starts
+basic, below 0 while its row's residual is, until the dual simplex drives
+it out.  Left of its last column the tableau is always B^-1 [A | I], so its
+slack block is B^-1, its last column holds the basic values, and row i's
+dual, >= 0, is read off its slack's reduced cost.
 """
 
 from __future__ import annotations
@@ -97,9 +96,9 @@ class LPResult:
     """status, plus the optimum's value and vertex when OPTIMAL.
 
     duals, set by solve_lp at an optimum, holds row i's multiplier in the
-    Lagrangian objective.x + duals.(rows x - rhs): >= 0 on "<=" rows and
-    <= 0 on ">=" rows.  solve_ip leaves it None.  The float run also sets
-    det, |det B| of its final basis, and when INFEASIBLE its Farkas ray.
+    Lagrangian objective.x + duals.(rows x - rhs), >= 0 on every row.
+    solve_ip leaves it None.  The float run also sets det, |det B| of its
+    final basis, and when INFEASIBLE its Farkas ray, also >= 0.
     """
 
     status: str
@@ -115,33 +114,30 @@ Bound = tuple[int, "int | None"]
 def solve_lp(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
-    senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
 ) -> LPResult:
-    """Minimize objective . x subject to rows x (senses) rhs and lo <= x <= hi.
+    """Minimize objective . x subject to rows x <= rhs and lo <= x <= hi.
 
-    senses entries are "<=", ">=" or "=".  Upper bounds of None mean
-    unbounded above; lower bounds must be finite.  A column with a negative
-    cost needs an upper bound (ValueError otherwise), so the program is
-    never unbounded.  Every other entry of the data must be an integer
-    (TypeError otherwise).  Exact: the result is in Fractions.
+    Every row takes this one form: negate a ">=" row, and give an "=" row
+    as itself and its negation.  Upper bounds of None mean unbounded above;
+    lower bounds must be finite.  A column with a negative cost needs an
+    upper bound (ValueError otherwise), so the program is never unbounded.
+    Every other entry of the data must be an integer (TypeError otherwise).
+    Exact: the result is in Fractions.
     """
-    return _simplex(objective, rows, senses, rhs, bounds, Fraction, math.inf)
+    return _simplex(objective, rows, rhs, bounds, Fraction, math.inf)
 
 
-def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
+def _simplex(objective, rows, rhs, bounds, num, limit) -> LPResult:
     """solve_lp in the number type num, Fraction or float, by the dual
     simplex in at most limit iterations; Fraction takes integer data only."""
     n = len(objective)
     m = len(rows)
-    if len(senses) != m or len(rhs) != m:
-        raise ValueError("senses and rhs need one entry per row")
+    if len(rhs) != m:
+        raise ValueError("rhs needs one entry per row")
     if len(bounds) != n:
         raise ValueError("bounds need one entry per column")
-    for sense in senses:
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"unknown sense {sense!r}")
     exact = num is Fraction
     if exact:
         num = lambda v: Fraction(operator.index(v))
@@ -159,7 +155,6 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     if any(u is not None and u < l for l, u in zip(lo, hi)):
         return LPResult(INFEASIBLE)
 
-    sign = [-one if sense == ">=" else one for sense in senses]
     # Each column starts at the bound its cost prefers, which makes the
     # all-slack basis dual feasible.  The vertex a run reaches picks
     # solve_ip's branch, and so the witness: the float run's where certify
@@ -169,13 +164,9 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
     residual = [bi - sum(map(operator.mul, row, start)) for bi, row in zip(b, tab)]
     for i, row in enumerate(tab):
         row += [zero] * m + [residual[i]]
-        row[n + i] = sign[i]
-        # A ">=" row is negated so that the tableau carries the identity on
-        # the basis, and its last column, the residuals, the basic values.
-        if sign[i] != one:
-            tab[i] = [-v for v in row]
+        row[n + i] = one
     lo += [zero] * m
-    hi += [zero if sense == "=" else None for sense in senses]
+    hi += [None] * m
     status = [_UPPER if up else _LOWER for up in at_upper] + [_BASIC] * m
     state = _State(tab, list(range(n, n + m)), status, lo, hi, one)
     # On the all-slack basis the reduced costs are the costs.
@@ -187,14 +178,14 @@ def _simplex(objective, rows, senses, rhs, bounds, num, limit) -> LPResult:
         # No point of the box brings row r's basic value within its bounds:
         # row r of B^-1, turned toward the bound it misses, proves it.
         toward = 1 if tab[r][-1] < lo[state.basis[r]] else -1
-        ray = [toward * tab[r][n + i] * sign[i] for i in range(m)]
+        ray = [toward * tab[r][n + i] for i in range(m)]
         return LPResult(INFEASIBLE, duals=ray, det=state.det)
     x = [lo[j] if status[j] != _UPPER else hi[j] for j in range(n)]
     for i, j in enumerate(state.basis):
         if j < n:
             x[j] = tab[i][-1]
     value = sum(cj * xj for cj, xj in zip(c, x))
-    duals = [d[n + i] * sign[i] for i in range(m)]
+    duals = d[n:]
     return LPResult(OPTIMAL, value, x, duals, None if exact else state.det)
 
 
@@ -303,34 +294,33 @@ def _pivot(state: _State, d: list, row: int, col: int) -> None:
     state.status[col] = _BASIC
 
 
-def _holds(x, rows, senses, rhs, bounds, den) -> bool:
+def _holds(x, rows, rhs, bounds, den) -> bool:
     """Whether x / den, for integers x, satisfies every bound and row."""
     for (l, u), xj in zip(bounds, x):
         if xj < l * den or (u is not None and xj > u * den):
             return False
-    for row, sense, b in zip(rows, senses, rhs):
-        v = sum(map(operator.mul, row, x)) - b * den
-        if (v > 0 and sense != ">=") or (v < 0 and sense != "<="):
+    for row, b in zip(rows, rhs):
+        if sum(map(operator.mul, row, x)) > b * den:
             return False
     return True
 
 
-def _satisfies(x, rows, senses, rhs, bounds) -> bool:
+def _satisfies(x, rows, rhs, bounds) -> bool:
     """Whether x, in Fractions or ints, satisfies every bound and row."""
     den = math.lcm(*(xj.denominator for xj in x))
     return _holds([xj.numerator * (den // xj.denominator) for xj in x],
-                  rows, senses, rhs, bounds, den)
+                  rows, rhs, bounds, den)
 
 
-def _lagrangian(objective, rows, senses, rhs, bounds, p, den) -> int | None:
+def _lagrangian(objective, rows, rhs, bounds, p, den) -> int | None:
     """den times lagrangian_bound at the multipliers p / den, for integers p.
     With den = 0 the objective weighs nothing, and a result above 0 proves
     that no point of the box satisfies the rows (Farkas)."""
     coefs = [cj * den for cj in objective]
     total = 0
-    # A multiplier of the wrong sign for its row counts as 0.
-    for row, pi, sense, b in zip(rows, p, senses, rhs):
-        if (pi > 0 and sense != ">=") or (pi < 0 and sense != "<="):
+    # A negative multiplier counts as 0.
+    for row, pi, b in zip(rows, p, rhs):
+        if pi > 0:
             coefs = [cj + a * pi for cj, a in zip(coefs, row, strict=True)]
             total -= pi * b
     for cj, (lo, hi) in zip(coefs, bounds):
@@ -348,7 +338,6 @@ def _lagrangian(objective, rows, senses, rhs, bounds, p, den) -> int | None:
 def lagrangian_bound(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
-    senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
     duals: Sequence[Fraction | int | float],
@@ -357,12 +346,12 @@ def lagrangian_bound(
 
     Evaluates exactly -lam.rhs + the sum over j of the minimum over
     [lo_j, hi_j] of (objective + rows^T lam)_j x_j, with lam the given
-    multipliers clamped to the signs their rows allow (>= 0 on "<=" rows,
-    <= 0 on ">=" rows).  Every feasible x lies in the box and costs at least
-    this much, so the bound holds whatever the multipliers are; at an exact
-    LPResult.duals it equals the optimum.  None when a multiplier is not
-    finite, a box is empty, or a column the bound would push up has no upper
-    bound: the bound proves nothing then, and the caller solves exactly.
+    multipliers clamped to >= 0, the sign every row's multiplier takes.
+    Every feasible x lies in the box and costs at least this much, so the
+    bound holds whatever the multipliers are; at an exact LPResult.duals it
+    equals the optimum.  None when a multiplier is not finite, a box is
+    empty, or a column the bound would push up has no upper bound: the
+    bound proves nothing then, and the caller solves exactly.
     """
     try:
         lam = [Fraction(v) for v in duals]
@@ -370,16 +359,16 @@ def lagrangian_bound(
         return None
     den = math.lcm(*(v.denominator for v in lam))
     p = [v.numerator * (den // v.denominator) for v in lam]
-    total = _lagrangian(objective, rows, senses, rhs, bounds, p, den)
+    total = _lagrangian(objective, rows, rhs, bounds, p, den)
     return None if total is None else Fraction(total, den)
 
 
-def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
+def _guide(objective, rows, rhs, bounds) -> LPResult | None:
     """The float run of the simplex, or None when it reaches its iteration cap
     or fails.  A program outside the solvers' domain raises ValueError."""
     limit = _GUIDE_PIVOTS * (len(rows) + len(objective))
     try:
-        return _simplex(objective, rows, senses, rhs, bounds, float, limit)
+        return _simplex(objective, rows, rhs, bounds, float, limit)
     except (ArithmeticError, SolverError):
         return None
 
@@ -387,7 +376,6 @@ def _guide(objective, rows, senses, rhs, bounds) -> LPResult | None:
 def certify(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
-    senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
 ) -> tuple[Fraction | float | None, Fraction | None, list | None]:
@@ -404,7 +392,7 @@ def certify(
     solve_lp's domain raises ValueError.  Unlike solve_lp and solve_ip,
     certify does not check that the data are integers.
     """
-    guess = _guide(objective, rows, senses, rhs, bounds)
+    guess = _guide(objective, rows, rhs, bounds)
     # D >= 1; an empty box's float run gives no det, and NaN fails too.
     if guess is None or not (guess.det or 0) > 0.5:
         return None, None, None
@@ -415,32 +403,32 @@ def certify(
         x = [round(v * den) for v in guess.x or ()]
     except (ArithmeticError, ValueError):
         return None, None, None
-    total = _lagrangian(objective, rows, senses, rhs, bounds, p, 0 if farkas else den)
+    total = _lagrangian(objective, rows, rhs, bounds, p, 0 if farkas else den)
     if farkas or total is None:
         return (math.inf if farkas and (total or 0) > 0 else None), None, None
     lower = Fraction(total, den)
-    if not _holds(x, rows, senses, rhs, bounds, den):
+    if not _holds(x, rows, rhs, bounds, den):
         return lower, None, None
     upper = Fraction(sum(map(operator.mul, objective, x)), den)
     return lower, upper, [v // den if v % den == 0 else Fraction(v, den) for v in x]
 
 
-def settle(objective: Sequence[int], rows: Sequence[Sequence[int]], senses: Sequence[str],
-           rhs: Sequence[int], bounds: Sequence[Bound], cutoff: Fraction | int | None = None,
+def settle(objective: Sequence[int], rows: Sequence[Sequence[int]], rhs: Sequence[int],
+           bounds: Sequence[Bound], cutoff: Fraction | int | None = None,
            ) -> tuple[int, list] | None:
     """(ceiling, x): the LP minimum's ceiling and a feasible x whose cost has
     it too, or None when the program is infeasible or the ceiling reaches
     cutoff.  The hybrid rule: certify's checked ray or lower bound, or its
     bounds when their ceilings agree, settle it; else solve_lp does.  Only
     solve_lp checks that the data are integers."""
-    lower, upper, x = certify(objective, rows, senses, rhs, bounds)
+    lower, upper, x = certify(objective, rows, rhs, bounds)
     if lower == math.inf:
         return None
     ceiling = None if lower is None else math.ceil(lower)
     if ceiling is not None and cutoff is not None and ceiling >= cutoff:
         return None
     if upper is None or math.ceil(upper) != ceiling:
-        res = solve_lp(objective, rows, senses, rhs, bounds)
+        res = solve_lp(objective, rows, rhs, bounds)
         if res.status != OPTIMAL:
             return None
         x, ceiling = res.x, math.ceil(res.value)
@@ -452,7 +440,6 @@ def settle(objective: Sequence[int], rows: Sequence[Sequence[int]], senses: Sequ
 def solve_ip(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
-    senses: Sequence[str],
     rhs: Sequence[int],
     bounds: Sequence[Bound],
     cutoff: Fraction | int | None = None,
@@ -502,7 +489,7 @@ def solve_ip(
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise SolverError(f"branch and bound exceeded {_NODE_LIMIT} nodes")
-        settled = settle(c, rows, senses, rhs, node_bounds, best_value)
+        settled = settle(c, rows, rhs, node_bounds, best_value)
         if settled is None:
             continue
         bound, x = settled
@@ -518,7 +505,7 @@ def solve_ip(
         guess = None if hint is None else hint(x)
         if guess is not None and not any(v % 1 for v in guess):
             guess = [int(v) for v in guess]
-            if _holds(guess, rows, senses, rhs, bounds, 1):
+            if _holds(guess, rows, rhs, bounds, 1):
                 offer(guess, sum(map(operator.mul, c, guess)))
                 if bound >= best_value:
                     continue

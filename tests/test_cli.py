@@ -145,6 +145,20 @@ def test_movc_alias_with_candidate_ids(
     assert report["witness_order"] == ["a", "c", "b"]
 
 
+def test_blank_alternates_are_skipped(
+    seat_file: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # A trailing comma names no one more; commas alone name no one.
+    assert main(["movc", str(seat_file), "--alternates", "b"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["movc", str(seat_file), "--alternates", "b,"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["movc", str(seat_file), "--alternates", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no alternate winners requested\n"
+
+
 def test_alternates_accept_party_codes(
     seat_file: Path, capsys: pytest.CaptureFixture
 ) -> None:
@@ -238,6 +252,39 @@ def test_ballot_file_and_seed_are_exclusive(
     assert captured.err == "error: give a ballot file or --seed, not both\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["tabulate"], ["margin"], ["movc", "--alternates", "c"]]
+)
+def test_a_ballot_file_or_seed_is_required(
+    capsys: pytest.CaptureFixture, command: list[str]
+) -> None:
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: provide a ballot file or --seed\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seat,num_candidates,lrm,mov,winner\nX,4,5,5,w\n",
+         "seat CSV missing columns: winner_party"),
+        ("seat,num_candidates,lrm,mov,winner,winner_party\n",
+         "seat CSV contains no records"),
+    ],
+    ids=["missing-column", "header-only"],
+)
+def test_a_bad_seat_csv_is_an_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, text: str, message: str
+) -> None:
+    records = tmp_path / "records.csv"
+    records.write_text(text, encoding="utf-8")
+    assert main(["parliament", str(records), "--coalition", "LIB", "--mode", "win"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_dump_lp_writes_model_to_stderr(
     seat_file: Path, capsys: pytest.CaptureFixture
 ) -> None:
@@ -256,7 +303,7 @@ def test_dump_lp_lists_the_solved_program(
     order = json.loads(captured.out)["witness_order"]
     profile = parse_profile(EXAMPLE_WITH_PARTIES)
     model = build_model(profile, order)
-    _, rows, _, _, _, u_masks, e_masks = _assemble(model)
+    _, rows, _, _, u_masks, e_masks = _assemble(model)
     columns = [f"u[{'>'.join(model.sequence.chain(m)) or '-'}]" for m in u_masks]
     columns += [f"e[{'>'.join(model.sequence.chain(m))}]" for m in e_masks]
 
@@ -265,7 +312,10 @@ def test_dump_lp_lists_the_solved_program(
     end = lines.index("bounds:")
     constraints = lines[start:end]
     assert len(constraints) == len(rows)
-    assert all(line.rstrip().endswith((" <= 0", f" = {model.total}")) for line in constraints)
+    # Every row prints in the solvers' one form, "<=": row 0 bounds the
+    # ballots added by the total, and each round row is at most 0.
+    assert constraints[0].rstrip().endswith(f" <= {model.total}")
+    assert all(line.rstrip().endswith(" <= 0") for line in constraints[1:])
     bound_lines = lines[end + 1:]
     assert [line.split()[2] for line in bound_lines] == columns
     named = {tok.strip("-") for line in lines[start - 2:end] for tok in line.split()
@@ -898,6 +948,9 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
          "--workers must be at least 1, not 0"),
         ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--threshold", "0"],
          "--threshold must be at least 1, not 0"),
+        # "+" alone joins no party codes.
+        ({"seats": [{"name": "S", "path": "seat1.ballots"}]}, ["--coalition", "+"],
+         "empty --coalition"),
         ({"seats": [{"name": ["x"], "path": "seat1.ballots"}]}, [],
          "manifest {manifest}: each seat needs a name and a path"),
         ({"seats": [{"name": "S", "path": "seat1.ballots", "parties": {"zz": "LIB"}}]},
@@ -916,7 +969,7 @@ def _write_manifest(tmp_path: Path, manifest: dict) -> Path:
     ],
     ids=["options", "seats-empty", "seats-not-list", "seat-not-object",
          "seat-names-repeat", "parties-not-object", "party-null",
-         "workers-flag", "threshold-flag",
+         "workers-flag", "threshold-flag", "coalition-flag",
          "name-not-string", "party-of-absent-candidate", "party-with-plus",
          "party-with-space", "party-blank",
          "parties-empty-list",

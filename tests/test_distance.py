@@ -151,13 +151,20 @@ def test_exact_distance_cutoff_semantics(example1: Profile) -> None:
 
 
 def test_witness_balances_and_realizes_order(example1: Profile) -> None:
-    for order in ("b>a>c", "a>c>b", "b>c>a", "c>a>b"):
-        value, witness = exact_distance(build_model(example1, _order(order)))
+    # Four orders of example 1, then every complete order of the corpus.
+    # Row 0 only bounds the ballots added by those removed, so a witness
+    # balances because exact_distance gives the shortfall to the winner.
+    cases = [(example1, _order(order)) for order in ("b>a>c", "a>c>b", "b>c>a", "c>a>b")]
+    cases += [(profile, perm) for profile in _random_corpus()
+              for perm in itertools.permutations(profile.candidate_ids)]
+    for profile, order in cases:
+        value, witness = exact_distance(build_model(profile, order))
         assert sum(n for _, n in witness.removals) == value
         assert sum(n for _, n in witness.additions) == value
-        manipulated = apply_manipulation(example1, witness)
-        assert manipulated.total == example1.total
-        assert order_attainable(manipulated, _order(order))
+        manipulated = apply_manipulation(profile, witness)
+        assert manipulated.total == profile.total
+        assert order_attainable(manipulated, order)
+    assert len(cases) == 4 + 1428
 
 
 def test_apply_manipulation_rejects_overdraw(example1: Profile) -> None:
@@ -275,7 +282,7 @@ def test_model_lp_text_shape(example1: Profile) -> None:
     assert "round 1 (b vs a):" in text
     assert "round 2 (a vs c):" in text
     assert "0 <= u[b>c] <= 41" in text
-    assert "= 136" in text
+    assert "e[b>a>c] <= 136" in text
 
 
 def _corpus_sequences():
@@ -295,7 +302,7 @@ def test_round_rows_are_the_suffix_tallies() -> None:
     # tally of order[r] minus that of order[j].
     for profile, order in _corpus_sequences():
         model = build_model(profile, order)
-        _, rows, _, _, _, u_masks, e_masks = _assemble(model)
+        _, rows, _, _, u_masks, e_masks = _assemble(model)
         x = [model.counts[m] for m in u_masks] + [0] * len(e_masks)
         expected = [model.total]
         for r in range(len(order) - 1):
@@ -324,7 +331,7 @@ def test_certified_bound_is_the_exact_lp_ceiling_on_the_corpus(
     checked = shared = same_vertex = 0
     for profile, order in _corpus_sequences():
         model = build_model(profile, order)
-        program = _assemble(model)[:5]
+        program = _assemble(model)[:4]
         finals.clear()
         exact = simplex.solve_lp(*program)
         ceiling = math.ceil(model.total + exact.value)
@@ -357,16 +364,18 @@ def _complete_models():
 
 def test_exact_distance_agrees_with_scipy_milp_on_the_corpus() -> None:
     # A slower reference for the whole branch and bound: HiGHS's MILP on the
-    # same u/e program, in floats, for every complete order of the corpus.
+    # same u/e program, in floats, for every complete order of the corpus,
+    # but with row 0 the textbook equality, sum(u + e) = total, where the
+    # model has <=: so it checks too that relaxing the row moves no
+    # distance.
     scipy_opt = pytest.importorskip("scipy.optimize")
     checked = 0
     for model in _complete_models():
-        objective, rows, senses, rhs, bounds = _assemble(model)[:5]
-        low = [-math.inf if sense == "<=" else b for sense, b in zip(senses, rhs)]
-        high = [math.inf if sense == ">=" else b for sense, b in zip(senses, rhs)]
+        objective, rows, rhs, bounds = _assemble(model)[:4]
+        low = [model.total] + [-math.inf] * (len(rows) - 1)
         theirs = scipy_opt.milp(
             objective,
-            constraints=scipy_opt.LinearConstraint(rows, low, high),
+            constraints=scipy_opt.LinearConstraint(rows, low, rhs),
             integrality=[1] * len(objective),
             bounds=scipy_opt.Bounds(
                 [lo for lo, _ in bounds],
@@ -449,7 +458,7 @@ def test_tally_bound_settles_only_what_the_solvers_would() -> None:
             # One round, c against a: the LP moves a ballot from a chain that
             # credits c to a's singleton chain, closing c's lead by 2, so its
             # ceiling is the half lead the search keys such a suffix by.
-            exact = simplex.solve_lp(*_assemble(model)[:5])
+            exact = simplex.solve_lp(*_assemble(model)[:4])
             assert bound == lower_bound(model) == math.ceil(model.total + exact.value)
             paired += 1
         settled += bound > 0
@@ -572,8 +581,8 @@ def _relaxed_guide():
     zero dual, or a zero entry in its ray."""
     real = simplex._guide
 
-    def guide(objective, rows, senses, rhs, bounds):
-        res = real(objective, rows[:-1], senses[:-1], rhs[:-1], bounds)
+    def guide(objective, rows, rhs, bounds):
+        res = real(objective, rows[:-1], rhs[:-1], bounds)
         if res is None:
             return None
         return dataclasses.replace(res, duals=res.duals + [0.0])
@@ -589,9 +598,9 @@ def _detour_guide():
     settles or branches on that point."""
     real = simplex._guide
 
-    def guide(objective, rows, senses, rhs, bounds):
-        res = real(objective, rows, senses, rhs, bounds)
-        far = real([-v for v in objective], rows, senses, rhs, bounds)
+    def guide(objective, rows, rhs, bounds):
+        res = real(objective, rows, rhs, bounds)
+        far = real([-v for v in objective], rows, rhs, bounds)
         if res is None or res.status != simplex.OPTIMAL or far is None:
             return res
         x = [v + (w - v) / 8 for v, w in zip(res.x, far.x)]

@@ -90,6 +90,8 @@ def test_threshold_examples() -> None:
     assert threshold(6) == 4
     assert threshold(100) == 51
     assert threshold(1) == 1
+    with pytest.raises(ValueError, match="a chamber needs at least one seat"):
+        threshold(0)
 
 
 def test_coalition_key_normalizes() -> None:

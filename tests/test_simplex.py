@@ -25,16 +25,52 @@ from irvmargin.simplex import (
     solve_lp,
 )
 
+# A program in the solvers' one row form: objective, rows, rhs and bounds,
+# for rows x <= rhs.  A Problem also gives each row a sense, "<=", ">=" or
+# "=": the random generators draw them, and the references (scipy and
+# lattice enumeration) solve that form, while the solvers get _le's.
+Program = tuple[list, list, list, list]
 Problem = tuple[list, list, list, list, list]
 
 
+def _split(senses: list) -> list[tuple[int, int]]:
+    """(i, sign) for each row of _le's program, which is row i of the
+    problem times sign: (i, 1) for a "<=" row, (i, -1) for a ">=" row, and
+    both for an "=" row."""
+    return [(i, sign) for i, sense in enumerate(senses) for sign in (1, -1)
+            if sense != (">=" if sign == 1 else "<=")]
+
+
+def _le(problem: Problem) -> Program:
+    """The problem in the one row form: a ">=" row is negated, and an "="
+    row becomes the pair row x <= b, -row x <= -b."""
+    objective, rows, senses, rhs, bounds = problem
+    split = _split(senses)
+    return (objective, [[sign * v for v in rows[i]] for i, sign in split],
+            [sign * rhs[i] for i, sign in split], bounds)
+
+
+def _problem_duals(senses: list, duals: list) -> list:
+    """The multipliers of the problem's rows from those of _le's: negated on
+    a ">=" row, and the first of the pair less the second on an "=" row."""
+    lam = [0] * len(senses)
+    for (i, sign), dual in zip(_split(senses), duals, strict=True):
+        lam[i] += sign * dual
+    return lam
+
+
+def _le_duals(senses: list, lam: list) -> list:
+    """The multipliers of _le's rows that weigh the rows as lam weighs the
+    problem's: each row of _le's takes its problem row's times its sign."""
+    return [sign * lam[i] for i, sign in _split(senses)]
+
+
 def test_lp_simple_minimum() -> None:
-    # min x + y  s.t.  x + y >= 3, x <= 2
+    # min x + y  s.t.  x + y >= 3, as -x - y <= -3, and x <= 2
     res = solve_lp(
         [1, 1],
-        [[1, 1], [1, 0]],
-        [">=", "<="],
-        [3, 2],
+        [[-1, -1], [1, 0]],
+        [-3, 2],
         [(0, None), (0, None)],
     )
     assert res.status == OPTIMAL
@@ -44,19 +80,19 @@ def test_lp_simple_minimum() -> None:
 
 def test_lp_fractional_vertex() -> None:
     # min -x  s.t.  2x <= 3: optimum sits at x = 3/2
-    res = solve_lp([-1], [[2]], ["<="], [3], [(0, 5)])
+    res = solve_lp([-1], [[2]], [3], [(0, 5)])
     assert res.status == OPTIMAL
     assert res.value == Fraction(-3, 2)
     assert res.x == [Fraction(3, 2)]
 
 
 def test_lp_equality_and_negative_costs() -> None:
-    # min -2x - 3y  s.t.  x + y = 4, x - y <= 2, with bounds that do not bind
+    # min -2x - 3y  s.t.  x + y = 4, as x + y <= 4 and -x - y <= -4, and
+    # x - y <= 2, with bounds that do not bind
     res = solve_lp(
         [-2, -3],
-        [[1, 1], [1, -1]],
-        ["=", "<="],
-        [4, 2],
+        [[1, 1], [-1, -1], [1, -1]],
+        [4, -4, 2],
         [(0, 5), (0, 5)],
     )
     assert res.status == OPTIMAL
@@ -65,24 +101,25 @@ def test_lp_equality_and_negative_costs() -> None:
 
 
 def test_lp_respects_upper_bounds() -> None:
-    res = solve_lp([-1, -1], [[1, 1]], ["<="], [10], [(0, 3), (0, 4)])
+    res = solve_lp([-1, -1], [[1, 1]], [10], [(0, 3), (0, 4)])
     assert res.status == OPTIMAL
     assert res.value == -7
 
 
 def test_lp_infeasible() -> None:
-    res = solve_lp([1], [[1], [1]], [">=", "<="], [5, 2], [(0, None)])
+    # x >= 5, as -x <= -5, and x <= 2
+    res = solve_lp([1], [[-1], [1]], [-5, 2], [(0, None)])
     assert res.status == INFEASIBLE
 
 
-def _in_domain(problem: Problem) -> bool:
+def _in_domain(problem: Problem | Program) -> bool:
     """Whether every column with a negative cost has an upper bound, as the
     solvers require."""
-    objective, _, _, _, bounds = problem
+    objective, bounds = problem[0], problem[-1]
     return all(cj >= 0 or hi is not None for cj, (_, hi) in zip(objective, bounds))
 
 
-def _assert_rejected(problem: Problem, *solvers) -> None:
+def _assert_rejected(problem: Program, *solvers) -> None:
     for solve in solvers:
         with pytest.raises(ValueError, match="negative cost needs an upper bound"):
             solve(*problem)
@@ -92,9 +129,9 @@ def test_solvers_reject_a_negative_cost_with_no_upper_bound() -> None:
     # Such a column has no bound its cost prefers to start at, so no start
     # is dual feasible.  The solvers refuse it when no row touches it and
     # when another column's box is empty.
-    problems: list[Problem] = [
-        ([1, -1], [], [], [], [(0, 2), (0, None)]),
-        ([-1, 0], [[1, 1]], ["="], [5], [(0, None), (2, 1)]),
+    problems: list[Program] = [
+        ([1, -1], [], [], [(0, 2), (0, None)]),
+        ([-1, 0], [[1, 1], [-1, -1]], [5, -5], [(0, None), (2, 1)]),
     ]
     for problem in problems:
         assert not _in_domain(problem)
@@ -104,7 +141,7 @@ def test_solvers_reject_a_negative_cost_with_no_upper_bound() -> None:
 def test_lp_unbounded() -> None:
     # min -x  s.t.  0x <= 1, x >= 0 has no finite minimum; its column's
     # negative cost has no upper bound, so every solver refuses it.
-    problem: Problem = ([-1], [[0]], ["<="], [1], [(0, None)])
+    problem: Program = ([-1], [[0]], [1], [(0, None)])
     assert not _in_domain(problem)
     _assert_rejected(problem, solve_lp, certify, solve_ip)
 
@@ -113,8 +150,8 @@ def test_float_run_leaves_a_start_that_is_not_dual_feasible_to_the_exact_run() -
     # min -x  s.t.  x + y = 5, 2x - y <= 4 would be -3, but x's negative cost
     # has no upper bound to start at, so no start is dual feasible.  Neither
     # run takes it: the float run and every solver refuse it.
-    problem: Problem = (
-        [-1, 0], [[1, 1], [2, -1]], ["=", "<="], [5, 4], [(0, None), (0, None)]
+    problem: Program = (
+        [-1, 0], [[1, 1], [-1, -1], [2, -1]], [5, -5, 4], [(0, None), (0, None)]
     )
     assert not _in_domain(problem)
     _assert_rejected(problem, simplex._guide, solve_lp, certify, solve_ip)
@@ -132,10 +169,10 @@ def _boxed_minimum(objective: list, bounds: list) -> LPResult:
 
 
 def test_lp_without_rows_rests_at_the_bounds() -> None:
-    assert solve_lp([2, -3, 0], [], [], [], [(1, 4), (-2, 5), (0, None)]) == LPResult(
+    assert solve_lp([2, -3, 0], [], [], [(1, 4), (-2, 5), (0, None)]) == LPResult(
         OPTIMAL, -13, [1, 5, 0], []
     )
-    assert solve_lp([1, 1], [], [], [], [(0, 2), (3, 1)]).status == INFEASIBLE
+    assert solve_lp([1, 1], [], [], [(0, 2), (3, 1)]).status == INFEASIBLE
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 5)
@@ -144,38 +181,28 @@ def test_lp_without_rows_rests_at_the_bounds() -> None:
         for _ in range(n):
             lo = rng.randint(-3, 3)
             bounds.append((lo, rng.choice([None, lo + rng.randint(-1, 4)])))
-        problem = (objective, [], [], [], bounds)
+        problem = (objective, [], [], bounds)
         if not _in_domain(problem):
             _assert_rejected(problem, solve_lp)
             continue
         assert solve_lp(*problem) == _boxed_minimum(objective, bounds)
 
 
-def test_lp_rejects_unknown_sense() -> None:
-    with pytest.raises(ValueError, match="unknown sense"):
-        solve_lp([1], [[1]], ["<"], [1], [(0, None)])
-    # An empty box does not let the sense through.
-    for solve in (solve_lp, solve_ip):
-        with pytest.raises(ValueError, match="unknown sense"):
-            solve([1], [[1]], ["<"], [1], [(2, 1)])
-
-
 @pytest.mark.parametrize(
-    "senses, rhs, bounds, message",
+    "rows, rhs, bounds, message",
     [
-        (["<="], [3, 1], [(0, 5), (0, 5)], "one entry per row"),
-        (["<=", "<=", "<="], [3, 1], [(0, 5), (0, 5)], "one entry per row"),
-        (["<=", "<="], [3], [(0, 5), (0, 5)], "one entry per row"),
-        (["<=", "<="], [3, 1], [(0, 5)], "one entry per column"),
-        (["<=", "<="], [3, 1], [(0, 5)] * 3, "one entry per column"),
+        ([[1, 1], [1, -1]], [3], [(0, 5), (0, 5)], "one entry per row"),
+        ([[1, 1], [1, -1]], [3, 1], [(0, 5)], "one entry per column"),
+        ([[1, 1], [1, -1]], [3, 1], [(0, 5)] * 3, "one entry per column"),
+        ([[1, 1], [1]], [3, 1], [(0, 5), (0, 5)], "row length does not match objective"),
     ],
-    ids=["short senses", "long senses", "short rhs", "short bounds", "long bounds"],
+    ids=["short rhs", "short bounds", "long bounds", "short row"],
 )
-def test_lp_rejects_mismatched_lengths(senses, rhs, bounds, message) -> None:
-    # A row without a sense must not be solved as an equality, and a short
-    # rhs or bounds must not end in a bare IndexError.
+def test_lp_rejects_mismatched_lengths(rows, rhs, bounds, message) -> None:
+    # A short rhs, bounds or row must not end in a bare IndexError, nor a
+    # row be solved as if its missing entries were 0.
     with pytest.raises(ValueError, match=message):
-        solve_lp([1, 1], [[1, 1], [1, -1]], senses, rhs, bounds)
+        solve_lp([1, 1], rows, rhs, bounds)
 
 
 def _random_problem(rng: random.Random) -> Problem:
@@ -216,13 +243,13 @@ def _linprog(problem: Problem):
     )
 
 
-def _float_run_agrees(problem: Problem, value: Fraction) -> bool:
+def _float_run_agrees(program: Program, value: Fraction) -> bool:
     """Whether the float run, which starts each column at the bound its cost
     prefers, reached the exact optimum value; certify's bounds must bracket
     it either way."""
-    guess = simplex._guide(*problem)
+    guess = simplex._guide(*program)
     assert guess is None or abs(guess.value - value) < 1e-7
-    lower, upper, _ = certify(*problem)
+    lower, upper, _ = certify(*program)
     assert lower is None or lower <= value
     assert upper is None or upper >= value
     return guess is not None
@@ -233,7 +260,8 @@ def test_lp_agrees_with_scipy_on_random_instances() -> None:
     checked = guided = 0
     for _ in range(120):
         problem = _random_problem(rng)
-        ours = solve_lp(*problem)
+        program = _le(problem)
+        ours = solve_lp(*program)
         theirs = _linprog(problem)
         if theirs.status == 2:
             assert ours.status == INFEASIBLE
@@ -241,7 +269,7 @@ def test_lp_agrees_with_scipy_on_random_instances() -> None:
             assert theirs.status == 0
             assert ours.status == OPTIMAL
             assert abs(float(ours.value) - theirs.fun) < 1e-7
-            guided += _float_run_agrees(problem, ours.value)
+            guided += _float_run_agrees(program, ours.value)
         checked += 1
     assert checked == 120
     assert guided > 50
@@ -277,20 +305,21 @@ def test_lp_is_exact_on_random_fractional_programs() -> None:
     guided = 0
     for _ in range(300):
         problem = _random_wide_problem(rng)
-        if not _in_domain(problem):
-            _assert_rejected(problem, solve_lp, certify)
+        program = _le(problem)
+        if not _in_domain(program):
+            _assert_rejected(program, solve_lp, certify)
             continue
-        res = solve_lp(*problem)
+        res = solve_lp(*program)
         seen[res.status] += 1
         theirs = _linprog(problem)
         assert theirs.status == {OPTIMAL: 0, INFEASIBLE: 2}[res.status]
         if res.status != OPTIMAL:
             continue
         assert all(isinstance(v, Fraction) for v in res.x + res.duals)
-        assert _satisfies(res.x, *problem[1:])
-        assert lagrangian_bound(*problem, res.duals) == res.value
+        assert _satisfies(res.x, *program[1:])
+        assert lagrangian_bound(*program, res.duals) == res.value
         assert abs(float(res.value) - theirs.fun) < 1e-7 * (1 + abs(theirs.fun))
-        guided += _float_run_agrees(problem, res.value)
+        guided += _float_run_agrees(program, res.value)
     assert min(seen.values()) > 10
     assert guided > 50
 
@@ -301,29 +330,36 @@ def test_lp_duals_prove_the_optimum_exactly() -> None:
     optimal_seen = 0
     for _ in range(120):
         problem = _random_problem(rng)
-        res = solve_lp(*problem)
+        program = _le(problem)
+        res = solve_lp(*program)
         if res.status != OPTIMAL:
             assert res.duals is None
             continue
+        # Every row is "<=", so every dual is >= 0; mapped back to the
+        # problem's rows, a ">=" row's is <= 0.
+        assert len(res.duals) == len(program[1])
+        assert all(dual >= 0 for dual in res.duals)
         senses = problem[2]
-        assert len(res.duals) == len(senses)
-        for dual, sense in zip(res.duals, senses):
+        duals = _problem_duals(senses, res.duals)
+        assert len(duals) == len(senses)
+        for dual, sense in zip(duals, senses):
             assert isinstance(dual, Fraction)
             if sense == "<=":
                 assert dual >= 0
             elif sense == ">=":
                 assert dual <= 0
-        assert lagrangian_bound(*problem, res.duals) == res.value
+        assert lagrangian_bound(*program, res.duals) == res.value
         optimal_seen += 1
     assert optimal_seen > 50
 
 
 def test_redundant_equality_row_keeps_its_basic_slack_at_zero() -> None:
-    # min x + 2y  s.t.  x + y = 2, 2x + 2y = 4, x - y <= 0: the second row
-    # repeats the first, so once a pivot satisfies one of the two, the
-    # other's slack is basic at zero, held to [0, 0], and the dual simplex
-    # must keep it there.
-    problem = ([1, 2], [[1, 1], [2, 2], [1, -1]], ["=", "=", "<="], [2, 4, 0],
+    # min x + 2y  s.t.  x + y = 2, 2x + 2y = 4, x - y <= 0, each equality as
+    # a pair of opposite rows: the second pair repeats the first, so once
+    # pivots satisfy one pair, the other's slacks are at zero, and basic
+    # ones must stay there, since each is bounded below by 0 and its
+    # opposite's equals minus it.
+    problem = ([1, 2], [[1, 1], [-1, -1], [2, 2], [-2, -2], [1, -1]], [2, -2, 4, -4, 0],
                [(0, None), (0, None)])
     res = solve_lp(*problem)
     assert (res.status, res.value, res.x) == (OPTIMAL, 3, [1, 1])
@@ -335,7 +371,7 @@ def test_certify_rounds_over_a_determinant_above_1000() -> None:
     # min -2x - y  s.t.  30x + 37y <= 41, 37x - 30y <= 7 on [0, 1]^2: both
     # rows are tight at the optimum (1489, 1307) / 2269, whose basis has
     # |det| 2269, so no rational of denominator 1000 or less is the vertex.
-    problem = ([-2, -1], [[30, 37], [37, -30]], ["<=", "<="], [41, 7], [(0, 1), (0, 1)])
+    problem = ([-2, -1], [[30, 37], [37, -30]], [41, 7], [(0, 1), (0, 1)])
     res = solve_lp(*problem)
     assert res.x == [Fraction(1489, 2269), Fraction(1307, 2269)]
     assert round(simplex._guide(*problem).det) == 2269
@@ -356,8 +392,9 @@ def exact_solves(monkeypatch: pytest.MonkeyPatch) -> list:
 
 
 def test_settle_prunes_on_a_checked_farkas_ray(exact_solves: list) -> None:
-    # x >= 5 on [0, 3]: the float run ends infeasible and its ray checks.
-    problem = ([1], [[1]], [">="], [5], [(0, 3)])
+    # x >= 5, as -x <= -5, on [0, 3]: the float run ends infeasible and its
+    # ray checks.
+    problem = ([1], [[-1]], [-5], [(0, 3)])
     assert certify(*problem)[0] == math.inf
     assert settle(*problem) is None
     assert settle(*problem, cutoff=10) is None
@@ -365,8 +402,8 @@ def test_settle_prunes_on_a_checked_farkas_ray(exact_solves: list) -> None:
 
 
 def test_settle_prunes_on_a_certified_ceiling_at_the_cutoff(exact_solves: list) -> None:
-    # min x  s.t.  2x >= 3: the minimum 3/2 has ceiling 2.
-    problem = ([1], [[2]], [">="], [3], [(0, 5)])
+    # min x  s.t.  2x >= 3, as -2x <= -3: the minimum 3/2 has ceiling 2.
+    problem = ([1], [[-2]], [-3], [(0, 5)])
     assert settle(*problem) == (2, [Fraction(3, 2)])
     assert settle(*problem, cutoff=3) == (2, [Fraction(3, 2)])
     assert settle(*problem, cutoff=2) is None
@@ -378,7 +415,7 @@ def test_settle_solves_exactly_where_the_certified_ceilings_disagree(
 ) -> None:
     # A lower bound 1 below the certified one still holds, but its ceiling
     # no longer matches the upper bound's, so only solve_lp can settle.
-    problem = ([-2, -1], [[30, 37], [37, -30]], ["<=", "<="], [41, 7], [(0, 1), (0, 1)])
+    problem = ([-2, -1], [[30, 37], [37, -30]], [41, 7], [(0, 1), (0, 1)])
     exact = solve_lp(*problem)
 
     def loosened(*program):
@@ -411,18 +448,19 @@ def _with_conservation_row(problem: Problem, rng: random.Random) -> Problem:
 
 
 def test_lagrangian_bound_leaves_unbounded_columns_to_the_exact_solve() -> None:
-    # min -y  s.t.  x + y = 5, x >= 0, 2 <= y <= 8: x costs 0 and has no
-    # upper bound, like a distance model's e column.
-    problem = ([0, -1], [[1, 1]], ["="], [5], [(0, None), (2, 8)])
+    # min -y  s.t.  x + y = 5, as x + y <= 5 and -x - y <= -5, x >= 0,
+    # 2 <= y <= 8: x costs 0 and has no upper bound, like a distance model's
+    # e column.  A multiplier lam of x + y = 5 is (lam, -lam) on the pair.
+    problem = ([0, -1], [[1, 1], [-1, -1]], [5, -5], [(0, None), (2, 8)])
     assert solve_lp(*problem).value == -5
     # At lam = -1 the bound would push x, which has no upper bound, up.
-    assert lagrangian_bound(*problem, [-1]) is None
+    assert lagrangian_bound(*problem, [-1, 1]) is None
     # At lam = 0 it pushes only y up, to 8, and proves a weaker bound.
-    assert lagrangian_bound(*problem, [0]) == -8
+    assert lagrangian_bound(*problem, [0, 0]) == -8
     # At lam = 1 no column is pushed up and the bound is the optimum.
-    assert lagrangian_bound(*problem, [1]) == -5
+    assert lagrangian_bound(*problem, [1, -1]) == -5
     # An empty box proves nothing.
-    assert lagrangian_bound([1], [[1]], ["<="], [5], [(2, 1)], [0]) is None
+    assert lagrangian_bound([1], [[1]], [5], [(2, 1)], [0]) is None
 
 
 # The float run's determinants on the acceptance corpus stay in the tens, so
@@ -448,14 +486,18 @@ def test_perturbed_duals_never_overstate_the_optimum(kind: str) -> None:
         problem = _random_problem(rng)
         if rng.random() < 0.5:
             problem = _with_conservation_row(problem, rng)
-        if not _in_domain(problem):
-            _assert_rejected(problem, solve_lp, certify)
+        program = _le(problem)
+        if not _in_domain(program):
+            _assert_rejected(program, solve_lp, certify)
             continue
-        res = solve_lp(*problem)
+        res = solve_lp(*program)
         if res.status != OPTIMAL:
             continue
-        duals = perturb(rng, [float(v) for v in res.duals])
-        bound = lagrangian_bound(*problem, duals)
+        # Perturbed as multipliers of the problem's rows, then weighed on
+        # _le's rows.
+        senses = problem[2]
+        duals = perturb(rng, [float(v) for v in _problem_duals(senses, res.duals)])
+        bound = lagrangian_bound(*program, _le_duals(senses, duals))
         if bound is not None:
             assert bound <= res.value
             proven += 1
@@ -493,7 +535,7 @@ def test_ip_matches_lattice_enumeration() -> None:
     for _ in range(150):
         problem = _random_problem(rng)
         expected = _enumerate_ip(problem)
-        res = solve_ip(*problem)
+        res = solve_ip(*_le(problem))
         if expected is None:
             assert res.status == INFEASIBLE
         else:
@@ -506,26 +548,27 @@ def test_ip_matches_lattice_enumeration() -> None:
 
 def test_ip_does_not_assume_lp_integrality() -> None:
     # LP optimum -3/2 at x = 3/2; integer optimum -1 at x = 1.
-    res = solve_ip([-1], [[2]], ["<="], [3], [(0, 5)])
+    res = solve_ip([-1], [[2]], [3], [(0, 5)])
     assert res.status == OPTIMAL
     assert res.value == -1
     assert res.x == [Fraction(1)]
 
 
 def test_ip_cutoff_is_exclusive() -> None:
-    problem: Problem = ([1, 1], [[1, 1]], [[">="][0]], [3], [(0, 5), (0, 5)])
-    objective, rows, senses, rhs, bounds = problem
-    hit = solve_ip(objective, rows, senses, rhs, bounds, cutoff=4)
+    # min x + y  s.t.  x + y >= 3, as -x - y <= -3
+    problem: Program = ([1, 1], [[-1, -1]], [-3], [(0, 5), (0, 5)])
+    objective, rows, rhs, bounds = problem
+    hit = solve_ip(objective, rows, rhs, bounds, cutoff=4)
     assert hit.status == OPTIMAL
     assert hit.value == 3
-    cut = solve_ip(objective, rows, senses, rhs, bounds, cutoff=3)
+    cut = solve_ip(objective, rows, rhs, bounds, cutoff=3)
     assert cut.status == CUTOFF
     assert cut.value is None
 
 
 def test_ip_cutoff_with_integral_objective_rounds_bounds() -> None:
     # LP relaxation value 3/2 rounds up to 2, which already meets the cutoff.
-    res = solve_ip([1], [[2]], [">="], [3], [(0, 5)], cutoff=2)
+    res = solve_ip([1], [[-2]], [-3], [(0, 5)], cutoff=2)
     assert res.status == CUTOFF
 
 
@@ -536,16 +579,16 @@ def test_solvers_reject_non_integer_data(value) -> None:
     # an error, not a program to solve.
     box = [(0, 5), (0, 5)]
     problems = [
-        ([value, 1], [[1, 1]], [">="], [3], box),
-        ([1, 1], [[value, 1]], [">="], [3], box),
-        ([1, 1], [[1, 1]], [">="], [value], box),
-        ([1, 1], [[1, 1]], [">="], [3], [(value, 5), (0, 5)]),
-        ([1, 1], [[1, 1]], [">="], [3], [(0, value), (0, 5)]),
+        ([value, 1], [[-1, -1]], [-3], box),
+        ([1, 1], [[-value, -1]], [-3], box),
+        ([1, 1], [[-1, -1]], [-value], box),
+        ([1, 1], [[-1, -1]], [-3], [(value, 5), (0, 5)]),
+        ([1, 1], [[-1, -1]], [-3], [(0, value), (0, 5)]),
         # An empty box does not let the rest of the data through.
-        ([1, 1], [[value, 1]], [">="], [3], [(2, 1), (0, 5)]),
+        ([1, 1], [[-value, -1]], [-3], [(2, 1), (0, 5)]),
         # A float bound is refused even when it holds an integer.
-        ([1, 1], [[1, 1]], [">="], [3], [(0, 5.0), (0, 5)]),
-        ([1, 1], [[value, 1]], [">="], [3], [(0, 5.0), (0, 5)]),
+        ([1, 1], [[-1, -1]], [-3], [(0, 5.0), (0, 5)]),
+        ([1, 1], [[-value, -1]], [-3], [(0, 5.0), (0, 5)]),
     ]
     # With a cutoff, solve_ip tries the certified bound, whose float run
     # would take the data, before any exact solve.
@@ -557,7 +600,7 @@ def test_solvers_reject_non_integer_data(value) -> None:
     # Rounding the certified bound up would prune this root, whose integer
     # optimum 3/2 lies below the cutoff, if the objective were let through.
     with pytest.raises(TypeError):
-        solve_ip([Fraction(3, 4)], [[2]], [">="], [3], [(0, 5)], cutoff=2)
+        solve_ip([Fraction(3, 4)], [[-2]], [-3], [(0, 5)], cutoff=2)
 
 
 def test_ip_accepts_valid_hint_at_fractional_vertices() -> None:
@@ -571,9 +614,8 @@ def test_ip_accepts_valid_hint_at_fractional_vertices() -> None:
     # round it; (2, 0) is feasible and optimal among integer points.
     res = solve_ip(
         [1, 1],
-        [[2, 2]],
-        [">="],
-        [3],
+        [[-2, -2]],
+        [-3],
         [(0, 5), (0, 5)],
         hint=hint,
     )
@@ -586,19 +628,19 @@ def test_ip_ignores_infeasible_hint() -> None:
     def hint(_: list[Fraction]) -> list[Fraction]:
         return [Fraction(0), Fraction(0)]
 
-    res = solve_ip([1, 1], [[2, 2]], [">="], [3], [(0, 5), (0, 5)], hint=hint)
+    res = solve_ip([1, 1], [[-2, -2]], [-3], [(0, 5), (0, 5)], hint=hint)
     assert res.status == OPTIMAL
     assert res.value == 2
 
 
 def test_lp_result_carries_solution_vector() -> None:
-    res = solve_lp([0, 1], [[1, 1]], [">="], [2], [(0, 4), (0, 4)])
+    res = solve_lp([0, 1], [[-1, -1]], [-2], [(0, 4), (0, 4)])
     assert isinstance(res, LPResult)
     assert len(res.x) == 2
     assert res.value == 0
 
 
-def _outcome(solve, problem: Problem) -> tuple:
+def _outcome(solve, problem: Program) -> tuple:
     res = solve(*problem)
     return res.status, res.value
 
@@ -609,11 +651,11 @@ def test_blands_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch) -
     # at the same status and optimal value as the largest violation with
     # bound flips, and the float run must certify the same bounds.
     rng = random.Random(2024)
-    lps = [_random_problem(rng) for _ in range(120)]
+    lps = [_le(_random_problem(rng)) for _ in range(120)]
     rng = random.Random(31)
-    lps += [_random_wide_problem(rng) for _ in range(300)]
+    lps += [_le(_random_wide_problem(rng)) for _ in range(300)]
     rng = random.Random(99)
-    ips = [_random_problem(rng) for _ in range(150)]
+    ips = [_le(_random_problem(rng)) for _ in range(150)]
     for problem in lps + ips:
         if not _in_domain(problem):
             _assert_rejected(problem, solve_lp, certify, solve_ip)
@@ -639,7 +681,7 @@ def test_float_run_flips_boxed_columns_in_its_ratio_test(monkeypatch) -> None:
     # 2 over the row.  z has the smallest ratio, and the row is still 1 over
     # once z is flipped to 0, so z flips; y comes next and enters.  One pivot
     # reaches the optimum (1, 0, 0).
-    problem = ([-3, -2, -1], [[1, 1, 1]], ["<="], [1], [(0, 1)] * 3)
+    problem = ([-3, -2, -1], [[1, 1, 1]], [1], [(0, 1)] * 3)
     entered = []
     pivot = simplex._pivot
 
@@ -662,8 +704,9 @@ def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
     # its ray.  Weighed by it, the rows sum to 2x - 1, which is 1 > 0 on the
     # whole box, so the node has no point: solve_ip prunes it with no exact
     # solve.
-    root: Problem = ([0, 1], [[1, 1], [2, 0]], [">=", "<="], [1, 1], [(0, 1), (0, 1)])
-    node = root[:4] + ([(1, 1), (0, 1)],)
+    problem: Problem = ([0, 1], [[1, 1], [2, 0]], [">=", "<="], [1, 1], [(0, 1), (0, 1)])
+    root = _le(problem)
+    node = root[:3] + ([(1, 1), (0, 1)],)
     guess = simplex._guide(*node)
     assert (guess.status, guess.duals, guess.det) == (INFEASIBLE, [0, 1], 1)
     assert certify(*node) == (math.inf, None, None)
@@ -675,19 +718,19 @@ def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
         return res
 
     monkeypatch.setattr(simplex, "solve_lp", recording)
-    expected = (OPTIMAL, _enumerate_ip(root), [0, 1])
+    expected = (OPTIMAL, _enumerate_ip(problem), [0, 1])
     res = solve_ip(*root)
     assert (res.status, res.value, res.x) == expected
     assert statuses == []
     # A ray that does not check proves nothing, and the node falls back to
-    # the exact solve: turned around, or moved to the other row, whose sign
-    # clamps it to 0.
+    # the exact solve: turned around, or moved to the other row and turned
+    # around, where its one entry is negative and so counts as 0.
     real = simplex._guide
-    for ray in ([0.0, -1.0], [1.0, 0.0]):
+    for ray in ([0.0, -1.0], [-1.0, 0.0]):
         monkeypatch.setattr(
             simplex, "_guide",
             lambda *program: dataclasses.replace(real(*program), duals=ray)
-            if list(program[4]) == node[4] else real(*program),
+            if list(program[3]) == node[3] else real(*program),
         )
         assert certify(*node) == (None, None, None)
         statuses.clear()
@@ -698,7 +741,7 @@ def test_float_run_claims_an_infeasible_node_infeasible(monkeypatch) -> None:
 
 def test_ip_node_limit_raises(monkeypatch) -> None:
     # The root relaxation sits at x = 3/2, so the search has to branch.
-    problem: Problem = ([-1], [[2]], ["<="], [3], [(0, 5)])
+    problem: Program = ([-1], [[2]], [3], [(0, 5)])
     monkeypatch.setattr(simplex, "_NODE_LIMIT", 2)
     with pytest.raises(SolverError, match="exceeded 2 nodes"):
         solve_ip(*problem)
@@ -706,10 +749,12 @@ def test_ip_node_limit_raises(monkeypatch) -> None:
     assert _outcome(solve_ip, problem) == (OPTIMAL, -1)
 
 
-def _canonical(res: LPResult) -> str:
-    """status, value, vertex and duals as text, the same on every Python."""
+def _canonical(res: LPResult, senses: list) -> str:
+    """status, value, vertex and duals, those of the problem's rows, as text,
+    the same on every Python."""
+    duals = None if res.duals is None else _problem_duals(senses, res.duals)
     parts = [res.status, str(res.value)]
-    for vector in (res.x, res.duals):
+    for vector in (res.x, duals):
         parts.append("-" if vector is None else ",".join(map(str, vector)))
     return " ".join(parts)
 
@@ -729,14 +774,15 @@ def test_exact_answers_are_pinned() -> None:
         rng = random.Random(seed)
         for _ in range(count):
             problem = make(rng)
+            program, senses = _le(problem), problem[2]
             try:
-                lines["lp"].append(_canonical(solve_lp(*problem)))
+                lines["lp"].append(_canonical(solve_lp(*program), senses))
             except ValueError:
                 lines["lp"].append("rejected")
             if ip:
-                res = solve_ip(*problem)
+                res = solve_ip(*program)
                 lines["ip value"].append(f"{res.status} {res.value}")
-                lines["ip point"].append(_canonical(res))
+                lines["ip point"].append(_canonical(res, senses))
     digests = {
         part: hashlib.sha256("\n".join(text).encode()).hexdigest()
         for part, text in lines.items()
